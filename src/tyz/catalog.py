@@ -534,9 +534,9 @@ def _suite_best() -> list[VerifyCase]:
 def _family_instances() -> list[FamilySpec]:
     specs = []
     for name in ("A", "B", "C"):
-        specs += [FamilySpec(name, n=n) for n in range(3, 9)]
-    for name in ("K", "D"):
-        specs += [FamilySpec(name, n=n) for n in range(2, 5)]
+        specs += [FamilySpec(name, n=n) for n in range(3, 17)]
+    specs += [FamilySpec("K", n=n) for n in range(2, 5)]
+    specs += [FamilySpec("D", n=n) for n in range(2, 7)]
     specs += [FamilySpec("Kmn", n=n, m=m) for m in (2, 3) for n in (2, 3)]
     specs += [FamilySpec("loops", n=n) for n in range(2, 7)]
     for k in range(1, 5):

@@ -22,6 +22,7 @@ from .graphs import (
     canonical_key,
     is_stable,
     is_strongly_connected,
+    symmetry,
     weak_components,
 )
 from .zeta import det_a_minus_i
@@ -65,7 +66,8 @@ def _fill_rows(row_sums: tuple[int, ...], j: int, out: set) -> None:
 
     def rec(r: int) -> None:
         if r == len(row_sums):
-            out.add(canonical_key(MultiDigraph(tuple(rows))))
+            # not the cached canonical_key: its cache would keep every raw matrix
+            out.add((j, *symmetry(tuple(rows)).flat))
             return
         budget_after = sum(row_sums[r + 1 :])
         for row in _compositions(row_sums[r], j):

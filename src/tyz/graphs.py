@@ -5,10 +5,12 @@ directed edges i -> j, and a diagonal entry counts loops.  One loop adds 1 to
 the out-degree and 1 to the in-degree of its vertex (so a single vertex with
 two loops is already stable).  The empty graph (n = 0) is a valid value.
 
-All sizes of interest are tiny (stability forces edge_count >= 2n, and the
-catalogs stop at weight 5, so n <= 5 there; family builders go up to n = 16),
-which is why canonical forms and automorphism counts are done by full
-permutation search instead of partition refinement.
+Canonical forms and automorphism groups come from one search, `symmetry`:
+partition refinement with individualization and automorphism pruning, after
+McKay & Piperno, "Practical graph isomorphism, II" (J. Symbolic Comput. 60,
+2014).  It is exact for every input; its cost grows with how much symmetry
+refinement fails to break, not with n!, so family graphs with dozens of
+vertices take milliseconds.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations
+from typing import NamedTuple
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -30,6 +32,8 @@ __all__ = [
     "is_stable",
     "weak_components",
     "is_strongly_connected",
+    "Symmetry",
+    "symmetry",
     "canonical_key",
     "canonical_form",
     "are_isomorphic",
@@ -179,22 +183,143 @@ def is_strongly_connected(g: MultiDigraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
+class Symmetry(NamedTuple):
+    """Canonical flattening of a matrix, generators of its vertex
+    automorphism group, and the order of that group."""
+
+    flat: tuple[int, ...]
+    generators: tuple[tuple[int, ...], ...]
+    order: int
+
+
+def symmetry(adj: Matrix) -> Symmetry:
+    """Search the vertex orderings of adj that partition refinement admits.
+
+    Refine: vertices start in cells by loop count; a cell is split by each
+    vertex's multiset of (cell, out-multiplicity, in-multiplicity) over its
+    neighbours, and the new cells are ordered by that signature, so no step
+    depends on the vertex labels.  Individualize: the first cell with more
+    than one vertex branches into one child per vertex, which becomes a cell
+    of its own before refining again.  Every discrete partition is a leaf
+    ordering, read off as a matrix.
+
+    Prune: two leaves with equal matrices give an automorphism, and the
+    search jumps back to where their paths part, since the automorphism maps
+    one subtree onto the other.  A child is skipped when an automorphism
+    fixing the node's individualized vertices maps it to a tried sibling.
+
+    The flattening is the least leaf matrix, so equal flattenings mean
+    isomorphic matrices.  The group order is the product, along the first
+    path, of each chosen vertex's orbit under the automorphisms found that fix
+    the vertices chosen before it.
+    """
+    n = len(adj)
+    if n == 0:
+        return Symmetry((), (), 1)
+    # links[v]: (u, multiplicity v -> u, multiplicity u -> v) for each u joined
+    # to v; a loop pairs v with itself
+    links = [
+        [(u, adj[v][u], adj[u][v]) for u in range(n) if adj[v][u] or adj[u][v]]
+        for v in range(n)
+    ]
+
+    def refine(cells: list[list[int]]) -> list[list[int]]:
+        while len(cells) < n:
+            cell_of = [0] * n
+            for index, cell in enumerate(cells):
+                for v in cell:
+                    cell_of[v] = index
+            split: list[list[int]] = []
+            for cell in cells:
+                if len(cell) == 1:
+                    split.append(cell)
+                    continue
+                parts: dict[tuple, list[int]] = {}
+                for v in cell:
+                    signature = tuple(sorted([(cell_of[u], o, i) for u, o, i in links[v]]))
+                    parts.setdefault(signature, []).append(v)
+                split.extend(parts[signature] for signature in sorted(parts))
+            if len(split) == len(cells):
+                return cells
+            cells = split
+        return cells
+
+    generators: list[tuple[int, ...]] = []
+    first = best = None  # (leaf matrix, leaf ordering, path) of the first and least leaves
+
+    def fixing(path: list[int]) -> list[tuple[int, ...]]:
+        return [g for g in generators if all(g[v] == v for v in path)]
+
+    def orbit(seeds: list[int], gens: list[tuple[int, ...]]) -> set[int]:
+        seen, stack = set(seeds), list(seeds)
+        while stack:
+            a = stack.pop()
+            for g in gens:
+                if g[a] not in seen:
+                    seen.add(g[a])
+                    stack.append(g[a])
+        return seen
+
+    def leaf(order: list[int], path: list[int]) -> int:
+        nonlocal first, best
+        flat = tuple(adj[a][b] for a in order for b in order)
+        if first is None:
+            first = best = (flat, order, path)
+            return len(path)
+        for ref_flat, ref_order, ref_path in (first, best):
+            if flat == ref_flat:
+                phi = [0] * n
+                for a, b in zip(ref_order, order):
+                    phi[a] = b
+                generators.append(tuple(phi))
+                depth = 0
+                while path[depth] == ref_path[depth]:
+                    depth += 1
+                return depth  # the automorphism maps the subtree below there onto this one
+        if flat < best[0]:
+            best = (flat, order, path)
+        return len(path)
+
+    def visit(cells: list[list[int]], path: list[int]) -> int:
+        """Search below a node.  Return its own depth, or the smaller depth of
+        the ancestor at which the search resumes after an automorphism."""
+        depth = len(path)
+        target = next((t for t, cell in enumerate(cells) if len(cell) > 1), None)
+        if target is None:
+            return leaf([cell[0] for cell in cells], path)
+        tried: list[int] = []
+        cell = cells[target]
+        for v in cell:
+            if generators and v in orbit(tried, fixing(path)):
+                continue
+            tried.append(v)
+            # v keeps the first position of its cell, and refinement splits
+            # cells in place, so a leaf ordering records the whole path; the
+            # jump back in leaf() relies on that
+            child = cells[:target] + [[v], [u for u in cell if u != v]] + cells[target + 1 :]
+            back = visit(refine(child), path + [v])
+            if back < depth:
+                return back
+        return depth
+
+    start: dict[int, list[int]] = {}
+    for v in range(n):
+        start.setdefault(adj[v][v], []).append(v)
+    visit(refine([start[loops] for loops in sorted(start)]), [])
+    first_path = first[2]
+    order = math.prod(len(orbit([v], fixing(first_path[:d]))) for d, v in enumerate(first_path))
+    return Symmetry(best[0], tuple(generators), order)
+
+
 @cache
 def canonical_key(g: MultiDigraph) -> tuple[int, ...]:
-    """Vertex count followed by the lexicographically minimal flattening of adj.
+    """Vertex count followed by the canonical flattening of adj from `symmetry`.
 
-    Minimal over all vertex permutations, so two graphs share a key exactly
-    when they are isomorphic as multidigraphs (parallel edges unlabeled).
+    Two graphs share a key exactly when they are isomorphic as multidigraphs
+    (parallel edges unlabeled).  The key is the least matrix among the leaves
+    of the refinement search, not the least over all vertex permutations.
     """
-    n = g.n
-    if n == 0:
-        return (0,)
-    rows = g.adj
-    best = min(
-        tuple(rows[u][v] for u in per for v in per)
-        for per in permutations(range(n))
-    )
-    return (n, *best)
+    return (g.n, *symmetry(g.adj).flat)
 
 
 def canonical_form(g: MultiDigraph) -> MultiDigraph:
@@ -210,14 +335,20 @@ def are_isomorphic(g: MultiDigraph, h: MultiDigraph) -> bool:
 
 @cache
 def automorphisms(g: MultiDigraph) -> tuple[tuple[int, ...], ...]:
-    """Vertex permutations phi with adj[phi(i)][phi(j)] = adj[i][j] everywhere."""
-    n = g.n
-    rows = g.adj
-    found = []
-    for per in permutations(range(n)):
-        if all(rows[per[i]][per[j]] == rows[i][j] for i in range(n) for j in range(n)):
-            found.append(per)
-    return tuple(found)
+    """Vertex permutations phi with adj[phi(i)][phi(j)] = adj[i][j] everywhere,
+    sorted: the group generated by the generators `symmetry` finds."""
+    identity = tuple(range(g.n))
+    group = {identity}
+    frontier = [identity]
+    generators = symmetry(g.adj).generators
+    while frontier:
+        phi = frontier.pop()
+        for s in generators:
+            composed = tuple(s[a] for a in phi)
+            if composed not in group:
+                group.add(composed)
+                frontier.append(composed)
+    return tuple(sorted(group))
 
 
 @cache
@@ -228,7 +359,7 @@ def aut_order(g: MultiDigraph) -> int:
     vertex permutations stabilizing the matrix.
     """
     label_factor = math.prod(math.factorial(x) for row in g.adj for x in row)
-    return label_factor * len(automorphisms(g))
+    return label_factor * symmetry(g.adj).order
 
 
 def disjoint_union(gs: list[MultiDigraph]) -> MultiDigraph:

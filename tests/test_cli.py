@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+import random
 import subprocess
 import sys
 
 import tyz.catalog as catalog
 from tyz.cli import main
+from tyz.graphs import format_graph, relabel
+from tyz.zeta import FamilySpec, build_family
 
 
 def run(capsys, *argv):
@@ -78,6 +81,16 @@ def test_families_large_instance_is_instant(capsys):
     code, out, _ = run(capsys, "families", "--name", "D", "--n", "20", "--format", "json")
     row = json.loads(out)["rows"][0]
     assert code == 0 and row["z"] == "1/2" and row["vertices"] == 2**19
+
+
+def test_graph_commands_handle_sixteen_vertices(capsys):
+    # a relabelled de Bruijn graph D(5), far beyond a search of all 16! orders
+    g = build_family(FamilySpec("D", n=5))
+    text = format_graph(relabel(g, random.Random(5).sample(range(g.n), g.n)))
+    code, out, _ = run(capsys, "z", "--graph", text, "--format", "json")
+    assert code == 0 and json.loads(out)["rows"][0]["z"] == "1/2"
+    assert run(capsys, "charpoly", "--graph", text)[0] == 0
+    assert run(capsys, "euler", "--graph", text)[0] == 0
 
 
 def test_verify_suite_passes(capsys):

@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -23,6 +25,7 @@ from tyz.graphs import (
     relabel,
     weak_components,
 )
+from tyz.zeta import FamilySpec, build_family, det_a_minus_i, z_family
 
 
 @st.composite
@@ -136,15 +139,25 @@ def test_canonical_key_is_relabel_invariant(g, rng):
     assert canonical_key(g) == canonical_key(relabel(g, tuple(per)))
 
 
-def _iso_bruteforce(a, b):
-    if a.n != b.n:
-        return False
-    return any(relabel(a, per) == b for per in permutations(range(a.n)))
+# Test oracles: search all n! vertex permutations.
 
 
-@given(small_graphs(max_n=3), small_graphs(max_n=3))
-def test_isomorphism_matches_bruteforce(a, b):
-    assert are_isomorphic(a, b) == _iso_bruteforce(a, b)
+def _key_bruteforce(g):
+    """Vertex count and the least flattening of adj over all vertex orders."""
+    return (g.n, min(relabel(g, per).adj for per in permutations(range(g.n))))
+
+
+def _automorphisms_bruteforce(g):
+    return [per for per in permutations(range(g.n)) if relabel(g, per) == g]
+
+
+@given(small_graphs(max_n=5, max_entry=2), small_graphs(max_n=5, max_entry=2), st.randoms())
+def test_isomorphism_matches_bruteforce(a, b, rng):
+    if rng.random() < 0.5:  # a relabelled copy, so that both answers occur
+        b = relabel(a, rng.sample(range(a.n), a.n))
+    same = _key_bruteforce(a) == _key_bruteforce(b)
+    assert are_isomorphic(a, b) == same
+    assert (canonical_key(a) == canonical_key(b)) == same
 
 
 def test_canonical_form_is_isomorphic_to_input():
@@ -160,11 +173,8 @@ def test_canonical_form_is_isomorphic_to_input():
 def _aut_order_bruteforce(g):
     # label-aware automorphisms: a vertex map preserving the matrix, times a
     # bijection on each parallel-edge bundle it maps across
-    total = 0
-    for per in permutations(range(g.n)):
-        if relabel(g, per) == g:
-            total += math.prod(math.factorial(e) for row in g.adj for e in row)
-    return total
+    label_factor = math.prod(math.factorial(e) for row in g.adj for e in row)
+    return label_factor * len(_automorphisms_bruteforce(g))
 
 
 def test_aut_order_examples():
@@ -175,9 +185,63 @@ def test_aut_order_examples():
     assert aut_order(parse_graph("0 4;2 0")) == 48
 
 
-@given(small_graphs(max_n=3, max_entry=2))
+@given(small_graphs(max_n=5, max_entry=2))
 def test_aut_order_matches_bruteforce(g):
     assert aut_order(g) == _aut_order_bruteforce(g)
+
+
+@given(small_graphs(max_n=5, max_entry=1))
+def test_automorphisms_match_bruteforce(g):
+    assert set(automorphisms(g)) == set(_automorphisms_bruteforce(g))
+
+
+# Symmetric graphs, where refinement alone leaves cells of several vertices
+# and the search must individualize and prune by automorphisms.
+SMALL_FAMILIES = [
+    FamilySpec("A", n=5),
+    FamilySpec("B", n=6),
+    FamilySpec("C", n=6),
+    FamilySpec("K", n=5),
+    FamilySpec("D", n=3),
+    FamilySpec("Kmn", n=3, m=3),
+]
+
+
+def _family_id(spec):
+    return f"{spec.family}({spec.m},{spec.n})" if spec.family == "Kmn" else f"{spec.family}({spec.n})"
+
+
+@pytest.mark.parametrize("spec", SMALL_FAMILIES, ids=_family_id)
+def test_symmetric_families_match_bruteforce(spec):
+    g = build_family(spec)
+    g = relabel(g, random.Random(g.n).sample(range(g.n), g.n))
+    assert _key_bruteforce(canonical_form(g)) == _key_bruteforce(g)
+    assert set(automorphisms(g)) == set(_automorphisms_bruteforce(g))
+    assert aut_order(g) == _aut_order_bruteforce(g)
+
+
+# Too large for the n! search: 9 to 32 vertices.
+LARGE_FAMILIES = [
+    FamilySpec("A", n=16),
+    FamilySpec("B", n=16),
+    FamilySpec("C", n=16),
+    FamilySpec("K", n=10),
+    FamilySpec("Kmn", n=5, m=4),
+    FamilySpec("D", n=5),
+    FamilySpec("D", n=6),
+]
+
+
+@pytest.mark.parametrize("spec", LARGE_FAMILIES, ids=_family_id)
+def test_large_families_are_relabel_invariant(spec):
+    g = build_family(spec)
+    rng = random.Random(spec.n)
+    for _ in range(3):
+        h = relabel(g, rng.sample(range(g.n), g.n))
+        assert canonical_key(h) == canonical_key(g)
+        assert aut_order(h) == aut_order(g)
+        # the closed form of z pins |Aut| independently of the search
+        assert Fraction(-det_a_minus_i(h), aut_order(h)) == z_family(spec)
 
 
 def test_automorphisms_form_a_group():
