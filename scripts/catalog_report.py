@@ -3,8 +3,7 @@
 For each weight k the row reports how many stable multidigraphs exist, how
 many are weakly connected, how many strongly connected, how many of those
 have det(A - I) != 0, and how many carry a zero expansion coefficient.
-Weight 5 enumerates 589 isomorphism classes and takes a few seconds cold,
-so it sits behind --allow-slow like the CLI does.
+Weight 5 (589 isomorphism classes) sits behind --allow-slow like the CLI.
 """
 
 from __future__ import annotations
@@ -12,7 +11,8 @@ from __future__ import annotations
 import argparse
 import time
 
-from tyz import weight_records
+from tyz import class_counts, weight_records
+from tyz.enumeration import check_weight
 
 
 def main() -> int:
@@ -21,23 +21,20 @@ def main() -> int:
     ap.add_argument("--allow-slow", action="store_true", help="permit weight 5")
     args = ap.parse_args()
 
-    if not 1 <= args.max_weight <= 5:
-        ap.error("--max-weight must be between 1 and 5")
-    if args.max_weight >= 5 and not args.allow_slow:
-        ap.error("weight 5 takes a few seconds cold; pass --allow-slow")
+    try:
+        check_weight(args.max_weight, args.allow_slow)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     print(f"{'k':>2} {'stable':>7} {'conn':>6} {'strong':>7} {'det!=0':>7} "
           f"{'z==0':>5} {'seconds':>8}")
     for k in range(1, args.max_weight + 1):
         t0 = time.perf_counter()
-        records = weight_records(k)
+        counts = class_counts(k)
         dt = time.perf_counter() - t0
-        conn = sum(r.cls != "disconnected" for r in records)
-        strong = sum(r.cls == "strongly_connected" for r in records)
-        lam = sum(r.cls == "strongly_connected" and r.det_a_minus_i != 0 for r in records)
-        zeros = sum(r.z == 0 for r in records)
-        print(f"{k:>2} {len(records):>7} {conn:>6} {strong:>7} {lam:>7} "
-              f"{zeros:>5} {dt:>8.3f}")
+        zeros = sum(r.z == 0 for r in weight_records(k))
+        print(f"{k:>2} {counts.total:>7} {counts.connected:>6} "
+              f"{counts.strongly_connected:>7} {counts.lam:>7} {zeros:>5} {dt:>8.3f}")
     return 0
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from tyz import bernoulli, bernoulli_identity_lhs, unit_ball_identity
 from tyz.catalog import format_poly, format_rational
+from tyz.enumeration import check_weight
 
 
 def main() -> int:
@@ -24,10 +25,10 @@ def main() -> int:
     ap.add_argument("--allow-slow", action="store_true", help="permit weight 5")
     args = ap.parse_args()
 
-    if not 1 <= args.max_weight <= 5:
-        ap.error("--max-weight must be between 1 and 5")
-    if args.max_weight >= 5 and not args.allow_slow:
-        ap.error("weight 5 takes a few seconds cold; pass --allow-slow")
+    try:
+        check_weight(args.max_weight, args.allow_slow)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     failures = 0
 
@@ -43,7 +44,7 @@ def main() -> int:
 
     print()
     print("Unit-ball identity (coefficients lowest degree first)")
-    for k in range(1, min(args.max_weight, 4) + 1):
+    for k in range(1, args.max_weight + 1):
         ident = unit_ball_identity(k)
         lead = ident.lhs.coeffs[-1] if ident.lhs.coeffs else Fraction(0)
         expected_lead = Fraction((-1) ** k, 2**k * math.factorial(k))

@@ -6,6 +6,7 @@ from .catalog import (
     CatalogRecord,
     FormalSum,
     GoldenFixture,
+    GraphClassCounts,
     TABLE2,
     VerifyCase,
     VerifyReport,
@@ -22,7 +23,7 @@ from .catalog import (
     weight_records,
     write_catalog,
 )
-from .enumeration import GraphClassCounts, classify, enumerate_stable, enumerate_weight
+from .enumeration import enumerate_stable, enumerate_weight
 from .eulerian import (
     IntPolynomial,
     UnitBallIdentity,
@@ -39,14 +40,12 @@ from .eulerian import (
 )
 from .graphs import (
     EMPTY,
-    DegreeProfile,
     MultiDigraph,
     are_isomorphic,
     aut_order,
     automorphisms,
     canonical_form,
     canonical_key,
-    degrees,
     disjoint_union,
     format_graph,
     is_semistable,

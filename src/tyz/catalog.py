@@ -1,9 +1,13 @@
 """Persistent catalogs, formal sums, golden values, and verification suites.
 
-A catalog is a JSON-lines file, one record per stable graph, sorted by
-canonical key.  Every stored field is recomputable from the adjacency matrix
-alone, and reading a catalog recomputes and compares all of them, so a
-corrupt or tampered file fails loudly with the line number and field name.
+A catalog is a JSON-lines file, one record per stable graph, in strictly
+increasing canonical-key order.  Every stored field is recomputable from the
+adjacency matrix alone, and reading a catalog recomputes and compares all of
+them, so a corrupt or tampered file fails loudly with the line number and
+field name.  A catalog is written to a temporary file renamed into place, so
+no reader sees a partial one; the on-disk cache (`stable_records`) rebuilds a
+file that fails to read and says so with a RuntimeWarning.  `class_counts` is
+the census (one TABLE2 row), taken from the records.
 
 The golden z-values for weights 1..4 live in data/golden_z.json.  They are
 pinned independently of the closed formula, which is exactly what makes the
@@ -17,13 +21,14 @@ import json
 import math
 import os
 import re
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from importlib import resources
 from pathlib import Path
 
-from .enumeration import GraphClassCounts, enumerate_stable, enumerate_weight
+from .enumeration import check_weight, enumerate_stable, enumerate_weight
 from .eulerian import (
     IntPolynomial,
     arborescence_count,
@@ -66,6 +71,7 @@ __all__ = [
     "catalog_cache_dir",
     "stable_records",
     "weight_records",
+    "GraphClassCounts",
     "class_counts",
     "FormalSum",
     "expansion",
@@ -177,39 +183,18 @@ def record_to_json(rec: CatalogRecord) -> dict:
 
 
 def _record_from_json(obj: dict, where: str) -> CatalogRecord:
+    """Rebuild the record from the adjacency matrix alone and require every
+    stored field to match; a matrix not in canonical form fails on
+    'adjacency'."""
     missing = [f for f in _JSON_FIELDS if f not in obj]
     if missing:
         raise ValueError(f"{where}: missing field '{missing[0]}'")
-    g = MultiDigraph.from_rows(obj["adjacency"])
-    fresh = build_record(g)
-    if fresh.graph != g:
-        raise ValueError(f"{where}: field 'adjacency': matrix is not in canonical form")
-    stored = {
-        "vertices": obj["vertices"],
-        "weight": obj["weight"],
-        "edges": obj["edges"],
-        "class": obj["class"],
-        "det_A_minus_I": obj["det_A_minus_I"],
-        "aut_order": obj["aut_order"],
-        "z": obj["z"],
-        "euler_tours": obj["euler_tours"],
-        "charpoly": tuple(obj["charpoly"]),
-    }
-    recomputed = {
-        "vertices": fresh.graph.n,
-        "weight": fresh.weight,
-        "edges": fresh.edges,
-        "class": fresh.cls,
-        "det_A_minus_I": fresh.det_a_minus_i,
-        "aut_order": fresh.aut,
-        "z": format_rational(fresh.z),
-        "euler_tours": fresh.euler_tours,
-        "charpoly": fresh.charpoly,
-    }
-    for field in recomputed:
-        if stored[field] != recomputed[field]:
+    fresh = build_record(MultiDigraph.from_rows(obj["adjacency"]))
+    recomputed = record_to_json(fresh)
+    for field in _JSON_FIELDS:
+        if obj[field] != recomputed[field]:
             raise ValueError(
-                f"{where}: field '{field}': stored {stored[field]!r}, "
+                f"{where}: field '{field}': stored {obj[field]!r}, "
                 f"recomputed {recomputed[field]!r}"
             )
     return fresh
@@ -219,15 +204,22 @@ def write_catalog(records, path) -> None:
     records = sorted(records, key=lambda r: canonical_key(r.graph))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(record_to_json(rec)) + "\n")
+    # the rename is atomic, so readers see the old catalog or the whole new one
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for rec in records:
+                fh.write(json.dumps(record_to_json(rec)) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_catalog(path) -> list[CatalogRecord]:
     """Load and fully re-verify a catalog; raises with line number on any
-    corrupt or inconsistent record."""
+    corrupt or inconsistent record, and on a duplicate or out-of-order one."""
     out = []
+    last_key = None
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
@@ -236,7 +228,12 @@ def read_catalog(path) -> list[CatalogRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"line {line_no}: invalid JSON: {exc}") from None
-            out.append(_record_from_json(obj, f"line {line_no}"))
+            rec = _record_from_json(obj, f"line {line_no}")
+            key = canonical_key(rec.graph)
+            if last_key is not None and key <= last_key:
+                raise ValueError(f"line {line_no}: duplicate or out-of-order record")
+            last_key = key
+            out.append(rec)
     return out
 
 
@@ -265,9 +262,15 @@ def stable_records(j: int, s: int) -> tuple[CatalogRecord, ...]:
     if path is not None and path.exists():
         try:
             records = tuple(read_catalog(path))
-        except (ValueError, OSError):
-            records = None  # stale or corrupt cache entry: rebuild below
-        if records is not None:
+            for rec in records:
+                if (rec.graph.n, rec.edges) != (j, s):
+                    raise ValueError(
+                        f"{format_graph(rec.graph)} has {rec.graph.n} vertices and "
+                        f"{rec.edges} edges, not {j} and {s}"
+                    )
+        except (ValueError, OSError) as exc:
+            warnings.warn(f"rebuilding catalog {path}: {exc}", RuntimeWarning, stacklevel=2)
+        else:
             _memo[(j, s)] = records
             return records
     records = tuple(build_record(g) for g in enumerate_stable(j, s))
@@ -286,9 +289,23 @@ def weight_records(k: int) -> tuple[CatalogRecord, ...]:
     return tuple(recs)
 
 
+@dataclass(frozen=True)
+class GraphClassCounts:
+    """Counts of stable graphs of one weight: all, weakly connected,
+    strongly connected, and strongly connected with det(A - I) != 0."""
+
+    total: int
+    connected: int
+    strongly_connected: int
+    lam: int
+
+    def as_tuple(self) -> tuple[int, int, int, int]:
+        return (self.total, self.connected, self.strongly_connected, self.lam)
+
+
 def class_counts(k: int) -> GraphClassCounts:
-    """Same counts as classify(k) but served from the record cache."""
-    recs = weight_records(k)
+    """The census of weight k (one TABLE2 row), served from the record cache."""
+    recs = weight_records(check_weight(k))
     return GraphClassCounts(
         total=len(recs),
         connected=sum(r.cls != CLASS_DISCONNECTED for r in recs),
@@ -319,9 +336,7 @@ class FormalSum:
 
 
 def expansion(k: int) -> FormalSum:
-    if not 1 <= k <= 5:
-        raise ValueError("expansion is available for weights 1..5")
-    return FormalSum(k, tuple((r.graph, r.z) for r in weight_records(k)))
+    return FormalSum(k, tuple((r.graph, r.z) for r in weight_records(check_weight(k))))
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +417,11 @@ def _rat_case(name, expected: Fraction, actual: Fraction) -> VerifyCase:
     )
 
 
-def _suite_table2(max_weight: int = 4, allow_slow: bool = False) -> list[VerifyCase]:
-    if not 1 <= max_weight <= 5:
-        raise ValueError("table2 covers weights 1..5")
-    if max_weight >= 5 and not allow_slow:
-        raise ValueError("weight 5 takes minutes; pass --allow-slow to include it")
+def _suite_table2(max_weight: int | None, allow_slow: bool) -> list[VerifyCase]:
+    top = check_weight(4 if max_weight is None else max_weight, allow_slow)
     return [
         _case(f"counts weight {k}", TABLE2[k], class_counts(k).as_tuple())
-        for k in range(1, max_weight + 1)
+        for k in range(1, top + 1)
     ]
 
 
@@ -455,13 +467,10 @@ def _suite_weight(k: int) -> list[VerifyCase]:
     return cases
 
 
-def _suite_bernoulli(max_weight: int = 4, allow_slow: bool = False) -> list[VerifyCase]:
-    if not 1 <= max_weight <= 5:
-        raise ValueError("bernoulli suite covers weights 1..5")
-    if max_weight >= 5 and not allow_slow:
-        raise ValueError("weight 5 takes minutes; pass --allow-slow to include it")
+def _suite_bernoulli(max_weight: int | None, allow_slow: bool) -> list[VerifyCase]:
+    top = check_weight(4 if max_weight is None else max_weight, allow_slow)
     cases = []
-    for k in range(1, max_weight + 1):
+    for k in range(1, top + 1):
         target = (-1) ** (k + 1) * bernoulli(k) / k
         cases.append(_rat_case(f"tour sum weight {k}", target, bernoulli_identity_lhs(k)))
     return cases
@@ -570,47 +579,31 @@ def _suite_families() -> list[VerifyCase]:
     return cases
 
 
-SUITE_NAMES = (
-    "table2",
-    "weight2",
-    "weight3",
-    "weight4",
-    "bernoulli",
-    "unitball",
-    "oracle",
-    "best",
-    "families",
-    "all",
-)
+def _fixed(suite, *args):
+    """A suite that takes no --max-weight or --allow-slow."""
+    return lambda max_weight, allow_slow: suite(*args)
+
+
+# name -> suite(max_weight, allow_slow), in the order "all" runs them
+_SUITES = {
+    "table2": _suite_table2,
+    "weight2": _fixed(_suite_weight, 2),
+    "weight3": _fixed(_suite_weight, 3),
+    "weight4": _fixed(_suite_weight, 4),
+    "bernoulli": _suite_bernoulli,
+    "unitball": _fixed(_suite_unitball),
+    "oracle": _fixed(_suite_oracle),
+    "best": _fixed(_suite_best),
+    "families": _fixed(_suite_families),
+}
+
+SUITE_NAMES = (*_SUITES, "all")
 
 
 def verify(suite: str, max_weight: int | None = None, allow_slow: bool = False) -> VerifyReport:
     """Run one named suite (or "all") and report expected vs actual per case."""
-
-    def run(name: str) -> list[VerifyCase]:
-        if name == "table2":
-            return _suite_table2(4 if max_weight is None else max_weight, allow_slow)
-        if name == "weight2":
-            return _suite_weight(2)
-        if name == "weight3":
-            return _suite_weight(3)
-        if name == "weight4":
-            return _suite_weight(4)
-        if name == "bernoulli":
-            return _suite_bernoulli(4 if max_weight is None else max_weight, allow_slow)
-        if name == "unitball":
-            return _suite_unitball()
-        if name == "oracle":
-            return _suite_oracle()
-        if name == "best":
-            return _suite_best()
-        if name == "families":
-            return _suite_families()
-        raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES)}")
-
-    if suite == "all":
-        cases = []
-        for name in SUITE_NAMES[:-1]:
-            cases += run(name)
-        return VerifyReport("all", tuple(cases))
-    return VerifyReport(suite, tuple(run(suite)))
+    if suite not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {suite!r}; expected one of {', '.join(SUITE_NAMES)}")
+    names = _SUITES if suite == "all" else (suite,)
+    cases = [case for name in names for case in _SUITES[name](max_weight, allow_slow)]
+    return VerifyReport(suite, tuple(cases))

@@ -4,7 +4,8 @@ Every subcommand renders a list of rows in one of three formats (aligned
 table, JSON object, CSV) and optionally writes the result to a file instead
 of stdout.  Graph-input commands require a stable graph by default and a
 semistable one under --semistable.  Exit status: 0 on success, 1 when a
-verify suite has failing cases, 2 on usage or parse errors.
+verify suite has failing cases, 2 on usage or parse errors, which include
+every ValueError the library raises for an argument outside its domain.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .catalog import (
     verify,
     weight_records,
 )
+from .enumeration import check_weight
 from .eulerian import euler_tour_count, is_balanced
 from .graphs import (
     MultiDigraph,
@@ -41,26 +43,20 @@ class UsageError(Exception):
     """Bad command-line input; reported on stderr with exit status 2."""
 
 
-MAX_WEIGHT = 5
-SLOW_WEIGHT = 5  # the weight-5 catalog takes minutes, so it sits behind --allow-slow
+# Results are printed exactly, and str() refuses integers of more than 4,300
+# digits (the default of sys.set_int_max_str_digits); 2**14_000 < 10**4_300.
+_MAX_RESULT_BITS = 14_000
 
 
-def _checked_weight(args) -> int:
-    k = args.weight
-    if not 1 <= k <= MAX_WEIGHT:
-        raise UsageError(f"--weight must be between 1 and {MAX_WEIGHT}")
-    if k >= SLOW_WEIGHT and not args.allow_slow:
-        raise UsageError(
-            f"weight {k} takes minutes to enumerate; rerun with --allow-slow"
-        )
-    return k
+def _check_result_size(m: int, what: str) -> None:
+    """Reject input whose printed results can be as large as m!, before any
+    factorial is computed: m! <= m**m < 2**(m * m.bit_length())."""
+    if m * m.bit_length() > _MAX_RESULT_BITS:
+        raise UsageError(f"{what} too large: exact results could exceed 4300 digits")
 
 
 def _input_graph(args) -> MultiDigraph:
-    try:
-        g = parse_graph(args.graph)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    g = parse_graph(args.graph)
     if args.semistable:
         if not is_semistable(g):
             raise UsageError(
@@ -83,7 +79,7 @@ def _input_graph(args) -> MultiDigraph:
 
 
 def _cmd_enumerate(args):
-    k = _checked_weight(args)
+    k = check_weight(args.weight, args.allow_slow)
     columns = ["graph", "vertices", "edges", "weight", "class"]
     rows = [
         {
@@ -99,7 +95,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_classify(args):
-    k = _checked_weight(args)
+    k = check_weight(args.weight, args.allow_slow)
     counts = class_counts(k)
     columns = ["weight", "total", "connected", "strongly_connected", "lambda"]
     rows = [
@@ -116,6 +112,8 @@ def _cmd_classify(args):
 
 def _cmd_z(args):
     g = _input_graph(args)
+    # |Aut| <= (edges + n)!, and Hadamard's bound puts |det(A - I)| far lower
+    _check_result_size(g.edge_count + g.n, "graph")
     columns = ["graph", "vertices", "edges", "weight", "class", "z"]
     rows = [
         {
@@ -145,6 +143,7 @@ def _cmd_charpoly(args):
 
 def _cmd_euler(args):
     g = _input_graph(args)
+    _check_result_size(g.edge_count, "graph")  # at most (edges - 1)! tours
     columns = ["graph", "balanced", "euler_tours"]
     rows = [
         {
@@ -157,7 +156,7 @@ def _cmd_euler(args):
 
 
 def _cmd_expansion(args):
-    k = _checked_weight(args)
+    k = check_weight(args.weight, args.allow_slow)
     columns = ["graph", "class", "z"]
     rows = [
         {"graph": format_graph(r.graph), "class": r.cls, "z": format_rational(r.z)}
@@ -167,10 +166,7 @@ def _cmd_expansion(args):
 
 
 def _cmd_verify(args):
-    try:
-        report = verify(args.suite, max_weight=args.max_weight, allow_slow=args.allow_slow)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    report = verify(args.suite, max_weight=args.max_weight, allow_slow=args.allow_slow)
     columns = ["case", "expected", "actual", "status"]
     rows = [
         {
@@ -192,19 +188,6 @@ def _cmd_verify(args):
     return columns, rows, extra
 
 
-_FAMILY_SIZES = {
-    # vertices, edges as functions of the parameters; no graph is built, so
-    # large de Bruijn instances stay cheap to describe
-    "A": lambda s: (s.n, 2 * s.n),
-    "B": lambda s: (s.n, 2 * s.n),
-    "C": lambda s: (s.n, 2 * s.n),
-    "K": lambda s: (s.n, s.n * s.n),
-    "D": lambda s: (2 ** (s.n - 1), 2**s.n),
-    "Kmn": lambda s: (s.m + s.n, 2 * s.m * s.n),
-    "loops": lambda s: (1, s.n),
-}
-
-
 def _cmd_families(args):
     if args.name == "Kmn":
         if args.m is None:
@@ -214,11 +197,10 @@ def _cmd_families(args):
         if args.m is not None:
             raise UsageError("--m only applies to family Kmn")
         spec = FamilySpec(args.name, n=args.n)
-    try:
-        value = z_family(spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    vertices, edges = _FAMILY_SIZES[args.name](spec)
+    # z's denominator divides 2 (m+n)!; A's is 2**n n and D has 2**n edges, all smaller
+    _check_result_size(spec.m + spec.n, "family parameters")
+    value = z_family(spec)
+    vertices, edges = spec.size()
     columns = ["family", "n", "m", "vertices", "edges", "weight", "z"]
     rows = [
         {
@@ -311,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--weight", type=int, required=True, metavar="K")
         p.add_argument(
             "--allow-slow", action="store_true",
-            help="permit weight-5 runs (expect minutes, not seconds)",
+            help="permit weight-5 runs",
         )
         return p
 
@@ -335,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-weight", type=int, default=None, metavar="W",
                    help="cap for the table2 and bernoulli suites")
     p.add_argument("--allow-slow", action="store_true",
-                   help="permit weight-5 runs (expect minutes, not seconds)")
+                   help="permit weight-5 runs")
 
     p = sub.add_parser("families", parents=[common],
                        help="closed-form z for a parametric graph family")
@@ -366,10 +348,12 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         columns, rows, extra = _HANDLERS[args.command](args)
-    except UsageError as exc:
+        text = _render(args, columns, rows, extra)
+    except (UsageError, ValueError) as exc:
+        # ValueError: an argument outside the library's domain, or str() of an
+        # integer beyond sys.get_int_max_str_digits()
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = _render(args, columns, rows, extra)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -10,30 +10,41 @@ Row-sum vectors are generated as partitions (non-increasing) rather than all
 compositions, which is sound because any matrix can be brought to
 non-increasing row sums by a simultaneous row/column permutation, and the
 canonical-key dedup owns correctness regardless.
+
+`check_weight` is the one supported-weight policy; the CLI, the scripts,
+`catalog` and `eulerian` call it.  The census by weight is
+`catalog.class_counts`, served from the catalog records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
-from .graphs import (
-    MultiDigraph,
-    canonical_key,
-    is_stable,
-    is_strongly_connected,
-    symmetry,
-    weak_components,
-)
-from .zeta import det_a_minus_i
+from .graphs import MultiDigraph, canonical_key, is_stable, symmetry
 
 __all__ = [
+    "MAX_WEIGHT",
+    "SLOW_WEIGHT",
+    "check_weight",
     "enumerate_stable",
     "enumerate_weight",
-    "GraphClassCounts",
-    "classify",
     "raw_stable_matrices",
 ]
+
+MAX_WEIGHT = 5
+SLOW_WEIGHT = 5  # from this weight on, callers must opt in with allow_slow
+
+
+def check_weight(k: int, allow_slow: bool = True) -> int:
+    """Return k if it is a supported weight, else raise ValueError.
+
+    Weights SLOW_WEIGHT..MAX_WEIGHT need allow_slow (the CLI's --allow-slow).
+    """
+    if not 1 <= k <= MAX_WEIGHT:
+        raise ValueError(f"weight {k} is outside the supported range 1..{MAX_WEIGHT}")
+    if k >= SLOW_WEIGHT and not allow_slow:
+        raise ValueError(f"weight {k} needs --allow-slow")
+    return k
 
 
 def _row_sum_partitions(total: int, parts: int, cap: int | None = None):
@@ -124,33 +135,3 @@ def raw_stable_matrices(j: int, s: int):
         g = MultiDigraph(tuple(flat[i * j : (i + 1) * j] for i in range(j)))
         if is_stable(g):
             yield g
-
-
-@dataclass(frozen=True)
-class GraphClassCounts:
-    """Counts of stable graphs of one weight: all, weakly connected,
-    strongly connected, and strongly connected with det(A - I) != 0."""
-
-    total: int
-    connected: int
-    strongly_connected: int
-    lam: int
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.total, self.connected, self.strongly_connected, self.lam)
-
-
-@cache
-def classify(k: int) -> GraphClassCounts:
-    total = connected = strong = lam = 0
-    for g in enumerate_weight(k):
-        total += 1
-        if len(weak_components(g)) != 1:
-            continue
-        connected += 1
-        if not is_strongly_connected(g):
-            continue
-        strong += 1
-        if det_a_minus_i(g) != 0:
-            lam += 1
-    return GraphClassCounts(total, connected, strong, lam)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 
-from .enumeration import enumerate_weight
+from .enumeration import check_weight, enumerate_weight
 from .graphs import MultiDigraph, aut_order, weak_components
 from .zeta import det_a_minus_i, det_int, z
 
@@ -273,10 +273,8 @@ def bernoulli(k: int) -> Fraction:
 def bernoulli_identity_lhs(k: int) -> Fraction:
     """sum of z(G) * epsilon(G) * prod((deg+(v) - 1)!) over stable weight-k
     graphs; the identity says this equals (-1)^(k+1) B_k / k."""
-    if not 1 <= k <= 5:
-        raise ValueError("identity is checked for weights 1..5")
     total = Fraction(0)
-    for g in enumerate_weight(k):
+    for g in enumerate_weight(check_weight(k)):
         eps = euler_tour_count(g)
         if eps == 0:
             continue
@@ -324,10 +322,8 @@ def unit_ball_lhs(k: int) -> IntPolynomial:
     """Catalog side: sum over stable weight-k graphs of
     (-1)^(number of components) det(A - I)/|Aut(G)| * prod((deg+ - 1)!)
     times the cycle-decomposition polynomial."""
-    if not 1 <= k <= 4:
-        raise ValueError("unit-ball identity is checked for weights 1..4")
     total = ZERO_POLY
-    for g in enumerate_weight(k):
+    for g in enumerate_weight(check_weight(k)):
         poly = cycle_decomposition_poly(g)
         if not poly.coeffs:
             continue

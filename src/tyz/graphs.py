@@ -25,9 +25,7 @@ Matrix = tuple[tuple[int, ...], ...]
 __all__ = [
     "Matrix",
     "MultiDigraph",
-    "DegreeProfile",
     "EMPTY",
-    "degrees",
     "is_semistable",
     "is_stable",
     "weak_components",
@@ -97,16 +95,6 @@ class MultiDigraph:
 
 
 EMPTY = MultiDigraph(())
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    outdeg: tuple[int, ...]
-    indeg: tuple[int, ...]
-
-
-def degrees(g: MultiDigraph) -> DegreeProfile:
-    return DegreeProfile(g.out_degrees(), g.in_degrees())
 
 
 def is_semistable(g: MultiDigraph) -> bool:

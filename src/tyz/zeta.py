@@ -144,6 +144,24 @@ class FamilySpec:
     i: int = 0
     j: int = 0
 
+    def size(self) -> tuple[int, int]:
+        """(vertices, edges) of build_family(self), without building it, so
+        large de Bruijn instances stay cheap to describe."""
+        f, n, m = self.family, self.n, self.m
+        if f in ("A", "B", "C"):
+            return n, 2 * n
+        if f == "K":
+            return n, n * n
+        if f == "D":
+            return 2 ** (n - 1), 2**n
+        if f == "Kmn":
+            return m + n, 2 * m * n
+        if f == "loops":
+            return 1, n
+        if f == "twovertex":
+            return 2, m + self.i + self.j + n
+        raise ValueError(f"unknown family {f!r}")
+
 
 def _check(cond: bool, msg: str) -> None:
     if not cond:

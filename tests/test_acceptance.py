@@ -14,9 +14,9 @@ from fractions import Fraction
 import tyz.catalog as catalog
 import tyz.enumeration as enumeration
 import tyz.graphs as graphs
-from tyz.catalog import golden_fixture, weight_records
+from tyz.catalog import class_counts, golden_fixture, weight_records
 from tyz.cli import main as cli_main
-from tyz.enumeration import classify, enumerate_weight
+from tyz.enumeration import enumerate_weight
 from tyz.eulerian import (
     arborescence_count,
     arborescences_bruteforce,
@@ -44,13 +44,12 @@ def test_criterion_1_enumeration_counts(capsys, tmp_path, monkeypatch):
     catalog._memo.clear()
     enumeration.enumerate_stable.cache_clear()
     enumeration.enumerate_weight.cache_clear()
-    enumeration.classify.cache_clear()
     graphs.canonical_key.cache_clear()
     graphs.automorphisms.cache_clear()
     graphs.aut_order.cache_clear()
 
     t0 = time.perf_counter()
-    got = {k: classify(k).as_tuple() for k in (1, 2, 3, 4)}
+    got = {k: class_counts(k).as_tuple() for k in (1, 2, 3, 4)}
     fast_elapsed = time.perf_counter() - t0
     want = {1: (1, 1, 1, 1), 2: (4, 3, 3, 3), 3: (15, 11, 10, 9), 4: (82, 61, 51, 45)}
     ok_small = got == want and fast_elapsed < 10.0

@@ -19,7 +19,7 @@ from tyz.catalog import (
     weight_records,
     write_catalog,
 )
-from tyz.enumeration import classify, enumerate_stable
+from tyz.enumeration import enumerate_stable
 from tyz.graphs import canonical_key, format_graph, parse_graph, relabel
 from tyz.zeta import z
 
@@ -191,9 +191,63 @@ def test_corrupt_cache_is_rebuilt(tmp_path, monkeypatch):
     path = tmp_path / "cache" / "stable-1-3.jsonl"
     path.write_text('{"vertices": broken\n')
     _clear_memo()
-    assert stable_records(1, 3) == want
+    with pytest.warns(RuntimeWarning, match=r"stable-1-3\.jsonl: line 1: invalid JSON"):
+        assert stable_records(1, 3) == want
     assert read_catalog(path)  # rewritten and valid again
     _clear_memo()
+
+
+def test_duplicate_record_is_rejected(tmp_path, monkeypatch):
+    monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
+    _clear_memo()
+    want = stable_records(2, 4)
+    path = tmp_path / "stable-2-4.jsonl"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + lines[-1:]) + "\n")
+    with pytest.raises(ValueError, match=f"line {len(lines) + 1}: .*duplicate or out-of-order"):
+        read_catalog(path)
+    _clear_memo()
+    with pytest.warns(RuntimeWarning, match="stable-2-4.jsonl"):
+        assert stable_records(2, 4) == want
+    assert len(read_catalog(path)) == len(want)
+    _clear_memo()
+
+
+def test_foreign_record_is_rejected(tmp_path, monkeypatch):
+    monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
+    _clear_memo()
+    want = stable_records(2, 5)
+    path = tmp_path / "stable-2-5.jsonl"
+    # a record of the (2, 4) catalog keeps the file in key order and valid
+    foreign = json.dumps(catalog.record_to_json(stable_records(2, 4)[0]))
+    path.write_text(foreign + "\n" + path.read_text())
+    assert len(read_catalog(path)) == len(want) + 1
+    _clear_memo()
+    with pytest.warns(RuntimeWarning, match="4 edges, not 2 and 5"):
+        assert stable_records(2, 5) == want
+    assert len(read_catalog(path)) == len(want)
+    _clear_memo()
+
+
+def test_failed_write_keeps_old_catalog(tmp_path, monkeypatch):
+    path = tmp_path / "w2.jsonl"
+    write_catalog(weight_records(2), path)
+    before = path.read_text()
+    records = weight_records(3)
+    original = catalog.record_to_json
+    calls = []
+
+    def failing(rec):
+        calls.append(rec)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return original(rec)
+
+    monkeypatch.setattr(catalog, "record_to_json", failing)
+    with pytest.raises(OSError, match="disk full"):
+        write_catalog(records, path)
+    assert path.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["w2.jsonl"]
 
 
 def test_empty_cache_dir_variable_disables_disk_cache(tmp_path, monkeypatch):
@@ -294,15 +348,10 @@ def test_unknown_fixture_weight():
 # --- counting and suites ---
 
 
-def test_class_counts_agree_with_classify():
-    for k in (1, 2, 3, 4):
-        assert class_counts(k) == classify(k)
-
-
 def test_table2_constants():
     assert TABLE2[5] == (589, 474, 373, 316)
     for k in (1, 2, 3):
-        assert classify(k).as_tuple() == TABLE2[k]
+        assert class_counts(k).as_tuple() == TABLE2[k]
 
 
 @pytest.mark.parametrize(

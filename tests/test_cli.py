@@ -1,9 +1,13 @@
+import contextlib
 import csv
 import io
 import json
 import random
 import subprocess
 import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 import tyz.catalog as catalog
 from tyz.cli import main
@@ -187,6 +191,68 @@ def test_families_m_rejected_elsewhere(capsys):
 def test_families_range_errors(capsys):
     code, _, err = run(capsys, "families", "--name", "A", "--n", "2")
     assert code == 2 and "n >= 3" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["z", "--graph", "1700"],
+        ["euler", "--graph", "1700"],
+        ["euler", "--graph", "1000000"],
+        ["z", "--graph", "1000000"],
+        ["families", "--name", "loops", "--n", "2000"],
+        ["families", "--name", "K", "--n", "2000"],
+        ["families", "--name", "D", "--n", "100000"],
+    ],
+)
+def test_oversized_input_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "too large" in err
+
+
+def test_results_near_the_size_limit_print(capsys):
+    code, out, _ = run(capsys, "z", "--graph", "1000", "--format", "json")
+    assert code == 0 and len(json.loads(out)["rows"][0]["z"]) > 2500
+    # charpoly computes no factorial, so it needs no size check
+    code, out, _ = run(capsys, "charpoly", "--graph", "1000000", "--format", "json")
+    assert code == 0 and json.loads(out)["rows"][0]["det_A_minus_I"] == 999999
+
+
+def test_int_string_limit_is_usage_error(capsys):
+    # a lowered interpreter limit is caught when printing, not by the size check
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "euler", "--graph", "400")
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 2 and out == "" and "error:" in err
+
+
+_TOKENS = st.one_of(
+    st.integers(0, 4).map(str),
+    st.sampled_from(["1700", "1000000", "10" * 30, "-1", "x", "2.5"]),
+)
+_MATRICES = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(_TOKENS, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["z", "charpoly", "euler"]),
+    _MATRICES,
+    st.booleans(),
+)
+def test_graph_commands_never_crash(command, rows, semistable):
+    argv = [command, "--graph", ";".join(" ".join(row) for row in rows)]
+    if semistable:
+        argv.append("--semistable")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # an exception escaping main fails the test by itself
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 # --- wiring ---

@@ -2,12 +2,8 @@ import math
 
 import pytest
 
-from tyz.enumeration import (
-    classify,
-    enumerate_stable,
-    enumerate_weight,
-    raw_stable_matrices,
-)
+from tyz.catalog import class_counts
+from tyz.enumeration import enumerate_stable, enumerate_weight, raw_stable_matrices
 from tyz.graphs import automorphisms, canonical_key, is_stable, parse_graph
 
 
@@ -74,13 +70,13 @@ def test_against_unpruned_bruteforce():
         assert len(raw) == orbit_total
 
 
-def test_classify_small_weights():
-    assert classify(1).as_tuple() == (1, 1, 1, 1)
-    assert classify(2).as_tuple() == (4, 3, 3, 3)
-    assert classify(3).as_tuple() == (15, 11, 10, 9)
-    assert classify(4).as_tuple() == (82, 61, 51, 45)
+def test_class_counts_small_weights():
+    assert class_counts(1).as_tuple() == (1, 1, 1, 1)
+    assert class_counts(2).as_tuple() == (4, 3, 3, 3)
+    assert class_counts(3).as_tuple() == (15, 11, 10, 9)
+    assert class_counts(4).as_tuple() == (82, 61, 51, 45)
 
 
-def test_classify_rejects_nonpositive():
+def test_class_counts_rejects_nonpositive():
     with pytest.raises(ValueError):
-        classify(0)
+        class_counts(0)

@@ -198,8 +198,15 @@ def test_identity_holds_up_to_weight_four():
         assert check.lhs.leading() == Fraction((-1) ** k, 2**k * math.factorial(k))
 
 
+def test_identity_holds_at_weight_five():
+    check = unit_ball_identity(5)
+    assert check.equal
+    assert check.lhs.degree == 10
+    assert check.lhs.leading() == Fraction(-1, 3840)
+
+
 def test_identity_weight_bounds():
     with pytest.raises(ValueError):
         unit_ball_lhs(0)
     with pytest.raises(ValueError):
-        unit_ball_lhs(5)
+        unit_ball_lhs(6)

@@ -14,7 +14,6 @@ from tyz.graphs import (
     automorphisms,
     canonical_form,
     canonical_key,
-    degrees,
     disjoint_union,
     format_graph,
     induced_subgraph,
@@ -81,13 +80,13 @@ def test_format_parse_identity(g):
 
 
 def test_loop_counts_toward_both_degrees():
-    d = degrees(parse_graph("2"))
-    assert d.outdeg == (2,) and d.indeg == (2,)
+    g = parse_graph("2")
+    assert g.out_degrees() == (2,) and g.in_degrees() == (2,)
 
 
 def test_degree_examples():
-    d = degrees(parse_graph("1 1;1 1"))
-    assert d.outdeg == (2, 2) and d.indeg == (2, 2)
+    g = parse_graph("1 1;1 1")
+    assert g.out_degrees() == (2, 2) and g.in_degrees() == (2, 2)
 
 
 @given(small_graphs())

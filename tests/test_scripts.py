@@ -1,0 +1,47 @@
+"""Smoke tests for the report scripts: each runs at its defaults and turns a
+gated argument into a usage error (exit 2)."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _script(name: str, *args: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+    )
+
+
+@pytest.mark.parametrize("name", ["catalog_report.py", "family_table.py", "identity_scan.py"])
+def test_script_runs_at_defaults(name):
+    proc = _script(name)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("catalog_report.py", ["--max-weight", "5"]),
+        ("catalog_report.py", ["--max-weight", "6", "--allow-slow"]),
+        ("family_table.py", ["--max-n", "17"]),
+    ],
+)
+def test_script_rejects_gated_arguments(name, args):
+    proc = _script(name, *args)
+    assert proc.returncode == 2 and proc.stdout == ""
+
+
+def test_identity_scan_prints_p5_when_allowed():
+    proc = _script("identity_scan.py", "--max-weight", "5", "--allow-slow")
+    assert proc.returncode == 0, proc.stderr
+    assert "P_5 = " in proc.stdout and "leading coefficient -1/3840" in proc.stdout

@@ -222,3 +222,11 @@ def test_closed_forms_match_built_graphs():
     ]
     for spec in specs:
         assert z_family(spec) == z(build_family(spec)), spec
+
+
+def test_family_size_matches_built_graph():
+    from tyz.catalog import _family_instances
+
+    for spec in _family_instances():
+        g = build_family(spec)
+        assert spec.size() == (g.n, g.edge_count), spec
