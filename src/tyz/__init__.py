@@ -8,8 +8,10 @@ from .catalog import (
     GoldenFixture,
     GraphClassCounts,
     TABLE2,
+    UnitBallIdentity,
     VerifyCase,
     VerifyReport,
+    bernoulli_identity_lhs,
     build_record,
     class_counts,
     connectivity_class,
@@ -19,23 +21,21 @@ from .catalog import (
     parse_rational,
     read_catalog,
     stable_records,
+    unit_ball_identity,
+    unit_ball_lhs,
     verify,
     weight_records,
     write_catalog,
 )
-from .enumeration import enumerate_stable, enumerate_weight
+from .enumeration import enumerate_stable
 from .eulerian import (
     IntPolynomial,
-    UnitBallIdentity,
     arborescence_count,
     bernoulli,
-    bernoulli_identity_lhs,
     cycle_decomposition_poly,
     euler_tour_bruteforce,
     euler_tour_count,
     is_balanced,
-    unit_ball_identity,
-    unit_ball_lhs,
     unit_ball_rhs,
 )
 from .graphs import (

@@ -6,8 +6,11 @@ adjacency matrix alone, and reading a catalog recomputes and compares all of
 them, so a corrupt or tampered file fails loudly with the line number and
 field name.  A catalog is written to a temporary file renamed into place, so
 no reader sees a partial one; the on-disk cache (`stable_records`) rebuilds a
-file that fails to read and says so with a RuntimeWarning.  `class_counts` is
-the census (one TABLE2 row), taken from the records.
+file that fails to read and says so with a RuntimeWarning.  The records of
+each (j, s) are kept in memory too (`_memo`), and with the disk cache that is
+the only memo of the census: `weight_records` serves every weight-k sum here,
+the census (`class_counts`, one TABLE2 row), the formal sum (`expansion`),
+the Bernoulli and unit-ball identity sums, and the verify suites.
 
 The golden z-values for weights 1..4 live in data/golden_z.json.  They are
 pinned independently of the closed formula, which is exactly what makes the
@@ -28,17 +31,18 @@ from functools import cache
 from importlib import resources
 from pathlib import Path
 
-from .enumeration import check_weight, enumerate_stable, enumerate_weight
+from .enumeration import check_weight, enumerate_stable
 from .eulerian import (
+    ZERO_POLY,
     IntPolynomial,
     arborescence_count,
     arborescences_bruteforce,
     bernoulli,
-    bernoulli_identity_lhs,
+    cycle_decomposition_poly,
     euler_tour_bruteforce,
     euler_tour_count,
     is_balanced,
-    unit_ball_identity,
+    unit_ball_rhs,
 )
 from .graphs import (
     MultiDigraph,
@@ -50,15 +54,7 @@ from .graphs import (
     weak_components,
 )
 from .spectral import charpoly, coefficient_from_linear, z_orbit
-from .zeta import (
-    FamilySpec,
-    build_family,
-    det_a_minus_i,
-    sym_factor,
-    z,
-    z_family,
-    z_strong,
-)
+from .zeta import FamilySpec, build_family, det_a_minus_i, sym_factor, z, z_family
 
 __all__ = [
     "format_rational",
@@ -75,6 +71,10 @@ __all__ = [
     "class_counts",
     "FormalSum",
     "expansion",
+    "bernoulli_identity_lhs",
+    "unit_ball_lhs",
+    "UnitBallIdentity",
+    "unit_ball_identity",
     "GoldenFixture",
     "golden_fixture",
     "TABLE2",
@@ -182,14 +182,21 @@ def record_to_json(rec: CatalogRecord) -> dict:
     }
 
 
-def _record_from_json(obj: dict, where: str) -> CatalogRecord:
+def _record_from_json(obj, where: str) -> CatalogRecord:
     """Rebuild the record from the adjacency matrix alone and require every
     stored field to match; a matrix not in canonical form fails on
     'adjacency'."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: not a JSON object")
     missing = [f for f in _JSON_FIELDS if f not in obj]
     if missing:
         raise ValueError(f"{where}: missing field '{missing[0]}'")
-    fresh = build_record(MultiDigraph.from_rows(obj["adjacency"]))
+    rows = obj["adjacency"]
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in rows
+    ):
+        raise ValueError(f"{where}: field 'adjacency' is not a list of integer rows")
+    fresh = build_record(MultiDigraph.from_rows(rows))
     recomputed = record_to_json(fresh)
     for field in _JSON_FIELDS:
         if obj[field] != recomputed[field]:
@@ -226,7 +233,7 @@ def read_catalog(path) -> list[CatalogRecord]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # also too many digits, too deep
                 raise ValueError(f"line {line_no}: invalid JSON: {exc}") from None
             rec = _record_from_json(obj, f"line {line_no}")
             key = canonical_key(rec.graph)
@@ -284,6 +291,9 @@ def stable_records(j: int, s: int) -> tuple[CatalogRecord, ...]:
 
 
 def weight_records(k: int) -> tuple[CatalogRecord, ...]:
+    """Records of every stable graph of weight k, sorted by canonical key."""
+    if k < 1:
+        raise ValueError("weight_records needs k >= 1")
     recs = [r for j in range(1, k + 1) for r in stable_records(j, j + k)]
     recs.sort(key=lambda r: canonical_key(r.graph))
     return tuple(recs)
@@ -337,6 +347,52 @@ class FormalSum:
 
 def expansion(k: int) -> FormalSum:
     return FormalSum(k, tuple((r.graph, r.z) for r in weight_records(check_weight(k))))
+
+
+# ---------------------------------------------------------------------------
+# the Bernoulli and unit-ball identities, summed over the records
+# ---------------------------------------------------------------------------
+
+
+def bernoulli_identity_lhs(k: int) -> Fraction:
+    """sum of z(G) * epsilon(G) * prod((deg+(v) - 1)!) over stable weight-k
+    graphs; the identity says this equals (-1)^(k+1) B_k / k."""
+    total = Fraction(0)
+    for r in weight_records(check_weight(k)):
+        if r.euler_tours:
+            degrees = r.graph.out_degrees()
+            total += r.z * r.euler_tours * math.prod(math.factorial(d - 1) for d in degrees)
+    return total
+
+
+def unit_ball_lhs(k: int) -> IntPolynomial:
+    """Catalog side: sum over stable weight-k graphs of
+    (-1)^(number of components) det(A - I)/|Aut(G)| * prod((deg+ - 1)!)
+    times the cycle-decomposition polynomial."""
+    total = ZERO_POLY
+    for r in weight_records(check_weight(k)):
+        poly = cycle_decomposition_poly(r.graph)
+        if not poly.coeffs:
+            continue
+        comps = len(weak_components(r.graph))
+        scalar = Fraction((-1) ** comps * r.det_a_minus_i, r.aut)
+        scalar *= math.prod(math.factorial(d - 1) for d in r.graph.out_degrees())
+        total = total + poly.scale(scalar)
+    return total
+
+
+@dataclass(frozen=True)
+class UnitBallIdentity:
+    lhs: IntPolynomial
+    rhs: IntPolynomial
+
+    @property
+    def equal(self) -> bool:
+        return self.lhs == self.rhs
+
+
+def unit_ball_identity(k: int) -> UnitBallIdentity:
+    return UnitBallIdentity(unit_ball_lhs(k), unit_ball_rhs(k))
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +473,7 @@ def _rat_case(name, expected: Fraction, actual: Fraction) -> VerifyCase:
     )
 
 
-def _suite_table2(max_weight: int | None, allow_slow: bool) -> list[VerifyCase]:
-    top = check_weight(4 if max_weight is None else max_weight, allow_slow)
+def _suite_table2(top: int) -> list[VerifyCase]:
     return [
         _case(f"counts weight {k}", TABLE2[k], class_counts(k).as_tuple())
         for k in range(1, top + 1)
@@ -467,8 +522,7 @@ def _suite_weight(k: int) -> list[VerifyCase]:
     return cases
 
 
-def _suite_bernoulli(max_weight: int | None, allow_slow: bool) -> list[VerifyCase]:
-    top = check_weight(4 if max_weight is None else max_weight, allow_slow)
+def _suite_bernoulli(top: int) -> list[VerifyCase]:
     cases = []
     for k in range(1, top + 1):
         target = (-1) ** (k + 1) * bernoulli(k) / k
@@ -511,26 +565,25 @@ def _suite_unitball() -> list[VerifyCase]:
 def _suite_oracle() -> list[VerifyCase]:
     cases = []
     for k in range(1, 5):
-        for g in enumerate_weight(k):
+        for rec in weight_records(k):
+            g = rec.graph
             name = format_graph(g)
-            poly = charpoly(g)
             rebuilt = (1,) + tuple(coefficient_from_linear(g, i) for i in range(1, g.n + 1))
-            cases.append(_case(f"charpoly({name})", poly, rebuilt))
-            if connectivity_class(g) == CLASS_STRONG:
-                cases.append(_rat_case(f"orbit sum z({name})", z_strong(g), z_orbit(g)))
+            cases.append(_case(f"charpoly({name})", rec.charpoly, rebuilt))
+            if rec.cls == CLASS_STRONG:
+                cases.append(_rat_case(f"orbit sum z({name})", rec.z, z_orbit(g)))
     return cases
 
 
 def _suite_best() -> list[VerifyCase]:
     cases = []
     for k in range(1, 4):
-        for g in enumerate_weight(k):
-            if not is_balanced(g) or connectivity_class(g) == CLASS_DISCONNECTED:
+        for rec in weight_records(k):
+            g = rec.graph
+            if not is_balanced(g) or rec.cls == CLASS_DISCONNECTED:
                 continue
             name = format_graph(g)
-            cases.append(
-                _case(f"epsilon({name})", euler_tour_bruteforce(g), euler_tour_count(g))
-            )
+            cases.append(_case(f"epsilon({name})", euler_tour_bruteforce(g), rec.euler_tours))
             by_matrix = [arborescence_count(g, r) for r in range(g.n)]
             by_force = [arborescences_bruteforce(g, r) for r in range(g.n)]
             cases.append(_case(f"in-trees({name})", by_force, by_matrix))
@@ -549,17 +602,11 @@ def _family_instances() -> list[FamilySpec]:
     specs += [FamilySpec("Kmn", n=n, m=m) for m in (2, 3) for n in (2, 3)]
     specs += [FamilySpec("loops", n=n) for n in range(2, 7)]
     for k in range(1, 5):
-        for g in enumerate_weight(k):
-            if g.n == 2 and g.adj[0][1] * g.adj[1][0] != 0:
-                specs.append(
-                    FamilySpec(
-                        "twovertex",
-                        m=g.adj[0][0],
-                        i=g.adj[0][1],
-                        j=g.adj[1][0],
-                        n=g.adj[1][1],
-                    )
-                )
+        for rec in weight_records(k):
+            adj = rec.graph.adj
+            if len(adj) == 2 and adj[0][1] * adj[1][0] != 0:
+                (m, i), (j, n) = adj
+                specs.append(FamilySpec("twovertex", m=m, i=i, j=j, n=n))
     return specs
 
 
@@ -580,11 +627,11 @@ def _suite_families() -> list[VerifyCase]:
 
 
 def _fixed(suite, *args):
-    """A suite that takes no --max-weight or --allow-slow."""
-    return lambda max_weight, allow_slow: suite(*args)
+    """A suite whose weights do not follow the --max-weight cap."""
+    return lambda top: suite(*args)
 
 
-# name -> suite(max_weight, allow_slow), in the order "all" runs them
+# name -> suite(top weight), in the order "all" runs them
 _SUITES = {
     "table2": _suite_table2,
     "weight2": _fixed(_suite_weight, 2),
@@ -604,6 +651,8 @@ def verify(suite: str, max_weight: int | None = None, allow_slow: bool = False) 
     """Run one named suite (or "all") and report expected vs actual per case."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {', '.join(SUITE_NAMES)}")
+    # the cap is checked once, before any suite runs, whichever suites read it
+    top = 4 if max_weight is None else check_weight(max_weight, allow_slow)
     names = _SUITES if suite == "all" else (suite,)
-    cases = [case for name in names for case in _SUITES[name](max_weight, allow_slow)]
+    cases = [case for name in names for case in _SUITES[name](top)]
     return VerifyReport(suite, tuple(cases))

@@ -11,23 +11,22 @@ compositions, which is sound because any matrix can be brought to
 non-increasing row sums by a simultaneous row/column permutation, and the
 canonical-key dedup owns correctness regardless.
 
-`check_weight` is the one supported-weight policy; the CLI, the scripts,
-`catalog` and `eulerian` call it.  The census by weight is
-`catalog.class_counts`, served from the catalog records.
+`check_weight` is the one supported-weight policy; the CLI, the scripts and
+`catalog` call it.  Nothing here is memoized: `catalog.stable_records` keeps
+the records of each (j, s), and every per-weight consumer (census,
+expansion, identities, verify suites) reads them through
+`catalog.weight_records`.
 """
 
 from __future__ import annotations
 
-from functools import cache
-
-from .graphs import MultiDigraph, canonical_key, is_stable, symmetry
+from .graphs import MultiDigraph, is_stable, symmetry
 
 __all__ = [
     "MAX_WEIGHT",
     "SLOW_WEIGHT",
     "check_weight",
     "enumerate_stable",
-    "enumerate_weight",
     "raw_stable_matrices",
 ]
 
@@ -77,7 +76,7 @@ def _fill_rows(row_sums: tuple[int, ...], j: int, out: set) -> None:
 
     def rec(r: int) -> None:
         if r == len(row_sums):
-            # not the cached canonical_key: its cache would keep every raw matrix
+            # symmetry, not canonical_key: the latter's memo would keep every raw matrix
             out.add((j, *symmetry(tuple(rows)).flat))
             return
         budget_after = sum(row_sums[r + 1 :])
@@ -98,7 +97,6 @@ def _fill_rows(row_sums: tuple[int, ...], j: int, out: set) -> None:
     rec(0)
 
 
-@cache
 def enumerate_stable(j: int, s: int) -> tuple[MultiDigraph, ...]:
     """One canonical representative per isomorphism class of j-vertex,
     s-edge stable graphs, sorted by canonical key.  Empty when s < 2j."""
@@ -111,16 +109,6 @@ def enumerate_stable(j: int, s: int) -> tuple[MultiDigraph, ...]:
     for key in sorted(keys):
         n, flat = key[0], key[1:]
         graphs.append(MultiDigraph(tuple(flat[i * n : (i + 1) * n] for i in range(n))))
-    return tuple(graphs)
-
-
-@cache
-def enumerate_weight(k: int) -> tuple[MultiDigraph, ...]:
-    """All stable graphs of weight k, canonical and sorted by key."""
-    if k < 1:
-        raise ValueError("enumerate_weight needs k >= 1")
-    graphs = [g for j in range(1, k + 1) for g in enumerate_stable(j, j + k)]
-    graphs.sort(key=canonical_key)
     return tuple(graphs)
 
 

@@ -1,6 +1,7 @@
-"""Euler tours, arborescences, cycle-decomposition polynomials, and the two
-identities that tie the weight-k catalogs to Bernoulli numbers and to the
-unit-ball polynomials P_k.
+"""Euler tours, arborescences and cycle-decomposition polynomials of one
+graph, plus the Bernoulli numbers and unit-ball polynomials P_k.  The
+catalog sums they are compared with (`bernoulli_identity_lhs`,
+`unit_ball_lhs`) live in `catalog`, beside the records they sum over.
 
 Conventions that matter here:
 
@@ -28,9 +29,8 @@ from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 
-from .enumeration import check_weight, enumerate_weight
-from .graphs import MultiDigraph, aut_order, weak_components
-from .zeta import det_a_minus_i, det_int, z
+from .graphs import MultiDigraph, weak_components
+from .zeta import det_int
 
 __all__ = [
     "IntPolynomial",
@@ -41,11 +41,7 @@ __all__ = [
     "euler_tour_bruteforce",
     "cycle_decomposition_poly",
     "bernoulli",
-    "bernoulli_identity_lhs",
-    "unit_ball_lhs",
     "unit_ball_rhs",
-    "UnitBallIdentity",
-    "unit_ball_identity",
 ]
 
 
@@ -253,7 +249,7 @@ def cycle_decomposition_poly(g: MultiDigraph) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers and the Bernoulli identity
+# Bernoulli numbers
 # ---------------------------------------------------------------------------
 
 
@@ -270,20 +266,8 @@ def bernoulli(k: int) -> Fraction:
     return -acc / (k + 1)
 
 
-def bernoulli_identity_lhs(k: int) -> Fraction:
-    """sum of z(G) * epsilon(G) * prod((deg+(v) - 1)!) over stable weight-k
-    graphs; the identity says this equals (-1)^(k+1) B_k / k."""
-    total = Fraction(0)
-    for g in enumerate_weight(check_weight(k)):
-        eps = euler_tour_count(g)
-        if eps == 0:
-            continue
-        total += z(g) * eps * math.prod(math.factorial(d - 1) for d in g.out_degrees())
-    return total
-
-
 # ---------------------------------------------------------------------------
-# unit-ball polynomial identity
+# unit-ball polynomials
 # ---------------------------------------------------------------------------
 
 
@@ -316,33 +300,3 @@ def unit_ball_rhs(k: int) -> IntPolynomial:
                 e[t] += i * e[t - 1]
         points.append((bound, (-1) ** k * e[k]))
     return _interpolate(points)
-
-
-def unit_ball_lhs(k: int) -> IntPolynomial:
-    """Catalog side: sum over stable weight-k graphs of
-    (-1)^(number of components) det(A - I)/|Aut(G)| * prod((deg+ - 1)!)
-    times the cycle-decomposition polynomial."""
-    total = ZERO_POLY
-    for g in enumerate_weight(check_weight(k)):
-        poly = cycle_decomposition_poly(g)
-        if not poly.coeffs:
-            continue
-        comps = len(weak_components(g))
-        scalar = Fraction((-1) ** comps * det_a_minus_i(g), aut_order(g))
-        scalar *= math.prod(math.factorial(d - 1) for d in g.out_degrees())
-        total = total + poly.scale(scalar)
-    return total
-
-
-@dataclass(frozen=True)
-class UnitBallIdentity:
-    lhs: IntPolynomial
-    rhs: IntPolynomial
-
-    @property
-    def equal(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def unit_ball_identity(k: int) -> UnitBallIdentity:
-    return UnitBallIdentity(unit_ball_lhs(k), unit_ball_rhs(k))

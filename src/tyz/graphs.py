@@ -10,7 +10,10 @@ partition refinement with individualization and automorphism pruning, after
 McKay & Piperno, "Practical graph isomorphism, II" (J. Symbolic Comput. 60,
 2014).  It is exact for every input; its cost grows with how much symmetry
 refinement fails to break, not with n!, so family graphs with dozens of
-vertices take milliseconds.
+vertices take milliseconds.  The one memo is per graph: `canonical_key`,
+`automorphisms` and `aut_order` share the search result of each
+`MultiDigraph`, while `symmetry` itself keeps nothing, so the raw matrices
+the enumeration passes to it are not retained.
 """
 
 from __future__ import annotations
@@ -300,6 +303,12 @@ def symmetry(adj: Matrix) -> Symmetry:
 
 
 @cache
+def _symmetry_of(g: MultiDigraph) -> Symmetry:
+    """`symmetry` of g, searched once per graph; `canonical_key`,
+    `automorphisms` and `aut_order` all read it."""
+    return symmetry(g.adj)
+
+
 def canonical_key(g: MultiDigraph) -> tuple[int, ...]:
     """Vertex count followed by the canonical flattening of adj from `symmetry`.
 
@@ -307,7 +316,7 @@ def canonical_key(g: MultiDigraph) -> tuple[int, ...]:
     (parallel edges unlabeled).  The key is the least matrix among the leaves
     of the refinement search, not the least over all vertex permutations.
     """
-    return (g.n, *symmetry(g.adj).flat)
+    return (g.n, *_symmetry_of(g).flat)
 
 
 def canonical_form(g: MultiDigraph) -> MultiDigraph:
@@ -321,14 +330,13 @@ def are_isomorphic(g: MultiDigraph, h: MultiDigraph) -> bool:
     return canonical_key(g) == canonical_key(h)
 
 
-@cache
 def automorphisms(g: MultiDigraph) -> tuple[tuple[int, ...], ...]:
     """Vertex permutations phi with adj[phi(i)][phi(j)] = adj[i][j] everywhere,
     sorted: the group generated by the generators `symmetry` finds."""
     identity = tuple(range(g.n))
     group = {identity}
     frontier = [identity]
-    generators = symmetry(g.adj).generators
+    generators = _symmetry_of(g).generators
     while frontier:
         phi = frontier.pop()
         for s in generators:
@@ -339,7 +347,6 @@ def automorphisms(g: MultiDigraph) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(group))
 
 
-@cache
 def aut_order(g: MultiDigraph) -> int:
     """Order of the automorphism group with parallel edges distinguishable.
 
@@ -347,7 +354,7 @@ def aut_order(g: MultiDigraph) -> int:
     vertex permutations stabilizing the matrix.
     """
     label_factor = math.prod(math.factorial(x) for row in g.adj for x in row)
-    return label_factor * symmetry(g.adj).order
+    return label_factor * _symmetry_of(g).order
 
 
 def disjoint_union(gs: list[MultiDigraph]) -> MultiDigraph:

@@ -21,7 +21,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .graphs import (
     MultiDigraph,
@@ -100,7 +99,6 @@ def sym_factor(components: list[MultiDigraph]) -> int:
     return math.prod(math.factorial(m) for m in counts.values())
 
 
-@cache
 def z(g: MultiDigraph) -> Fraction:
     if not is_semistable(g):
         raise ValueError("z is defined for semistable graphs only")

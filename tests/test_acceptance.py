@@ -12,19 +12,21 @@ import time
 from fractions import Fraction
 
 import tyz.catalog as catalog
-import tyz.enumeration as enumeration
 import tyz.graphs as graphs
-from tyz.catalog import class_counts, golden_fixture, weight_records
+from tyz.catalog import (
+    bernoulli_identity_lhs,
+    class_counts,
+    golden_fixture,
+    unit_ball_identity,
+    weight_records,
+)
 from tyz.cli import main as cli_main
-from tyz.enumeration import enumerate_weight
 from tyz.eulerian import (
     arborescence_count,
     arborescences_bruteforce,
-    bernoulli_identity_lhs,
     euler_tour_bruteforce,
     euler_tour_count,
     is_balanced,
-    unit_ball_identity,
 )
 from tyz.graphs import canonical_key, is_strongly_connected, weak_components
 from tyz.spectral import charpoly, coefficient_from_linear, z_orbit
@@ -42,11 +44,7 @@ def _announce(capsys, num: int, title: str, ok: bool, detail: str) -> None:
 def test_criterion_1_enumeration_counts(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path / "cold-cache"))
     catalog._memo.clear()
-    enumeration.enumerate_stable.cache_clear()
-    enumeration.enumerate_weight.cache_clear()
-    graphs.canonical_key.cache_clear()
-    graphs.automorphisms.cache_clear()
-    graphs.aut_order.cache_clear()
+    graphs._symmetry_of.cache_clear()
 
     t0 = time.perf_counter()
     got = {k: class_counts(k).as_tuple() for k in (1, 2, 3, 4)}
@@ -117,7 +115,7 @@ def test_criterion_2_golden_z_values(capsys):
 
 def test_criterion_3_oracle_equivalence(capsys):
     strong = [
-        g for k in (1, 2, 3, 4) for g in enumerate_weight(k) if is_strongly_connected(g)
+        r.graph for k in (1, 2, 3, 4) for r in weight_records(k) if is_strongly_connected(r.graph)
     ]
     orbit_bad = [g for g in strong if z_orbit(g) != z_strong(g)]
     char_bad = [
@@ -142,7 +140,7 @@ def test_criterion_3_oracle_equivalence(capsys):
 def test_criterion_4_best_consistency(capsys):
     checked = 0
     for k in (1, 2, 3):
-        for g in enumerate_weight(k):
+        for g in (r.graph for r in weight_records(k)):
             if not is_balanced(g) or len(weak_components(g)) != 1:
                 continue
             checked += 1
@@ -217,7 +215,7 @@ def test_criterion_7_family_closed_forms(capsys):
     specs += [FamilySpec("loops", n=k) for k in range(2, 7)]
     two_vertex = 0
     for k in (1, 2, 3, 4):
-        for g in enumerate_weight(k):
+        for g in (r.graph for r in weight_records(k)):
             if g.n == 2 and g.adj[0][1] * g.adj[1][0] != 0:
                 two_vertex += 1
                 specs.append(
@@ -250,7 +248,7 @@ def test_criterion_8_vanishing_off_strong(capsys):
     for k in (1, 2, 3, 4):
         middle = [
             g
-            for g in enumerate_weight(k)
+            for g in (r.graph for r in weight_records(k))
             if len(weak_components(g)) == 1 and not is_strongly_connected(g)
         ]
         per_weight[k] = len(middle)

@@ -1,9 +1,12 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import tyz.catalog as catalog
+import tyz.enumeration as enumeration
+import tyz.graphs as graphs
 from tyz.catalog import (
     TABLE2,
     build_record,
@@ -189,11 +192,24 @@ def test_corrupt_cache_is_rebuilt(tmp_path, monkeypatch):
     _clear_memo()
     want = stable_records(1, 3)
     path = tmp_path / "cache" / "stable-1-3.jsonl"
-    path.write_text('{"vertices": broken\n')
-    _clear_memo()
-    with pytest.warns(RuntimeWarning, match=r"stable-1-3\.jsonl: line 1: invalid JSON"):
-        assert stable_records(1, 3) == want
-    assert read_catalog(path)  # rewritten and valid again
+    record = catalog.record_to_json(want[0])
+    corrupt = [
+        ('{"vertices": broken', "invalid JSON"),
+        ("null", "not a JSON object"),
+        ("[1, 2]", "not a JSON object"),
+        (json.dumps({**record, "adjacency": 5}), "'adjacency' is not a list of integer rows"),
+        (json.dumps({**record, "adjacency": [5]}), "'adjacency' is not a list of integer rows"),
+        (json.dumps({**record, "adjacency": [[None]]}), "'adjacency' is not a list of integer rows"),
+        (json.dumps({**record, "adjacency": [[True]]}), "'adjacency' is not a list of integer rows"),
+        ("[" + "9" * 5000 + "]", "invalid JSON"),
+        ("[" * 100_000, "invalid JSON"),
+    ]
+    for line, message in corrupt:
+        path.write_text(line + "\n")
+        _clear_memo()
+        with pytest.warns(RuntimeWarning, match=rf"stable-1-3\.jsonl: line 1: .*{message}"):
+            assert stable_records(1, 3) == want
+        assert read_catalog(path)  # rewritten and valid again
     _clear_memo()
 
 
@@ -266,6 +282,53 @@ def test_unset_cache_dir_defaults_to_dot_directory(tmp_path, monkeypatch):
     stable_records(1, 2)
     assert (tmp_path / ".tyz-cache" / "stable-1-2.jsonl").exists()
     _clear_memo()
+
+
+def _fill_disk_cache(directory, weights) -> None:
+    """Write the catalogs of the given weights into directory."""
+    for k in weights:
+        for j in range(1, k + 1):
+            write_catalog(stable_records(j, j + k), directory / f"stable-{j}-{j + k}.jsonl")
+
+
+def test_reread_searches_each_graph_once(tmp_path, monkeypatch):
+    _fill_disk_cache(tmp_path, [3])
+    monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(catalog, "_memo", {})
+    graphs._symmetry_of.cache_clear()
+    searched = Counter()
+    search = graphs.symmetry
+
+    def counting(adj):
+        searched[adj] += 1
+        return search(adj)
+
+    monkeypatch.setattr(graphs, "symmetry", counting)
+    records = weight_records(3)
+    disconnected = [r.graph for r in records if r.cls == "disconnected"]
+    components = {c for g in disconnected for c in graphs.weak_components(g)}
+    # one search per record, plus one per distinct component of the
+    # disconnected records, which z reads
+    assert set(searched.values()) == {1}
+    assert set(searched) == {r.graph.adj for r in records} | {c.adj for c in components}
+
+
+def test_identity_suites_read_the_catalogs(tmp_path, monkeypatch):
+    _fill_disk_cache(tmp_path, range(1, 6))
+    monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(catalog, "_memo", {})
+    built = []
+    build = enumeration.enumerate_stable
+
+    def counting(j, s):
+        built.append((j, s))
+        return build(j, s)
+
+    for module in (enumeration, catalog):  # catalog imports it by name
+        monkeypatch.setattr(module, "enumerate_stable", counting)
+    assert verify("all", max_weight=5, allow_slow=True).ok
+    assert verify("bernoulli", max_weight=5, allow_slow=True).ok
+    assert built == []
 
 
 def test_records_match_direct_enumeration():

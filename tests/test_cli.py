@@ -2,23 +2,40 @@ import contextlib
 import csv
 import io
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import tyz.catalog as catalog
 from tyz.cli import main
-from tyz.graphs import format_graph, relabel
+from tyz.graphs import format_graph, parse_graph, relabel
 from tyz.zeta import FamilySpec, build_family
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv, **env) -> subprocess.CompletedProcess:
+    """`python -m tyz ARGV` in a child process, so a traceback would reach stderr."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "tyz", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, **env},
+        timeout=120,
+    )
 
 
 # --- happy paths per subcommand ---
@@ -166,6 +183,20 @@ def test_verify_slow_gate(capsys):
     assert code == 2 and "--allow-slow" in err
 
 
+@pytest.mark.parametrize(
+    "suite, weight, message",
+    [
+        ("weight2", "99", "outside the supported range 1..5"),
+        ("oracle", "0", "outside the supported range 1..5"),
+        ("families", "5", "needs --allow-slow"),
+    ],
+    ids=["weight2-99", "oracle-0", "families-5"],
+)
+def test_verify_checks_max_weight_for_every_suite(capsys, suite, weight, message):
+    code, out, err = run(capsys, "verify", suite, "--max-weight", weight)
+    assert code == 2 and out == "" and message in err
+
+
 def test_unknown_suite_is_usage_error(capsys):
     assert run(capsys, "verify", "nosuch")[0] == 2
 
@@ -259,10 +290,19 @@ def test_graph_commands_never_crash(command, rows, semistable):
 
 
 def test_module_entrypoint_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "tyz", "z", "--graph", "2", "--format", "csv"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_process("z", "--graph", "2", "--format", "csv")
     assert proc.returncode == 0
     assert "-1/2" in proc.stdout
+
+
+@pytest.mark.parametrize("adjacency", [5, None])
+def test_malformed_cache_line_is_rebuilt_without_traceback(tmp_path, adjacency):
+    """A whole record whose adjacency is 5, or a line that is null."""
+    record = catalog.record_to_json(catalog.build_record(parse_graph("2")))
+    line = json.dumps(None if adjacency is None else {**record, "adjacency": adjacency})
+    (tmp_path / "stable-1-2.jsonl").write_text(line + "\n")
+    proc = run_process("classify", "--weight", "1", "--format", "json", TYZ_CACHE_DIR=str(tmp_path))
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["rows"][0]["total"] == 1
+    assert "Traceback" not in proc.stderr
+    assert "rebuilding catalog" in proc.stderr

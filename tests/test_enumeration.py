@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from tyz.catalog import class_counts
-from tyz.enumeration import enumerate_stable, enumerate_weight, raw_stable_matrices
+from tyz.catalog import class_counts, weight_records
+from tyz.enumeration import enumerate_stable, raw_stable_matrices
 from tyz.graphs import automorphisms, canonical_key, is_stable, parse_graph
 
 
@@ -27,33 +27,33 @@ def test_empty_parameter_ranges():
     assert enumerate_stable(3, 5) == ()
 
 
-def test_enumerate_weight_rejects_nonpositive():
+def test_weight_records_rejects_nonpositive():
     with pytest.raises(ValueError):
-        enumerate_weight(0)
+        weight_records(0)
 
 
 def test_weight_catalog_sizes():
-    assert len(enumerate_weight(1)) == 1
-    assert len(enumerate_weight(2)) == 4
-    assert len(enumerate_weight(3)) == 15
-    assert len(enumerate_weight(4)) == 82
+    assert len(weight_records(1)) == 1
+    assert len(weight_records(2)) == 4
+    assert len(weight_records(3)) == 15
+    assert len(weight_records(4)) == 82
 
 
 def test_catalog_graphs_are_stable_with_right_weight():
     for k in (1, 2, 3):
-        for g in enumerate_weight(k):
+        for g in (r.graph for r in weight_records(k)):
             assert is_stable(g) and g.weight == k
 
 
 def test_catalog_is_deduplicated_and_sorted():
     for k in (2, 3, 4):
-        keys = [canonical_key(g) for g in enumerate_weight(k)]
+        keys = [canonical_key(r.graph) for r in weight_records(k)]
         assert keys == sorted(keys)
         assert len(keys) == len(set(keys))
 
 
 def test_catalog_is_deterministic():
-    assert enumerate_weight(3) == enumerate_weight(3)
+    assert weight_records(3) == weight_records(3)
     assert enumerate_stable(2, 5) == enumerate_stable(2, 5)
 
 

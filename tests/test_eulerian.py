@@ -3,20 +3,22 @@ from fractions import Fraction
 
 import pytest
 
-from tyz.enumeration import enumerate_weight
+from tyz.catalog import (
+    bernoulli_identity_lhs,
+    unit_ball_identity,
+    unit_ball_lhs,
+    weight_records,
+)
 from tyz.eulerian import (
     ZERO_POLY,
     IntPolynomial,
     arborescence_count,
     arborescences_bruteforce,
     bernoulli,
-    bernoulli_identity_lhs,
     cycle_decomposition_poly,
     euler_tour_bruteforce,
     euler_tour_count,
     is_balanced,
-    unit_ball_identity,
-    unit_ball_lhs,
     unit_ball_rhs,
 )
 from tyz.graphs import EMPTY, parse_graph, weak_components
@@ -70,7 +72,7 @@ def test_arborescence_bruteforce_agrees():
 
 def test_arborescence_root_independent_when_balanced_connected():
     for k in (1, 2, 3):
-        for g in enumerate_weight(k):
+        for g in (r.graph for r in weight_records(k)):
             if is_balanced(g) and len(weak_components(g)) == 1:
                 counts = {arborescence_count(g, r) for r in range(g.n)}
                 assert len(counts) == 1, g
@@ -105,7 +107,7 @@ def test_euler_tour_bruteforce_guardrail():
 
 def test_tours_exhaustive_small_weights():
     for k in (1, 2, 3):
-        for g in enumerate_weight(k):
+        for g in (r.graph for r in weight_records(k)):
             if g.edge_count <= 12:
                 assert euler_tour_count(g) == euler_tour_bruteforce(g), g
 
@@ -123,7 +125,7 @@ def test_decomposition_poly_examples():
 
 def test_decomposition_poly_at_one_counts_transition_systems():
     for k in (1, 2, 3):
-        for g in enumerate_weight(k):
+        for g in (r.graph for r in weight_records(k)):
             if is_balanced(g):
                 want = math.prod(math.factorial(d) for d in g.out_degrees())
                 assert cycle_decomposition_poly(g)(1) == want, g
@@ -132,7 +134,7 @@ def test_decomposition_poly_at_one_counts_transition_systems():
 def test_decomposition_linear_coefficient_is_tour_count():
     """A decomposition with exactly one trail is an Euler tour up to rotation."""
     for k in (1, 2, 3):
-        for g in enumerate_weight(k):
+        for g in (r.graph for r in weight_records(k)):
             if is_balanced(g) and len(weak_components(g)) == 1:
                 poly = cycle_decomposition_poly(g)
                 assert poly.coefficient(1) == euler_tour_count(g), g

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tyz.enumeration import enumerate_weight
+from tyz.catalog import weight_records
 from tyz.graphs import MultiDigraph, is_strongly_connected, parse_graph
 from tyz.spectral import (
     charpoly,
@@ -119,6 +119,6 @@ def test_orbit_formula_rejects_non_strongly_connected():
 
 def test_orbit_formula_matches_determinant_formula_small_weights():
     for k in (1, 2, 3):
-        for g in enumerate_weight(k):
+        for g in (r.graph for r in weight_records(k)):
             if is_strongly_connected(g):
                 assert z_orbit(g) == z_strong(g), g
