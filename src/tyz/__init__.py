@@ -8,7 +8,6 @@ from .catalog import (
     GoldenFixture,
     GraphClassCounts,
     TABLE2,
-    UnitBallIdentity,
     VerifyCase,
     VerifyReport,
     bernoulli_identity_lhs,
@@ -21,7 +20,6 @@ from .catalog import (
     parse_rational,
     read_catalog,
     stable_records,
-    unit_ball_identity,
     unit_ball_lhs,
     verify,
     weight_records,

@@ -5,10 +5,11 @@ increasing canonical-key order.  Every stored field is recomputable from the
 adjacency matrix alone, and reading a catalog recomputes and compares all of
 them, so a corrupt or tampered file fails loudly with the line number and
 field name.  A catalog is written to a temporary file renamed into place, so
-no reader sees a partial one; the on-disk cache (`stable_records`) rebuilds a
+no reader sees a partial one; the on-disk cache (`stable_records`) checks
+each line's vertex and edge count before rebuilding its record, rebuilds a
 file that fails to read and says so with a RuntimeWarning.  The records of
-each (j, s) are kept in memory too (`_memo`), and with the disk cache that is
-the only memo of the census: `weight_records` serves every weight-k sum here,
+each (cache directory, j, s) are kept in memory too (`_memo`), and with the
+disk cache that is the only memo of the census: `weight_records` serves every weight-k sum here,
 the census (`class_counts`, one TABLE2 row), the formal sum (`expansion`),
 the Bernoulli and unit-ball identity sums, and the verify suites.
 
@@ -73,8 +74,6 @@ __all__ = [
     "expansion",
     "bernoulli_identity_lhs",
     "unit_ball_lhs",
-    "UnitBallIdentity",
-    "unit_ball_identity",
     "GoldenFixture",
     "golden_fixture",
     "TABLE2",
@@ -182,10 +181,11 @@ def record_to_json(rec: CatalogRecord) -> dict:
     }
 
 
-def _record_from_json(obj, where: str) -> CatalogRecord:
+def _record_from_json(obj, where: str, size: tuple[int, int] | None) -> CatalogRecord:
     """Rebuild the record from the adjacency matrix alone and require every
     stored field to match; a matrix not in canonical form fails on
-    'adjacency'."""
+    'adjacency'.  With size = (j, s), a matrix that is not j x j with entry
+    sum s fails before anything is computed from it."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: not a JSON object")
     missing = [f for f in _JSON_FIELDS if f not in obj]
@@ -196,7 +196,16 @@ def _record_from_json(obj, where: str) -> CatalogRecord:
         isinstance(row, list) and all(type(x) is int for x in row) for row in rows
     ):
         raise ValueError(f"{where}: field 'adjacency' is not a list of integer rows")
-    fresh = build_record(MultiDigraph.from_rows(rows))
+    try:
+        g = MultiDigraph.from_rows(rows)
+    except ValueError as exc:
+        raise ValueError(f"{where}: field 'adjacency': {exc}") from None
+    if size is not None and (g.n, g.edge_count) != size:
+        raise ValueError(
+            f"{where}: adjacency has {g.n} vertices and {g.edge_count} edges, "
+            f"not {size[0]} and {size[1]}"
+        )
+    fresh = build_record(g)
     recomputed = record_to_json(fresh)
     for field in _JSON_FIELDS:
         if obj[field] != recomputed[field]:
@@ -222,9 +231,10 @@ def write_catalog(records, path) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def read_catalog(path) -> list[CatalogRecord]:
+def read_catalog(path, size: tuple[int, int] | None = None) -> list[CatalogRecord]:
     """Load and fully re-verify a catalog; raises with line number on any
-    corrupt or inconsistent record, and on a duplicate or out-of-order one."""
+    corrupt or inconsistent record, on a duplicate or out-of-order one, and,
+    given size = (j, s), on one without j vertices and s edges."""
     out = []
     last_key = None
     with open(path, encoding="utf-8") as fh:
@@ -235,7 +245,7 @@ def read_catalog(path) -> list[CatalogRecord]:
                 obj = json.loads(line)
             except (ValueError, RecursionError) as exc:  # also too many digits, too deep
                 raise ValueError(f"line {line_no}: invalid JSON: {exc}") from None
-            rec = _record_from_json(obj, f"line {line_no}")
+            rec = _record_from_json(obj, f"line {line_no}", size)
             key = canonical_key(rec.graph)
             if last_key is not None and key <= last_key:
                 raise ValueError(f"line {line_no}: duplicate or out-of-order record")
@@ -248,7 +258,7 @@ def read_catalog(path) -> list[CatalogRecord]:
 # enumeration cache
 # ---------------------------------------------------------------------------
 
-_memo: dict[tuple[int, int], tuple[CatalogRecord, ...]] = {}
+_memo: dict[tuple[Path | None, int, int], tuple[CatalogRecord, ...]] = {}
 
 
 def catalog_cache_dir() -> Path | None:
@@ -261,24 +271,19 @@ def catalog_cache_dir() -> Path | None:
 
 def stable_records(j: int, s: int) -> tuple[CatalogRecord, ...]:
     """Catalog records for the j-vertex, s-edge stable graphs, cached in
-    memory and, when a cache directory is configured, on disk."""
-    if (j, s) in _memo:
-        return _memo[(j, s)]
+    memory per cache directory and, when one is configured, on disk."""
     cache_root = catalog_cache_dir()
+    memo_key = (cache_root, j, s)
+    if memo_key in _memo:
+        return _memo[memo_key]
     path = None if cache_root is None else cache_root / f"stable-{j}-{s}.jsonl"
     if path is not None and path.exists():
         try:
-            records = tuple(read_catalog(path))
-            for rec in records:
-                if (rec.graph.n, rec.edges) != (j, s):
-                    raise ValueError(
-                        f"{format_graph(rec.graph)} has {rec.graph.n} vertices and "
-                        f"{rec.edges} edges, not {j} and {s}"
-                    )
+            records = tuple(read_catalog(path, (j, s)))
         except (ValueError, OSError) as exc:
             warnings.warn(f"rebuilding catalog {path}: {exc}", RuntimeWarning, stacklevel=2)
         else:
-            _memo[(j, s)] = records
+            _memo[memo_key] = records
             return records
     records = tuple(build_record(g) for g in enumerate_stable(j, s))
     if path is not None:
@@ -286,7 +291,7 @@ def stable_records(j: int, s: int) -> tuple[CatalogRecord, ...]:
             write_catalog(records, path)
         except OSError:
             pass  # caching is best effort, results are already in hand
-    _memo[(j, s)] = records
+    _memo[memo_key] = records
     return records
 
 
@@ -367,32 +372,19 @@ def bernoulli_identity_lhs(k: int) -> Fraction:
 
 def unit_ball_lhs(k: int) -> IntPolynomial:
     """Catalog side: sum over stable weight-k graphs of
-    (-1)^(number of components) det(A - I)/|Aut(G)| * prod((deg+ - 1)!)
-    times the cycle-decomposition polynomial."""
+    z(G) * prod((deg+ - 1)!) times the cycle-decomposition polynomial; the
+    identity says this equals `unit_ball_rhs(k)`.
+
+    A graph with a nonzero cycle polynomial is balanced, so its components
+    are strongly connected and z(G) is (-1)^(components) det(A - I)/|Aut(G)|.
+    """
     total = ZERO_POLY
     for r in weight_records(check_weight(k)):
         poly = cycle_decomposition_poly(r.graph)
-        if not poly.coeffs:
-            continue
-        comps = len(weak_components(r.graph))
-        scalar = Fraction((-1) ** comps * r.det_a_minus_i, r.aut)
-        scalar *= math.prod(math.factorial(d - 1) for d in r.graph.out_degrees())
-        total = total + poly.scale(scalar)
+        if poly.coeffs:
+            factor = math.prod(math.factorial(d - 1) for d in r.graph.out_degrees())
+            total = total + poly.scale(r.z * factor)
     return total
-
-
-@dataclass(frozen=True)
-class UnitBallIdentity:
-    lhs: IntPolynomial
-    rhs: IntPolynomial
-
-    @property
-    def equal(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def unit_ball_identity(k: int) -> UnitBallIdentity:
-    return UnitBallIdentity(unit_ball_lhs(k), unit_ball_rhs(k))
 
 
 # ---------------------------------------------------------------------------
@@ -540,23 +532,17 @@ def _suite_unitball() -> list[VerifyCase]:
     cases = []
     printed = {1: _P1_PRINTED, 2: _P2_PRINTED}
     for k in range(1, 5):
-        check = unit_ball_identity(k)
-        cases.append(
-            VerifyCase(
-                f"P_{k} catalog sum", format_poly(check.rhs), format_poly(check.lhs), check.equal
-            )
-        )
+        lhs, rhs = unit_ball_lhs(k), unit_ball_rhs(k)
+        cases.append(VerifyCase(f"P_{k} catalog sum", format_poly(rhs), format_poly(lhs), lhs == rhs))
         leading = Fraction((-1) ** k, 2**k * math.factorial(k))
-        cases.append(
-            _rat_case(f"P_{k} leading coefficient", leading, check.lhs.leading())
-        )
+        cases.append(_rat_case(f"P_{k} leading coefficient", leading, lhs.leading()))
         if k in printed:
             cases.append(
                 VerifyCase(
                     f"P_{k} printed form",
                     format_poly(printed[k]),
-                    format_poly(check.lhs),
-                    printed[k] == check.lhs,
+                    format_poly(lhs),
+                    printed[k] == lhs,
                 )
             )
     return cases

@@ -36,11 +36,7 @@ from .graphs import (
 from .spectral import charpoly
 from .zeta import FAMILY_NAMES, FamilySpec, det_a_minus_i, z, z_family
 
-__all__ = ["main", "entrypoint", "UsageError"]
-
-
-class UsageError(Exception):
-    """Bad command-line input; reported on stderr with exit status 2."""
+__all__ = ["main", "entrypoint"]
 
 
 # Results are printed exactly, and str() refuses integers of more than 4,300
@@ -52,19 +48,19 @@ def _check_result_size(m: int, what: str) -> None:
     """Reject input whose printed results can be as large as m!, before any
     factorial is computed: m! <= m**m < 2**(m * m.bit_length())."""
     if m * m.bit_length() > _MAX_RESULT_BITS:
-        raise UsageError(f"{what} too large: exact results could exceed 4300 digits")
+        raise ValueError(f"{what} too large: exact results could exceed 4300 digits")
 
 
 def _input_graph(args) -> MultiDigraph:
     g = parse_graph(args.graph)
     if args.semistable:
         if not is_semistable(g):
-            raise UsageError(
+            raise ValueError(
                 "graph is not semistable (needs in- and out-degree at least 1 "
                 "and total degree at least 3 at every vertex)"
             )
     elif not is_stable(g):
-        raise UsageError(
+        raise ValueError(
             "graph is not stable (needs in- and out-degree at least 2 at every "
             "vertex); pass --semistable to relax"
         )
@@ -191,11 +187,11 @@ def _cmd_verify(args):
 def _cmd_families(args):
     if args.name == "Kmn":
         if args.m is None:
-            raise UsageError("family Kmn needs both --m and --n")
+            raise ValueError("family Kmn needs both --m and --n")
         spec = FamilySpec("Kmn", n=args.n, m=args.m)
     else:
         if args.m is not None:
-            raise UsageError("--m only applies to family Kmn")
+            raise ValueError("--m only applies to family Kmn")
         spec = FamilySpec(args.name, n=args.n)
     # z's denominator divides 2 (m+n)!; A's is 2**n n and D has 2**n edges, all smaller
     _check_result_size(spec.m + spec.n, "family parameters")
@@ -349,9 +345,9 @@ def main(argv=None) -> int:
     try:
         columns, rows, extra = _HANDLERS[args.command](args)
         text = _render(args, columns, rows, extra)
-    except (UsageError, ValueError) as exc:
-        # ValueError: an argument outside the library's domain, or str() of an
-        # integer beyond sys.get_int_max_str_digits()
+    except ValueError as exc:
+        # bad command-line input, an argument outside the library's domain, or
+        # str() of an integer beyond sys.get_int_max_str_digits()
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:

@@ -4,12 +4,14 @@ G(k), the stable graphs of weight k, is the union over j = 1..k of the
 j-vertex, (j+k)-edge stable graphs: stability forces every row and column sum
 of the adjacency matrix to be at least 2, hence edge_count >= 2n and n <= k.
 
-Generation fills matrices row by row for each admissible row-sum vector and
-prunes on remaining column demand; duplicates are removed by canonical key.
-Row-sum vectors are generated as partitions (non-increasing) rather than all
-compositions, which is sound because any matrix can be brought to
-non-increasing row sums by a simultaneous row/column permutation, and the
-canonical-key dedup owns correctness regardless.
+Generation is one recursion that fills the matrix row by row.  Each level
+picks the row's sum (non-increasing, at least 2, and leaving at least 2 for
+every later row), then the row itself among the compositions of that sum,
+which are listed once per call, and prunes on remaining column demand.  Each
+full matrix is replaced by its canonical matrix from `symmetry`, and a set
+removes the duplicates.  Non-increasing row sums are sound because any
+matrix can be brought to them by a simultaneous row/column permutation, and
+the canonical dedup owns correctness regardless.
 
 `check_weight` is the one supported-weight policy; the CLI, the scripts and
 `catalog` call it.  Nothing here is memoized: `catalog.stable_records` keeps
@@ -20,7 +22,7 @@ expansion, identities, verify suites) reads them through
 
 from __future__ import annotations
 
-from .graphs import MultiDigraph, is_stable, symmetry
+from .graphs import Matrix, MultiDigraph, is_stable, symmetry
 
 __all__ = [
     "MAX_WEIGHT",
@@ -46,20 +48,6 @@ def check_weight(k: int, allow_slow: bool = True) -> int:
     return k
 
 
-def _row_sum_partitions(total: int, parts: int, cap: int | None = None):
-    """Non-increasing sequences of `parts` integers >= 2 summing to `total`."""
-    if cap is None:
-        cap = total
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    lo = -(-total // parts)  # ceiling: keep the sequence non-increasing
-    for first in range(min(cap, total - 2 * (parts - 1)), max(2, lo) - 1, -1):
-        for rest in _row_sum_partitions(total - first, parts - 1, first):
-            yield (first, *rest)
-
-
 def _compositions(total: int, parts: int):
     """All sequences of `parts` nonnegative integers summing to `total`."""
     if parts == 1:
@@ -70,46 +58,48 @@ def _compositions(total: int, parts: int):
             yield (first, *rest)
 
 
-def _fill_rows(row_sums: tuple[int, ...], j: int, out: set) -> None:
-    rows: list[tuple[int, ...]] = []
-    col_sums = [0] * j
-
-    def rec(r: int) -> None:
-        if r == len(row_sums):
-            # symmetry, not canonical_key: the latter's memo would keep every raw matrix
-            out.add((j, *symmetry(tuple(rows)).flat))
-            return
-        budget_after = sum(row_sums[r + 1 :])
-        for row in _compositions(row_sums[r], j):
-            need = 0
-            for c in range(j):
-                col_sums[c] += row[c]
-                short = 2 - col_sums[c]
-                if short > 0:
-                    need += short
-            if need <= budget_after:
-                rows.append(row)
-                rec(r + 1)
-                rows.pop()
-            for c in range(j):
-                col_sums[c] -= row[c]
-
-    rec(0)
-
-
 def enumerate_stable(j: int, s: int) -> tuple[MultiDigraph, ...]:
     """One canonical representative per isomorphism class of j-vertex,
     s-edge stable graphs, sorted by canonical key.  Empty when s < 2j."""
     if j < 1 or s < 2 * j:
         return ()
-    keys: set[tuple[int, ...]] = set()
-    for row_sums in _row_sum_partitions(s, j):
-        _fill_rows(row_sums, j, keys)
-    graphs = []
-    for key in sorted(keys):
-        n, flat = key[0], key[1:]
-        graphs.append(MultiDigraph(tuple(flat[i * n : (i + 1) * n] for i in range(n))))
-    return tuple(graphs)
+    rows_of: dict[int, list[tuple[int, ...]]] = {}  # row sum -> its compositions
+    rows: list[tuple[int, ...]] = []
+    col_sums = [0] * j
+    found: set[Matrix] = set()
+
+    def rec(left: int, cap: int) -> None:
+        """Place the next row, with `left` edges still to place and a row sum
+        of at most `cap`, the sum of the row before."""
+        if len(rows) == j:
+            # symmetry, not canonical_form: the per-graph memo would keep every raw matrix
+            found.add(symmetry(tuple(rows)).matrix)
+            return
+        later = j - len(rows) - 1
+        # non-increasing row sums, each at least 2 and leaving 2 per later row;
+        # the ceiling leaves no later row a larger sum than this one
+        lo = max(2, -(-left // (later + 1)))
+        for row_sum in range(min(cap, left - 2 * later), lo - 1, -1):
+            if row_sum not in rows_of:
+                rows_of[row_sum] = list(_compositions(row_sum, j))
+            budget_after = left - row_sum
+            for row in rows_of[row_sum]:
+                need = 0
+                for c in range(j):
+                    col_sums[c] += row[c]
+                    short = 2 - col_sums[c]
+                    if short > 0:
+                        need += short
+                if need <= budget_after:
+                    rows.append(row)
+                    rec(budget_after, row_sum)
+                    rows.pop()
+                for c in range(j):
+                    col_sums[c] -= row[c]
+
+    rec(s, s)
+    # for a fixed j, row-tuple order is canonical-key order
+    return tuple(MultiDigraph(matrix) for matrix in sorted(found))
 
 
 def raw_stable_matrices(j: int, s: int):

@@ -10,10 +10,13 @@ partition refinement with individualization and automorphism pruning, after
 McKay & Piperno, "Practical graph isomorphism, II" (J. Symbolic Comput. 60,
 2014).  It is exact for every input; its cost grows with how much symmetry
 refinement fails to break, not with n!, so family graphs with dozens of
-vertices take milliseconds.  The one memo is per graph: `canonical_key`,
-`automorphisms` and `aut_order` share the search result of each
-`MultiDigraph`, while `symmetry` itself keeps nothing, so the raw matrices
-the enumeration passes to it are not retained.
+vertices take milliseconds.  The search returns the canonical matrix itself
+(`Symmetry.matrix`): `canonical_form` wraps it, `canonical_key` is the vertex
+count followed by its rows, and the enumeration collects it.  The one memo is
+per graph: `canonical_key`, `canonical_form`, `automorphisms` and `aut_order`
+share the search result of each `MultiDigraph`, while `symmetry` itself
+keeps nothing, so the raw matrices the enumeration passes to it are not
+retained.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -175,10 +180,10 @@ def is_strongly_connected(g: MultiDigraph) -> bool:
 
 
 class Symmetry(NamedTuple):
-    """Canonical flattening of a matrix, generators of its vertex
-    automorphism group, and the order of that group."""
+    """Canonical form of a matrix, generators of its vertex automorphism
+    group, and the order of that group."""
 
-    flat: tuple[int, ...]
+    matrix: Matrix
     generators: tuple[tuple[int, ...], ...]
     order: int
 
@@ -199,14 +204,14 @@ def symmetry(adj: Matrix) -> Symmetry:
     one subtree onto the other.  A child is skipped when an automorphism
     fixing the node's individualized vertices maps it to a tried sibling.
 
-    The flattening is the least leaf matrix, so equal flattenings mean
-    isomorphic matrices.  The group order is the product, along the first
-    path, of each chosen vertex's orbit under the automorphisms found that fix
-    the vertices chosen before it.
+    The canonical matrix is the least leaf matrix, so equal canonical
+    matrices mean isomorphic matrices.  The group order is the product, along
+    the first path, of each chosen vertex's orbit under the automorphisms
+    found that fix the vertices chosen before it.
     """
     n = len(adj)
-    if n == 0:
-        return Symmetry((), (), 1)
+    if n <= 1:
+        return Symmetry(adj, (), 1)  # its own canonical form, no other ordering
     # links[v]: (u, multiplicity v -> u, multiplicity u -> v) for each u joined
     # to v; a loop pairs v with itself
     links = [
@@ -253,12 +258,13 @@ def symmetry(adj: Matrix) -> Symmetry:
 
     def leaf(order: list[int], path: list[int]) -> int:
         nonlocal first, best
-        flat = tuple(adj[a][b] for a in order for b in order)
+        pick = itemgetter(*order)  # n > 1, so pick returns a tuple
+        matrix = tuple([pick(adj[a]) for a in order])
         if first is None:
-            first = best = (flat, order, path)
+            first = best = (matrix, order, path)
             return len(path)
-        for ref_flat, ref_order, ref_path in (first, best):
-            if flat == ref_flat:
+        for ref_matrix, ref_order, ref_path in (first, best):
+            if matrix == ref_matrix:
                 phi = [0] * n
                 for a, b in zip(ref_order, order):
                     phi[a] = b
@@ -267,8 +273,8 @@ def symmetry(adj: Matrix) -> Symmetry:
                 while path[depth] == ref_path[depth]:
                     depth += 1
                 return depth  # the automorphism maps the subtree below there onto this one
-        if flat < best[0]:
-            best = (flat, order, path)
+        if matrix < best[0]:
+            best = (matrix, order, path)
         return len(path)
 
     def visit(cells: list[list[int]], path: list[int]) -> int:
@@ -310,20 +316,17 @@ def _symmetry_of(g: MultiDigraph) -> Symmetry:
 
 
 def canonical_key(g: MultiDigraph) -> tuple[int, ...]:
-    """Vertex count followed by the canonical flattening of adj from `symmetry`.
+    """Vertex count followed by the rows of the canonical matrix from `symmetry`.
 
     Two graphs share a key exactly when they are isomorphic as multidigraphs
     (parallel edges unlabeled).  The key is the least matrix among the leaves
     of the refinement search, not the least over all vertex permutations.
     """
-    return (g.n, *_symmetry_of(g).flat)
+    return (g.n, *chain.from_iterable(_symmetry_of(g).matrix))
 
 
 def canonical_form(g: MultiDigraph) -> MultiDigraph:
-    key = canonical_key(g)
-    n = key[0]
-    flat = key[1:]
-    return MultiDigraph(tuple(flat[i * n : (i + 1) * n] for i in range(n)))
+    return MultiDigraph(_symmetry_of(g).matrix)
 
 
 def are_isomorphic(g: MultiDigraph, h: MultiDigraph) -> bool:

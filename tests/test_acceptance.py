@@ -17,7 +17,7 @@ from tyz.catalog import (
     bernoulli_identity_lhs,
     class_counts,
     golden_fixture,
-    unit_ball_identity,
+    unit_ball_lhs,
     weight_records,
 )
 from tyz.cli import main as cli_main
@@ -27,6 +27,7 @@ from tyz.eulerian import (
     euler_tour_bruteforce,
     euler_tour_count,
     is_balanced,
+    unit_ball_rhs,
 )
 from tyz.graphs import canonical_key, is_strongly_connected, weak_components
 from tyz.spectral import charpoly, coefficient_from_linear, z_orbit
@@ -189,11 +190,11 @@ def test_criterion_6_unit_ball_identity(capsys):
     }
     ok = True
     for k in (1, 2, 3, 4):
-        check = unit_ball_identity(k)
-        ok &= check.equal
-        ok &= check.lhs.leading() == Fraction((-1) ** k, 2**k * math.factorial(k))
+        lhs = unit_ball_lhs(k)
+        ok &= lhs == unit_ball_rhs(k)
+        ok &= lhs.leading() == Fraction((-1) ** k, 2**k * math.factorial(k))
         if k in printed:
-            ok &= check.lhs.coeffs == printed[k]
+            ok &= lhs.coeffs == printed[k]
     _announce(
         capsys,
         6,

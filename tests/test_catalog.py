@@ -203,6 +203,9 @@ def test_corrupt_cache_is_rebuilt(tmp_path, monkeypatch):
         (json.dumps({**record, "adjacency": [[True]]}), "'adjacency' is not a list of integer rows"),
         ("[" + "9" * 5000 + "]", "invalid JSON"),
         ("[" * 100_000, "invalid JSON"),
+        (json.dumps({**record, "adjacency": [[1, 2], [3]]}), "'adjacency': row 2 has 1 entries"),
+        # checked against (1, 3) before its 3,000,000! label factor is computed
+        (json.dumps({**record, "adjacency": [[3_000_000]]}), "3000000 edges, not 1 and 3"),
     ]
     for line, message in corrupt:
         path.write_text(line + "\n")
@@ -264,6 +267,16 @@ def test_failed_write_keeps_old_catalog(tmp_path, monkeypatch):
         write_catalog(records, path)
     assert path.read_text() == before
     assert [p.name for p in tmp_path.iterdir()] == ["w2.jsonl"]
+
+
+def test_memo_follows_the_cache_directory(tmp_path, monkeypatch):
+    monkeypatch.setenv("TYZ_CACHE_DIR", "")
+    _clear_memo()
+    want = stable_records(1, 3)
+    monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
+    assert stable_records(1, 3) == want
+    assert read_catalog(tmp_path / "stable-1-3.jsonl") == list(want)
+    _clear_memo()
 
 
 def test_empty_cache_dir_variable_disables_disk_cache(tmp_path, monkeypatch):

@@ -26,7 +26,7 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv, **env) -> subprocess.CompletedProcess:
+def run_process(*argv, timeout=120, **env) -> subprocess.CompletedProcess:
     """`python -m tyz ARGV` in a child process, so a traceback would reach stderr."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
@@ -34,7 +34,7 @@ def run_process(*argv, **env) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path, **env},
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -295,13 +295,17 @@ def test_module_entrypoint_runs():
     assert "-1/2" in proc.stdout
 
 
-@pytest.mark.parametrize("adjacency", [5, None])
+@pytest.mark.parametrize("adjacency", [5, None, [[3_000_000]]])
 def test_malformed_cache_line_is_rebuilt_without_traceback(tmp_path, adjacency):
-    """A whole record whose adjacency is 5, or a line that is null."""
+    """A whole record whose adjacency is 5 or has 3,000,000 edges where 2
+    belong, or a line that is null; each is rejected before a record is
+    rebuilt from it, so the run takes well under the timeout."""
     record = catalog.record_to_json(catalog.build_record(parse_graph("2")))
     line = json.dumps(None if adjacency is None else {**record, "adjacency": adjacency})
     (tmp_path / "stable-1-2.jsonl").write_text(line + "\n")
-    proc = run_process("classify", "--weight", "1", "--format", "json", TYZ_CACHE_DIR=str(tmp_path))
+    proc = run_process(
+        "classify", "--weight", "1", "--format", "json", timeout=10, TYZ_CACHE_DIR=str(tmp_path)
+    )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rows"][0]["total"] == 1
     assert "Traceback" not in proc.stderr

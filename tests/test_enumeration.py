@@ -4,7 +4,7 @@ import pytest
 
 from tyz.catalog import class_counts, weight_records
 from tyz.enumeration import enumerate_stable, raw_stable_matrices
-from tyz.graphs import automorphisms, canonical_key, is_stable, parse_graph
+from tyz.graphs import automorphisms, canonical_form, canonical_key, is_stable, parse_graph
 
 
 def test_one_vertex_catalogs():
@@ -55,6 +55,20 @@ def test_catalog_is_deduplicated_and_sorted():
 def test_catalog_is_deterministic():
     assert weight_records(3) == weight_records(3)
     assert enumerate_stable(2, 5) == enumerate_stable(2, 5)
+
+
+def test_weight_six_class_counts_by_vertex_count():
+    """Pins the enumerator's own output; an independent count is still owed."""
+    assert [len(enumerate_stable(j, j + 6)) for j in (1, 2, 3, 4)] == [1, 45, 600, 2388]
+
+
+def test_enumerated_graphs_are_canonical_and_strictly_sorted():
+    for k in (1, 2, 3, 4):
+        for j in range(1, k + 1):
+            graphs = enumerate_stable(j, j + k)
+            assert all(canonical_form(g) == g for g in graphs)
+            keys = [canonical_key(g) for g in graphs]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (j, k)
 
 
 def test_against_unpruned_bruteforce():

@@ -5,7 +5,6 @@ import pytest
 
 from tyz.catalog import (
     bernoulli_identity_lhs,
-    unit_ball_identity,
     unit_ball_lhs,
     weight_records,
 )
@@ -194,17 +193,17 @@ def test_printed_low_weight_polynomials():
 
 def test_identity_holds_up_to_weight_four():
     for k in (1, 2, 3, 4):
-        check = unit_ball_identity(k)
-        assert check.equal, k
-        assert check.lhs.degree == 2 * k
-        assert check.lhs.leading() == Fraction((-1) ** k, 2**k * math.factorial(k))
+        lhs = unit_ball_lhs(k)
+        assert lhs == unit_ball_rhs(k), k
+        assert lhs.degree == 2 * k
+        assert lhs.leading() == Fraction((-1) ** k, 2**k * math.factorial(k))
 
 
 def test_identity_holds_at_weight_five():
-    check = unit_ball_identity(5)
-    assert check.equal
-    assert check.lhs.degree == 10
-    assert check.lhs.leading() == Fraction(-1, 3840)
+    lhs = unit_ball_lhs(5)
+    assert lhs == unit_ball_rhs(5)
+    assert lhs.degree == 10
+    assert lhs.leading() == Fraction(-1, 3840)
 
 
 def test_identity_weight_bounds():
