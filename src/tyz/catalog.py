@@ -7,7 +7,8 @@ them, so a corrupt or tampered file fails loudly with the line number and
 field name.  A catalog is written to a temporary file renamed into place, so
 no reader sees a partial one; the on-disk cache (`stable_records`) checks
 each line's vertex and edge count before rebuilding its record, rebuilds a
-file that fails to read and says so with a RuntimeWarning.  The records of
+file that fails to read, and warns (RuntimeWarning) of that and of a failed
+write, which loses only the disk copy.  The records of
 each (cache directory, j, s) are kept in memory too (`_memo`), and with the
 disk cache that is the only memo of the census: `weight_records` serves every weight-k sum here,
 the census (`class_counts`, one TABLE2 row), the formal sum (`expansion`),
@@ -50,8 +51,9 @@ from .graphs import (
     canonical_form,
     canonical_key,
     aut_order,
+    connectivity,
     format_graph,
-    is_strongly_connected,
+    is_semistable,
     weak_components,
 )
 from .spectral import charpoly, coefficient_from_linear, z_orbit
@@ -114,9 +116,13 @@ CLASS_STRONG = "strongly_connected"
 
 
 def connectivity_class(g: MultiDigraph) -> str:
-    if len(weak_components(g)) != 1:
+    return _class_of(connectivity(g))
+
+
+def _class_of(parts: list[tuple[list[int], bool]]) -> str:
+    if len(parts) != 1:
         return CLASS_DISCONNECTED
-    return CLASS_STRONG if is_strongly_connected(g) else CLASS_CONNECTED
+    return CLASS_STRONG if parts[0][1] else CLASS_CONNECTED
 
 
 # ---------------------------------------------------------------------------
@@ -138,15 +144,26 @@ class CatalogRecord:
 
 
 def build_record(g: MultiDigraph) -> CatalogRecord:
+    """The record of g, from its canonical matrix and one connectivity pass.
+
+    z is (-1)^c det(A - I)/|Aut(G)| when all c weak components are strongly
+    connected, else 0: `zeta.z`'s rule for unions, since the components'
+    determinants and orders multiply and |Aut(G)| adds `sym_factor`.
+    """
+    if not is_semistable(g):
+        raise ValueError("z is defined for semistable graphs only")
     g = canonical_form(g)
+    parts = connectivity(g)
+    det, aut = det_a_minus_i(g), aut_order(g)
+    strong = all(is_strong for _, is_strong in parts)
     return CatalogRecord(
         graph=g,
         weight=g.weight,
         edges=g.edge_count,
-        cls=connectivity_class(g),
-        det_a_minus_i=det_a_minus_i(g),
-        aut=aut_order(g),
-        z=z(g),
+        cls=_class_of(parts),
+        det_a_minus_i=det,
+        aut=aut,
+        z=Fraction((-1) ** len(parts) * det, aut) if strong else Fraction(0),
         euler_tours=euler_tour_count(g),
         charpoly=charpoly(g),
     )
@@ -181,11 +198,11 @@ def record_to_json(rec: CatalogRecord) -> dict:
     }
 
 
-def _record_from_json(obj, where: str, size: tuple[int, int] | None) -> CatalogRecord:
+def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
     """Rebuild the record from the adjacency matrix alone and require every
     stored field to match; a matrix not in canonical form fails on
-    'adjacency'.  With size = (j, s), a matrix that is not j x j with entry
-    sum s fails before anything is computed from it."""
+    'adjacency'.  A matrix that is not j x j with entry sum s, for size =
+    (j, s), fails before anything is computed from it."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: not a JSON object")
     missing = [f for f in _JSON_FIELDS if f not in obj]
@@ -200,7 +217,7 @@ def _record_from_json(obj, where: str, size: tuple[int, int] | None) -> CatalogR
         g = MultiDigraph.from_rows(rows)
     except ValueError as exc:
         raise ValueError(f"{where}: field 'adjacency': {exc}") from None
-    if size is not None and (g.n, g.edge_count) != size:
+    if (g.n, g.edge_count) != size:
         raise ValueError(
             f"{where}: adjacency has {g.n} vertices and {g.edge_count} edges, "
             f"not {size[0]} and {size[1]}"
@@ -231,10 +248,11 @@ def write_catalog(records, path) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def read_catalog(path, size: tuple[int, int] | None = None) -> list[CatalogRecord]:
-    """Load and fully re-verify a catalog; raises with line number on any
-    corrupt or inconsistent record, on a duplicate or out-of-order one, and,
-    given size = (j, s), on one without j vertices and s edges."""
+def read_catalog(path, size: tuple[int, int]) -> list[CatalogRecord]:
+    """Load and fully re-verify the catalog of the j-vertex, s-edge graphs,
+    size = (j, s); raises with line number on any corrupt or inconsistent
+    record, on a duplicate or out-of-order one, and on one without j
+    vertices and s edges."""
     out = []
     last_key = None
     with open(path, encoding="utf-8") as fh:
@@ -289,8 +307,8 @@ def stable_records(j: int, s: int) -> tuple[CatalogRecord, ...]:
     if path is not None:
         try:
             write_catalog(records, path)
-        except OSError:
-            pass  # caching is best effort, results are already in hand
+        except OSError as exc:  # the records are in hand; only the disk copy is lost
+            warnings.warn(f"cannot write catalog {path}: {exc}", RuntimeWarning, stacklevel=2)
     _memo[memo_key] = records
     return records
 
@@ -373,11 +391,7 @@ def bernoulli_identity_lhs(k: int) -> Fraction:
 def unit_ball_lhs(k: int) -> IntPolynomial:
     """Catalog side: sum over stable weight-k graphs of
     z(G) * prod((deg+ - 1)!) times the cycle-decomposition polynomial; the
-    identity says this equals `unit_ball_rhs(k)`.
-
-    A graph with a nonzero cycle polynomial is balanced, so its components
-    are strongly connected and z(G) is (-1)^(components) det(A - I)/|Aut(G)|.
-    """
+    identity says this equals `unit_ball_rhs(k)`."""
     total = ZERO_POLY
     for r in weight_records(check_weight(k)):
         poly = cycle_decomposition_poly(r.graph)

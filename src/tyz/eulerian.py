@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 
-from .graphs import MultiDigraph, weak_components
+from .graphs import MultiDigraph, connectivity
 from .zeta import det_int
 
 __all__ = [
@@ -167,7 +167,7 @@ def euler_tour_count(g: MultiDigraph) -> int:
     """epsilon(G): Euler tours starting with a fixed first edge, via the
     tree factorization.  Zero for unbalanced, disconnected, or edgeless input."""
     first = _first_edge(g)
-    if first is None or not is_balanced(g) or len(weak_components(g)) != 1:
+    if first is None or not is_balanced(g) or len(connectivity(g)) != 1:
         return 0
     tau = arborescence_count(g, first[1])
     return tau * math.prod(math.factorial(d - 1) for d in g.out_degrees())

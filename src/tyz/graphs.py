@@ -37,6 +37,7 @@ __all__ = [
     "is_semistable",
     "is_stable",
     "weak_components",
+    "connectivity",
     "is_strongly_connected",
     "Symmetry",
     "symmetry",
@@ -86,8 +87,7 @@ class MultiDigraph:
         return tuple(sum(row) for row in self.adj)
 
     def in_degrees(self) -> tuple[int, ...]:
-        n = self.n
-        return tuple(sum(self.adj[i][v] for i in range(n)) for v in range(n))
+        return tuple(map(sum, zip(*self.adj)))
 
     def edges(self) -> list[tuple[int, int, int]]:
         """All edges as (tail, head, label) with labels 0..adj[i][j]-1."""
@@ -122,28 +122,12 @@ def is_stable(g: MultiDigraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _undirected_reach(adj: Matrix, start: int) -> set[int]:
-    n = len(adj)
-    seen = {start}
-    stack = [start]
+def _reach(adj, start: int) -> set[int]:
+    """Vertices reachable from start along the arcs of the matrix adj."""
+    seen, stack = {start}, [start]
     while stack:
-        u = stack.pop()
-        for v in range(n):
-            if v not in seen and (adj[u][v] > 0 or adj[v][u] > 0):
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
-def _directed_reach(adj: Matrix, start: int, reverse: bool = False) -> set[int]:
-    n = len(adj)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in range(n):
-            mult = adj[v][u] if reverse else adj[u][v]
-            if mult > 0 and v not in seen:
+        for v, mult in enumerate(adj[stack.pop()]):
+            if mult and v not in seen:
                 seen.add(v)
                 stack.append(v)
     return seen
@@ -157,13 +141,22 @@ def induced_subgraph(g: MultiDigraph, vertices: list[int]) -> MultiDigraph:
 
 def weak_components(g: MultiDigraph) -> list[MultiDigraph]:
     """Induced subgraphs on the undirected components, in canonical-key order."""
+    return sorted((induced_subgraph(g, comp) for comp, _ in connectivity(g)), key=canonical_key)
+
+
+def connectivity(g: MultiDigraph) -> list[tuple[list[int], bool]]:
+    """The weak components of g as increasing vertex lists, by least vertex,
+    each with whether it is strongly connected.  Unlike `weak_components` it
+    computes no canonical form, so it never runs `symmetry`."""
+    arcs, reverse = g.adj, tuple(zip(*g.adj))
+    either = [[a + b for a, b in zip(out, into)] for out, into in zip(arcs, reverse)]
     remaining = set(range(g.n))
     parts = []
     while remaining:
-        comp = _undirected_reach(g.adj, min(remaining))
-        parts.append(induced_subgraph(g, sorted(comp)))
+        start = min(remaining)
+        comp = _reach(either, start)
+        parts.append((sorted(comp), _reach(arcs, start) == comp == _reach(reverse, start)))
         remaining -= comp
-    parts.sort(key=canonical_key)
     return parts
 
 
@@ -171,7 +164,7 @@ def is_strongly_connected(g: MultiDigraph) -> bool:
     if g.n == 0:
         raise ValueError("strong connectivity is undefined for the empty graph")
     full = set(range(g.n))
-    return _directed_reach(g.adj, 0) == full and _directed_reach(g.adj, 0, reverse=True) == full
+    return _reach(g.adj, 0) == full and _reach(tuple(zip(*g.adj)), 0) == full
 
 
 # ---------------------------------------------------------------------------

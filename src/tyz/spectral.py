@@ -5,7 +5,8 @@ The characteristic polynomial of a digraph is det(lambda*I - A); its
 coefficient c_i equals the signed count sum((-1)^p(L)) over linear subgraphs
 L on exactly i vertices, where a linear subgraph is a set of vertex-disjoint
 simple directed cycles (loops are 1-cycles) with every parallel edge choice
-distinguished, and p(L) is the number of cycles.
+distinguished, and p(L) is the number of cycles.  `charpoly` computes them
+by Berkowitz's division-free recurrence, `coefficient_from_linear` by that count.
 
 Grouping the labeled linear subgraphs into orbits of the automorphism group
 turns det(I - A) into the orbit sum
@@ -24,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from operator import mul
 
 from .graphs import MultiDigraph, automorphisms, aut_order, is_semistable, is_strongly_connected
 
@@ -42,23 +44,29 @@ Cycle = tuple[Arc, ...]
 def charpoly(g: MultiDigraph) -> tuple[int, ...]:
     """Coefficients (c_0, ..., c_n) of det(lambda*I - A), leading first, c_0 = 1.
 
-    Faddeev-LeVerrier over plain Python integers; each trace division is
-    exact, which is asserted.
+    Berkowitz's division-free recurrence (Inf. Process. Lett. 18, 1984) over
+    plain Python integers: with M the leading k x k block, r and c the rest of
+    row and column k, and p_k = det(lambda*I - M), p_(k+1) = (lambda - A[k][k])
+    p_k - r adj(lambda*I - M) c, where the adjugate is a polynomial in M with
+    the coefficients of p_k, so only the products r M^m c are needed.
     """
     n = g.n
     if n == 0:
         raise ValueError("charpoly needs at least one vertex")
-    a = [list(row) for row in g.adj]
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    adj = g.adj
     coeffs = [1]
-    for k in range(1, n + 1):
-        am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        trace = sum(am[i][i] for i in range(n))
-        if trace % k != 0:
-            raise AssertionError("Faddeev-LeVerrier trace must divide exactly")
-        c = -(trace // k)
-        coeffs.append(c)
-        m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        block = [row[:k] for row in adj[:k]]
+        r, v = adj[k][:k], [row[k] for row in adj[:k]]
+        walks = []  # walks[m] = r M^m c
+        for _ in range(k):
+            walks.append(sum(map(mul, r, v)))
+            v = [sum(map(mul, row, v)) for row in block]
+        prev = coeffs + [0]  # coefficient d pairs prev[i] with walks[d - 2 - i]
+        coeffs = [1] + [
+            prev[d] - adj[k][k] * prev[d - 1] - sum(map(mul, prev[: d - 1], walks[d - 2 :: -1]))
+            for d in range(1, k + 2)
+        ]
     return tuple(coeffs)
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -77,15 +78,37 @@ def test_record_uses_canonical_matrix():
     assert build_record(a).graph == build_record(b).graph
 
 
+def test_record_z_and_class_have_two_derivations():
+    # z from the record's own det and aut against zeta.z's rule for unions,
+    # and the class against weak_components and the whole-graph strong check
+    for k in range(1, 6):
+        for r in weight_records(k):
+            assert r.z == z(r.graph), r.graph
+            comps = graphs.weak_components(r.graph)
+            if len(comps) != 1:
+                assert r.cls == "disconnected", r.graph
+            elif graphs.is_strongly_connected(r.graph):
+                assert r.cls == "strongly_connected", r.graph
+            else:
+                assert r.cls == "connected", r.graph
+
+
+def test_record_rejects_graph_that_is_not_semistable():
+    with pytest.raises(ValueError, match="semistable"):
+        build_record(parse_graph("0 1;1 0"))
+
+
 # --- catalog files ---
 
 
 def test_round_trip_weight_three(tmp_path):
-    records = weight_records(3)
-    path = tmp_path / "w3.jsonl"
-    write_catalog(records, path)
-    assert tuple(read_catalog(path)) == records
-    assert len(records) == 15
+    read = []
+    for j in range(1, 4):
+        path = tmp_path / f"stable-{j}-{j + 3}.jsonl"
+        write_catalog(stable_records(j, j + 3), path)
+        read += read_catalog(path, (j, j + 3))
+    assert tuple(sorted(read, key=lambda r: canonical_key(r.graph))) == weight_records(3)
+    assert len(read) == 15
 
 
 def test_catalog_file_schema(tmp_path):
@@ -110,7 +133,7 @@ def test_catalog_file_schema(tmp_path):
 def test_empty_file_is_empty_catalog(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    assert read_catalog(path) == []
+    assert read_catalog(path, (1, 2)) == []
 
 
 def _tampered(path, field, value):
@@ -122,19 +145,19 @@ def _tampered(path, field, value):
 
 
 def test_tampered_value_names_field_and_line(tmp_path):
-    path = tmp_path / "w2.jsonl"
-    write_catalog(weight_records(2), path)
+    path = tmp_path / "stable-2-4.jsonl"
+    write_catalog(stable_records(2, 4), path)
     _tampered(path, "z", "1/7")
     with pytest.raises(ValueError, match=r"line 2: field 'z'"):
-        read_catalog(path)
+        read_catalog(path, (2, 4))
 
 
 def test_tampered_count_names_field(tmp_path):
-    path = tmp_path / "w2.jsonl"
-    write_catalog(weight_records(2), path)
+    path = tmp_path / "stable-2-4.jsonl"
+    write_catalog(stable_records(2, 4), path)
     _tampered(path, "euler_tours", 99)
     with pytest.raises(ValueError, match="field 'euler_tours'"):
-        read_catalog(path)
+        read_catalog(path, (2, 4))
 
 
 def test_noncanonical_adjacency_is_rejected(tmp_path):
@@ -147,17 +170,17 @@ def test_noncanonical_adjacency_is_rejected(tmp_path):
     obj["adjacency"] = [list(row) for row in shuffled.adj]
     path.write_text(json.dumps(obj) + "\n")
     with pytest.raises(ValueError, match="field 'adjacency'"):
-        read_catalog(path)
+        read_catalog(path, (3, 7))
 
 
 def test_corrupt_json_reports_line_number(tmp_path):
-    path = tmp_path / "w2.jsonl"
-    write_catalog(weight_records(2), path)
+    path = tmp_path / "stable-2-4.jsonl"
+    write_catalog(stable_records(2, 4), path)
     lines = path.read_text().splitlines()
     lines[2] = "{not json"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="line 3: invalid JSON"):
-        read_catalog(path)
+        read_catalog(path, (2, 4))
 
 
 def test_missing_field_is_reported(tmp_path):
@@ -167,7 +190,7 @@ def test_missing_field_is_reported(tmp_path):
     del obj["aut_order"]
     path.write_text(json.dumps(obj) + "\n")
     with pytest.raises(ValueError, match="missing field 'aut_order'"):
-        read_catalog(path)
+        read_catalog(path, (1, 2))
 
 
 # --- the enumeration cache ---
@@ -209,10 +232,14 @@ def test_corrupt_cache_is_rebuilt(tmp_path, monkeypatch):
     ]
     for line, message in corrupt:
         path.write_text(line + "\n")
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"line 1: .*{message}"):
+            read_catalog(path, (1, 3))
+        assert time.perf_counter() - start < 5
         _clear_memo()
         with pytest.warns(RuntimeWarning, match=rf"stable-1-3\.jsonl: line 1: .*{message}"):
             assert stable_records(1, 3) == want
-        assert read_catalog(path)  # rewritten and valid again
+        assert read_catalog(path, (1, 3))  # rewritten and valid again
     _clear_memo()
 
 
@@ -224,11 +251,11 @@ def test_duplicate_record_is_rejected(tmp_path, monkeypatch):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines + lines[-1:]) + "\n")
     with pytest.raises(ValueError, match=f"line {len(lines) + 1}: .*duplicate or out-of-order"):
-        read_catalog(path)
+        read_catalog(path, (2, 4))
     _clear_memo()
     with pytest.warns(RuntimeWarning, match="stable-2-4.jsonl"):
         assert stable_records(2, 4) == want
-    assert len(read_catalog(path)) == len(want)
+    assert len(read_catalog(path, (2, 4))) == len(want)
     _clear_memo()
 
 
@@ -240,11 +267,12 @@ def test_foreign_record_is_rejected(tmp_path, monkeypatch):
     # a record of the (2, 4) catalog keeps the file in key order and valid
     foreign = json.dumps(catalog.record_to_json(stable_records(2, 4)[0]))
     path.write_text(foreign + "\n" + path.read_text())
-    assert len(read_catalog(path)) == len(want) + 1
+    with pytest.raises(ValueError, match="line 1: .*4 edges, not 2 and 5"):
+        read_catalog(path, (2, 5))
     _clear_memo()
     with pytest.warns(RuntimeWarning, match="4 edges, not 2 and 5"):
         assert stable_records(2, 5) == want
-    assert len(read_catalog(path)) == len(want)
+    assert len(read_catalog(path, (2, 5))) == len(want)
     _clear_memo()
 
 
@@ -275,7 +303,19 @@ def test_memo_follows_the_cache_directory(tmp_path, monkeypatch):
     want = stable_records(1, 3)
     monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
     assert stable_records(1, 3) == want
-    assert read_catalog(tmp_path / "stable-1-3.jsonl") == list(want)
+    assert read_catalog(tmp_path / "stable-1-3.jsonl", (1, 3)) == list(want)
+    _clear_memo()
+
+
+def test_failed_cache_write_is_reported(tmp_path, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("TYZ_CACHE_DIR", str(blocker / "cache"))
+    _clear_memo()
+    with pytest.warns(RuntimeWarning, match=r"cannot write catalog .*file/cache/stable-1-3\.jsonl: "):
+        records = stable_records(1, 3)
+    assert len(records) == 1
+    assert stable_records(1, 3) is records  # kept in the memo, no second write
     _clear_memo()
 
 
@@ -318,12 +358,9 @@ def test_reread_searches_each_graph_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(graphs, "symmetry", counting)
     records = weight_records(3)
-    disconnected = [r.graph for r in records if r.cls == "disconnected"]
-    components = {c for g in disconnected for c in graphs.weak_components(g)}
-    # one search per record, plus one per distinct component of the
-    # disconnected records, which z reads
-    assert set(searched.values()) == {1}
-    assert set(searched) == {r.graph.adj for r in records} | {c.adj for c in components}
+    # one search per record: a record's z needs no search of its components
+    assert searched == Counter(r.graph.adj for r in records)
+    assert any(r.cls == "disconnected" for r in records)
 
 
 def test_identity_suites_read_the_catalogs(tmp_path, monkeypatch):

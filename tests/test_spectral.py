@@ -1,17 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tyz.catalog import weight_records
-from tyz.graphs import MultiDigraph, is_strongly_connected, parse_graph
+from tyz.graphs import MultiDigraph, is_strongly_connected, parse_graph, relabel
 from tyz.spectral import (
     charpoly,
     coefficient_from_linear,
     linear_subgraphs,
     z_orbit,
 )
-from tyz.zeta import det_a_minus_i, z_strong
+from tyz.zeta import FamilySpec, build_family, det_a_minus_i, det_int, z_strong
 
 
 @st.composite
@@ -44,10 +45,24 @@ def test_charpoly_is_monic_of_degree_n():
         assert len(poly) == g.n + 1 and poly[0] == 1
 
 
+def _shuffled(g):
+    order = list(range(g.n))
+    random.Random(g.n).shuffle(order)
+    return relabel(g, order)
+
+
 @given(small_graphs())
+@example(_shuffled(build_family(FamilySpec("D", n=5))))
+@example(_shuffled(build_family(FamilySpec("K", n=8))))
 def test_charpoly_at_one_is_det_of_identity_minus_adjacency(g):
     # det(I - A) = (-1)^n det(A - I), and also the coefficient sum
-    assert sum(charpoly(g)) == (-1) ** g.n * det_a_minus_i(g)
+    poly = charpoly(g)
+    assert sum(poly) == (-1) ** g.n * det_a_minus_i(g)
+    # a monic polynomial of degree n is fixed by its values at n + 1 points,
+    # so Bareiss determinants of tI - A at t = 0..n check every coefficient
+    for t in range(g.n + 1):
+        t_minus_a = [[t * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(g.adj)]
+        assert sum(c * t ** (g.n - i) for i, c in enumerate(poly)) == det_int(t_minus_a)
 
 
 # --- linear subgraphs ---
@@ -92,8 +107,8 @@ def test_coefficient_index_bounds():
 
 @given(small_graphs())
 def test_charpoly_equals_signed_cycle_sums(g):
-    """Two independent routes to the same coefficients: trace recursion vs
-    inclusion of vertex-disjoint cycle collections."""
+    """Two independent routes to the same coefficients: Berkowitz's
+    recurrence vs inclusion of vertex-disjoint cycle collections."""
     want = charpoly(g)
     got = (1,) + tuple(coefficient_from_linear(g, i) for i in range(1, g.n + 1))
     assert got == want
