@@ -68,15 +68,14 @@ def _input_graph(args) -> MultiDigraph:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (columns, rows, extra) where rows hold
-# native values (ints, strings, lists, bools) and extra feeds the JSON object
-# and the table footer
+# subcommand handlers: each returns (rows, extra) where rows hold native
+# values (ints, strings, lists, bools), keyed by column in column order, and
+# extra feeds the JSON object and the table footer
 # ---------------------------------------------------------------------------
 
 
 def _cmd_enumerate(args):
     k = check_weight(args.weight, args.allow_slow)
-    columns = ["graph", "vertices", "edges", "weight", "class"]
     rows = [
         {
             "graph": format_graph(r.graph),
@@ -87,13 +86,12 @@ def _cmd_enumerate(args):
         }
         for r in weight_records(k)
     ]
-    return columns, rows, {}
+    return rows, {}
 
 
 def _cmd_classify(args):
     k = check_weight(args.weight, args.allow_slow)
     counts = class_counts(k)
-    columns = ["weight", "total", "connected", "strongly_connected", "lambda"]
     rows = [
         {
             "weight": k,
@@ -103,14 +101,13 @@ def _cmd_classify(args):
             "lambda": counts.lam,
         }
     ]
-    return columns, rows, {}
+    return rows, {}
 
 
 def _cmd_z(args):
     g = _input_graph(args)
     # |Aut| <= (edges + n)!, and Hadamard's bound puts |det(A - I)| far lower
     _check_result_size(g.edge_count + g.n, "graph")
-    columns = ["graph", "vertices", "edges", "weight", "class", "z"]
     rows = [
         {
             "graph": format_graph(g),
@@ -121,12 +118,11 @@ def _cmd_z(args):
             "z": format_rational(z(g)),
         }
     ]
-    return columns, rows, {}
+    return rows, {}
 
 
 def _cmd_charpoly(args):
     g = _input_graph(args)
-    columns = ["graph", "charpoly", "det_A_minus_I"]
     rows = [
         {
             "graph": format_graph(g),
@@ -134,13 +130,12 @@ def _cmd_charpoly(args):
             "det_A_minus_I": det_a_minus_i(g),
         }
     ]
-    return columns, rows, {}
+    return rows, {}
 
 
 def _cmd_euler(args):
     g = _input_graph(args)
     _check_result_size(g.edge_count, "graph")  # at most (edges - 1)! tours
-    columns = ["graph", "balanced", "euler_tours"]
     rows = [
         {
             "graph": format_graph(g),
@@ -148,22 +143,20 @@ def _cmd_euler(args):
             "euler_tours": euler_tour_count(g),
         }
     ]
-    return columns, rows, {}
+    return rows, {}
 
 
 def _cmd_expansion(args):
     k = check_weight(args.weight, args.allow_slow)
-    columns = ["graph", "class", "z"]
     rows = [
         {"graph": format_graph(r.graph), "class": r.cls, "z": format_rational(r.z)}
         for r in weight_records(k)
     ]
-    return columns, rows, {"weight": k}
+    return rows, {"weight": k}
 
 
 def _cmd_verify(args):
     report = verify(args.suite, max_weight=args.max_weight, allow_slow=args.allow_slow)
-    columns = ["case", "expected", "actual", "status"]
     rows = [
         {
             "case": c.name,
@@ -181,7 +174,7 @@ def _cmd_verify(args):
         "footer": f"{report.suite}: {report.passed}/{len(report.cases)} cases pass",
         "exit": 0 if report.ok else 1,
     }
-    return columns, rows, extra
+    return rows, extra
 
 
 def _cmd_families(args):
@@ -197,7 +190,6 @@ def _cmd_families(args):
     _check_result_size(spec.m + spec.n, "family parameters")
     value = z_family(spec)
     vertices, edges = spec.size()
-    columns = ["family", "n", "m", "vertices", "edges", "weight", "z"]
     rows = [
         {
             "family": args.name,
@@ -209,7 +201,7 @@ def _cmd_families(args):
             "z": format_rational(value),
         }
     ]
-    return columns, rows, {}
+    return rows, {}
 
 
 # ---------------------------------------------------------------------------
@@ -227,42 +219,37 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _render_table(columns, rows, footer) -> str:
-    grid = [[_cell(row.get(c)) for c in columns] for row in rows]
-    widths = [
-        max(len(col), *(len(g[i]) for g in grid)) if grid else len(col)
-        for i, col in enumerate(columns)
-    ]
-    lines = ["  ".join(col.ljust(w) for col, w in zip(columns, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for g in grid:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(g, widths)).rstrip())
+def _render_table(rows, footer) -> str:
+    grid = [list(rows[0]), *([_cell(v) for v in row.values()] for row in rows)]
+    widths = [max(map(len, column)) for column in zip(*grid)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() for line in grid]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     if footer:
         lines.append(footer)
     return "\n".join(lines) + "\n"
 
 
-def _render_json(columns, rows, extra) -> str:
+def _render_json(rows, extra) -> str:
     obj = {k: v for k, v in extra.items() if k not in ("footer", "exit")}
     obj["rows"] = rows
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _render_csv(columns, rows) -> str:
+def _render_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(row.get(c)) for c in columns])
+    writer.writerow(list(rows[0]))
+    writer.writerows([_cell(v) for v in row.values()] for row in rows)
     return buf.getvalue()
 
 
-def _render(args, columns, rows, extra) -> str:
+def _render(args, rows, extra) -> str:
+    """Every command has at least one row; the keys of the first are the columns."""
     if args.format == "json":
-        return _render_json(columns, rows, extra)
+        return _render_json(rows, extra)
     if args.format == "csv":
-        return _render_csv(columns, rows)
-    return _render_table(columns, rows, extra.get("footer"))
+        return _render_csv(rows)
+    return _render_table(rows, extra.get("footer"))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run a named verification suite")
     p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--max-weight", type=int, default=None, metavar="W",
-                   help="cap for the table2 and bernoulli suites")
+                   help="cap for the table2, bernoulli and unitball suites")
     p.add_argument("--allow-slow", action="store_true",
                    help="permit weight-5 runs")
 
@@ -343,8 +330,8 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        columns, rows, extra = _HANDLERS[args.command](args)
-        text = _render(args, columns, rows, extra)
+        rows, extra = _HANDLERS[args.command](args)
+        text = _render(args, rows, extra)
     except ValueError as exc:
         # bad command-line input, an argument outside the library's domain, or
         # str() of an integer beyond sys.get_int_max_str_digits()

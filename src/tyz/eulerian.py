@@ -8,10 +8,13 @@ Conventions that matter here:
 * Parallel edges and loops are distinguishable everywhere (epsilon([[3]]) is
   2, not 1).
 * epsilon(G) counts Euler tours starting with a fixed first edge; it is 0
-  for graphs that are unbalanced, weakly disconnected, or edgeless.  For the
-  rest it factors as tau(G) * prod((deg+(v) - 1)!) with tau the number of
-  spanning in-trees toward the head of the fixed edge (matrix-tree minor of
-  the loopless out-degree Laplacian, validated against brute force).
+  for graphs that are unbalanced, weakly disconnected, or edgeless.  By the
+  BEST theorem it factors as tau(G) * prod((deg+(v) - 1)!) with tau the
+  number of spanning in-trees toward vertex 0 (matrix-tree minor of the
+  loopless out-degree Laplacian, validated against brute force).  On a
+  balanced graph tau is the same at every root when the graph is weakly
+  connected, and 0 when it is not, since some vertex cannot reach vertex 0;
+  so the minor itself settles connectivity.
 * A cycle decomposition is a partition of the edge multiset into closed
   trails, each counted up to cyclic rotation of the trail.  Equivalently it
   is a choice, at every vertex, of a bijection from in-edges to out-edges;
@@ -29,7 +32,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 
-from .graphs import MultiDigraph, connectivity
+from .graphs import MultiDigraph
 from .zeta import det_int
 
 __all__ = [
@@ -155,21 +158,15 @@ def arborescences_bruteforce(g: MultiDigraph, root: int) -> int:
     return count
 
 
-def _first_edge(g: MultiDigraph) -> tuple[int, int] | None:
-    for i, row in enumerate(g.adj):
-        for j, mult in enumerate(row):
-            if mult > 0:
-                return (i, j)
-    return None
-
-
 def euler_tour_count(g: MultiDigraph) -> int:
-    """epsilon(G): Euler tours starting with a fixed first edge, via the
-    tree factorization.  Zero for unbalanced, disconnected, or edgeless input."""
-    first = _first_edge(g)
-    if first is None or not is_balanced(g) or len(connectivity(g)) != 1:
+    """epsilon(G) = tau(G, 0) * prod((deg+(v) - 1)!), zero for unbalanced or
+    edgeless input; tau(G, 0) is zero when a balanced G is weakly
+    disconnected, since some vertex cannot reach vertex 0."""
+    if g.edge_count == 0 or not is_balanced(g):
         return 0
-    tau = arborescence_count(g, first[1])
+    tau = arborescence_count(g, 0)
+    if tau == 0:  # an isolated vertex has no (deg+ - 1)!
+        return 0
     return tau * math.prod(math.factorial(d - 1) for d in g.out_degrees())
 
 

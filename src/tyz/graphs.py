@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import NamedTuple
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -61,15 +61,28 @@ class MultiDigraph:
 
     @staticmethod
     def from_rows(rows) -> "MultiDigraph":
-        adj = tuple(tuple(int(x) for x in row) for row in rows)
-        n = len(adj)
-        for i, row in enumerate(adj):
-            if len(row) != n:
-                raise ValueError(f"row {i + 1} has {len(row)} entries, expected {n}")
-            for j, x in enumerate(row):
+        """The graph of rows of integers or decimal strings: the one check of
+        a matrix from outside (command-line text, cache and fixture JSON).
+        The first entry in reading order that is not an integer or is
+        negative is reported by row and column; then the matrix must be
+        square."""
+        adj = []
+        for i, row in enumerate(rows, 1):
+            entries = []
+            for j, token in enumerate(row, 1):
+                try:
+                    x = int(token) if isinstance(token, str) else index(token)
+                except (TypeError, ValueError):
+                    raise ValueError(f"row {i}, column {j}: not an integer: {token!r}") from None
                 if x < 0:
-                    raise ValueError(f"row {i + 1}, column {j + 1}: negative entry {x}")
-        return MultiDigraph(adj)
+                    raise ValueError(f"row {i}, column {j}: negative entry {x}")
+                entries.append(x)
+            adj.append(tuple(entries))
+        n = len(adj)
+        for i, row in enumerate(adj, 1):
+            if len(row) != n:
+                raise ValueError(f"row {i} has {len(row)} entries, expected {n} (matrix must be square)")
+        return MultiDigraph(tuple(adj))
 
     @property
     def n(self) -> int:
@@ -379,26 +392,10 @@ def relabel(g: MultiDigraph, per) -> MultiDigraph:
 
 
 def parse_graph(text: str) -> MultiDigraph:
-    rows = [r for r in text.replace(";", "\n").splitlines() if r.strip()]
-    if not rows:
-        return EMPTY
-    parsed: list[list[int]] = []
-    for i, row in enumerate(rows):
-        entries = []
-        for j, token in enumerate(row.split()):
-            try:
-                x = int(token)
-            except ValueError:
-                raise ValueError(f"row {i + 1}, column {j + 1}: not an integer: {token!r}") from None
-            if x < 0:
-                raise ValueError(f"row {i + 1}, column {j + 1}: negative entry {x}")
-            entries.append(x)
-        parsed.append(entries)
-    n = len(parsed)
-    for i, row in enumerate(parsed):
-        if len(row) != n:
-            raise ValueError(f"row {i + 1} has {len(row)} entries, expected {n} (matrix must be square)")
-    return MultiDigraph(tuple(tuple(row) for row in parsed))
+    """Split text into rows of tokens; `MultiDigraph.from_rows` checks them."""
+    return MultiDigraph.from_rows(
+        row.split() for row in text.replace(";", "\n").splitlines() if row.strip()
+    )
 
 
 def format_graph(g: MultiDigraph, sep: str = ";") -> str:

@@ -490,6 +490,28 @@ def test_verify_all_aggregates_everything():
     assert len(report.cases) > 300
 
 
+VERIFY_CASES = {
+    "table2": 4,
+    "weight2": 5,
+    "weight3": 16,
+    "weight4": 84,
+    "bernoulli": 4,
+    "unitball": 10,
+    "oracle": 167,
+    "best": 36,
+    "families": 76,
+}
+
+
+def test_verify_case_counts_are_pinned():
+    """The row count of every suite, which no canonical representative changes."""
+    for suite, count in VERIFY_CASES.items():
+        assert len(verify(suite).cases) == count, suite
+    assert len(verify("all").cases) == sum(VERIFY_CASES.values()) == 402
+    # weight 5 adds a case to table2 and bernoulli and two to unitball
+    assert len(verify("all", max_weight=5, allow_slow=True).cases) == 406
+
+
 def test_verify_reports_are_deterministic():
     a = verify("weight2")
     b = verify("weight2")

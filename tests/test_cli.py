@@ -128,6 +128,14 @@ def test_verify_json_report(capsys):
     assert len(obj["rows"]) == obj["passed"]
 
 
+def test_verify_unitball_follows_max_weight(capsys):
+    code, out, _ = run(capsys, "verify", "unitball", "--max-weight", "5", "--allow-slow",
+                       "--format", "json")
+    rows = {row["case"]: row for row in json.loads(out)["rows"]}
+    assert code == 0 and rows["P_5 catalog sum"]["status"] == "pass"
+    assert rows["P_5 leading coefficient"]["actual"] == "-1/3840"
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     monkeypatch.setitem(catalog.TABLE2, 1, (2, 2, 2, 2))
     code, out, _ = run(capsys, "verify", "table2", "--max-weight", "1")

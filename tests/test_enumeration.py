@@ -69,6 +69,10 @@ def test_enumerated_graphs_are_canonical_and_strictly_sorted():
             assert all(canonical_form(g) == g for g in graphs)
             keys = [canonical_key(g) for g in graphs]
             assert all(a < b for a, b in zip(keys, keys[1:])), (j, k)
+    # joined in vertex order, the catalogs of one weight stay in key order
+    for k in range(1, 6):
+        keys = [canonical_key(r.graph) for r in weight_records(k)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), k
 
 
 def test_against_unpruned_bruteforce():

@@ -20,7 +20,7 @@ from tyz.eulerian import (
     is_balanced,
     unit_ball_rhs,
 )
-from tyz.graphs import EMPTY, parse_graph, weak_components
+from tyz.graphs import EMPTY, disjoint_union, parse_graph, weak_components
 
 
 # --- polynomial helper ---
@@ -91,6 +91,14 @@ def test_euler_tour_vanishes_off_domain():
     assert euler_tour_count(parse_graph("0 2;1 0")) == 0  # unbalanced
     assert euler_tour_count(parse_graph("2 0;0 2")) == 0  # disconnected
     assert euler_tour_count(EMPTY) == 0  # no first edge to fix
+    # an isolated vertex, at the root 0 or away from it
+    assert euler_tour_count(parse_graph("0 0;0 2")) == 0
+    assert euler_tour_count(parse_graph("2 0;0 0")) == 0
+    balanced = [r.graph for r in weight_records(2) if is_balanced(r.graph)]
+    for g in balanced:
+        for h in balanced:
+            union = disjoint_union([g, h])
+            assert euler_tour_count(union) == 0 == euler_tour_bruteforce(union), union
 
 
 def test_euler_tour_bruteforce_matches():
@@ -105,7 +113,7 @@ def test_euler_tour_bruteforce_guardrail():
 
 
 def test_tours_exhaustive_small_weights():
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         for g in (r.graph for r in weight_records(k)):
             if g.edge_count <= 12:
                 assert euler_tour_count(g) == euler_tour_bruteforce(g), g

@@ -59,16 +59,34 @@ def test_parse_ragged_matrix_is_an_error():
         parse_graph("0 2;2")
 
 
+def _message(parse, arg) -> str:
+    with pytest.raises(ValueError) as info:
+        parse(arg)
+    return str(info.value)
+
+
 def test_parse_reports_position_of_bad_entry():
     with pytest.raises(ValueError, match="row 1, column 2"):
         parse_graph("0 -2;2 0")
     with pytest.raises(ValueError, match="row 2, column 1"):
         parse_graph("0 2;x 0")
+    # of two faults, the first in reading order, and entries before squareness
+    for text, message in [
+        ("-1 x;2 2", "row 1, column 1: negative entry -1"),
+        ("x -1;2 2", "row 1, column 1: not an integer: 'x'"),
+        ("1 2;3 -4;5", "row 2, column 2: negative entry -4"),
+    ]:
+        assert _message(parse_graph, text) == message
+        rows = [row.split() for row in text.split(";")]
+        assert _message(MultiDigraph.from_rows, rows) == message
 
 
 def test_from_rows_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        MultiDigraph.from_rows([[0, 1]])
+    message = "row 1 has 2 entries, expected 1 (matrix must be square)"
+    assert _message(MultiDigraph.from_rows, [[0, 1]]) == message
+    assert _message(MultiDigraph.from_rows, [["0", "1"]]) == message
+    assert _message(parse_graph, "0 1") == message
+    assert _message(MultiDigraph.from_rows, [[2.5]]) == "row 1, column 1: not an integer: 2.5"
 
 
 @given(small_graphs())

@@ -22,7 +22,7 @@ def _script(name: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize("name", ["catalog_report.py", "family_table.py", "identity_scan.py"])
+@pytest.mark.parametrize("name", ["catalog_report.py", "family_table.py"])
 def test_script_runs_at_defaults(name):
     proc = _script(name)
     assert proc.returncode == 0, proc.stderr
@@ -40,8 +40,3 @@ def test_script_rejects_gated_arguments(name, args):
     proc = _script(name, *args)
     assert proc.returncode == 2 and proc.stdout == ""
 
-
-def test_identity_scan_prints_p5_when_allowed():
-    proc = _script("identity_scan.py", "--max-weight", "5", "--allow-slow")
-    assert proc.returncode == 0, proc.stderr
-    assert "P_5 = " in proc.stdout and "leading coefficient -1/3840" in proc.stdout
