@@ -6,12 +6,18 @@ of the adjacency matrix to be at least 2, hence edge_count >= 2n and n <= k.
 
 Generation is one recursion that fills the matrix row by row.  Each level
 picks the row's sum (non-increasing, at least 2, and leaving at least 2 for
-every later row), then the row itself among the compositions of that sum,
-which are listed once per call, and prunes on remaining column demand.  Each
-full matrix is replaced by its canonical matrix from `symmetry`, and a set
-removes the duplicates.  Non-increasing row sums are sound because any
-matrix can be brought to them by a simultaneous row/column permutation, and
-the canonical dedup owns correctness regardless.
+every later row), then the row itself.  Whether a row is allowed depends only
+on its sum, the column sums so far capped at 2, and the edges left; so the
+rows of each (row sum, capped column sums) are listed once per call, sorted
+by how many edges the columns would still lack, and a level stops at the
+first row that lacks more than it has left.  A full matrix is kept only if
+its vertex invariants (out-degree, in-degree, loops) are lexicographically
+non-increasing; only then is it replaced by its canonical matrix from
+`symmetry`, and a set removes the duplicates.  The order is sound because
+the invariants do not depend on the labels: sorting the vertices of any
+stable graph by them gives a matrix of its class that passes the test and
+has non-increasing row sums, so the fill reaches it.  The canonical dedup
+owns correctness regardless.
 
 `check_weight` is the one supported-weight policy; the CLI, the scripts and
 `catalog` call it.  Nothing here is memoized: `catalog.stable_records` keeps
@@ -21,6 +27,8 @@ expansion, identities, verify suites) reads them through
 """
 
 from __future__ import annotations
+
+from operator import add, itemgetter
 
 from .graphs import Matrix, MultiDigraph, is_stable, symmetry
 
@@ -58,46 +66,69 @@ def _compositions(total: int, parts: int):
             yield (first, *rest)
 
 
+def _row_candidates(row_sum: int, capped: tuple[int, ...]) -> list:
+    """Each row of sum `row_sum` placed under column sums `capped` (capped
+    at 2), as (need, row, capped sums after), sorted by need: the edges the
+    columns then still lack for a sum of 2 each."""
+    out = []
+    for row in _compositions(row_sum, len(capped)):
+        after = tuple(min(2, c + x) for c, x in zip(capped, row))
+        out.append((2 * len(row) - sum(after), row, after))
+    out.sort(key=itemgetter(0))
+    return out
+
+
 def enumerate_stable(j: int, s: int) -> tuple[MultiDigraph, ...]:
     """One canonical representative per isomorphism class of j-vertex,
-    s-edge stable graphs, sorted by canonical key.  Empty when s < 2j."""
+    s-edge stable graphs, sorted by canonical key.  Empty when s < 2j.
+
+    Fills the rows in one recursion (see the module docstring).  Only
+    matrices whose vertex invariants (out-degree, in-degree, loops) are
+    lexicographically non-increasing reach `symmetry`, which every class
+    has one of; the rows allowed after each (row sum, column sums capped at
+    2) are listed once per call."""
     if j < 1 or s < 2 * j:
         return ()
-    rows_of: dict[int, list[tuple[int, ...]]] = {}  # row sum -> its compositions
+    candidates: dict[tuple, list] = {}  # (row sum, capped column sums) -> _row_candidates
     rows: list[tuple[int, ...]] = []
-    col_sums = [0] * j
+    row_sums: list[int] = []
     found: set[Matrix] = set()
 
-    def rec(left: int, cap: int) -> None:
-        """Place the next row, with `left` edges still to place and a row sum
-        of at most `cap`, the sum of the row before."""
-        if len(rows) == j:
+    def rec(left: int, col_sums: tuple[int, ...], capped: tuple[int, ...]) -> None:
+        """Place the next row, with `left` edges still to place; the column
+        sums so far are `col_sums`, and `capped` is them capped at 2."""
+        placed = len(rows)
+        if placed == j:
+            # the leaf test: in a run of equal row sums, (in-degree, loops)
+            # must not increase
+            for a in range(j - 1):
+                b = a + 1
+                if row_sums[a] == row_sums[b] and (col_sums[a], rows[a][a]) < (col_sums[b], rows[b][b]):
+                    return
             # symmetry, not canonical_form: the per-graph memo would keep every raw matrix
             found.add(symmetry(tuple(rows)).matrix)
             return
-        later = j - len(rows) - 1
+        later = j - placed - 1
+        cap = row_sums[-1] if row_sums else left
         # non-increasing row sums, each at least 2 and leaving 2 per later row;
         # the ceiling leaves no later row a larger sum than this one
         lo = max(2, -(-left // (later + 1)))
         for row_sum in range(min(cap, left - 2 * later), lo - 1, -1):
-            if row_sum not in rows_of:
-                rows_of[row_sum] = list(_compositions(row_sum, j))
+            key = (row_sum, capped)
+            entry = candidates.get(key)
+            if entry is None:
+                entry = candidates[key] = _row_candidates(row_sum, capped)
             budget_after = left - row_sum
-            for row in rows_of[row_sum]:
-                need = 0
-                for c in range(j):
-                    col_sums[c] += row[c]
-                    short = 2 - col_sums[c]
-                    if short > 0:
-                        need += short
-                if need <= budget_after:
-                    rows.append(row)
-                    rec(budget_after, row_sum)
-                    rows.pop()
-                for c in range(j):
-                    col_sums[c] -= row[c]
+            row_sums.append(row_sum)
+            for need, row, capped_after in entry:
+                if need > budget_after:
+                    break
+                rows.append(row)
+                rec(budget_after, tuple(map(add, col_sums, row)), capped_after)
+                rows.pop()
+            row_sums.pop()
 
-    rec(s, s)
+    rec(s, (0,) * j, (0,) * j)
     # for a fixed j, row-tuple order is canonical-key order
     return tuple(MultiDigraph(matrix) for matrix in sorted(found))
 

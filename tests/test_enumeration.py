@@ -2,9 +2,10 @@ import math
 
 import pytest
 
+from tyz import enumeration
 from tyz.catalog import class_counts, weight_records
 from tyz.enumeration import enumerate_stable, raw_stable_matrices
-from tyz.graphs import automorphisms, canonical_form, canonical_key, is_stable, parse_graph
+from tyz.graphs import automorphisms, canonical_form, canonical_key, is_stable, parse_graph, symmetry
 
 
 def test_one_vertex_catalogs():
@@ -59,7 +60,21 @@ def test_catalog_is_deterministic():
 
 def test_weight_six_class_counts_by_vertex_count():
     """Pins the enumerator's own output; an independent count is still owed."""
-    assert [len(enumerate_stable(j, j + 6)) for j in (1, 2, 3, 4)] == [1, 45, 600, 2388]
+    assert [len(enumerate_stable(j, j + 6)) for j in (1, 2, 3, 4, 5)] == [1, 45, 600, 2388, 2252]
+
+
+def test_fill_keeps_only_invariant_ordered_matrices(monkeypatch):
+    """Only matrices with non-increasing (out, in, loops) vertex invariants
+    reach the symmetry search: 1,607 of the 6,210 full matrices of (5, 10)."""
+    calls = []
+
+    def counted(adj):
+        calls.append(adj)
+        return symmetry(adj)
+
+    monkeypatch.setattr(enumeration, "symmetry", counted)
+    assert len(enumerate_stable(5, 10)) == 85
+    assert len(calls) <= 1607
 
 
 def test_enumerated_graphs_are_canonical_and_strictly_sorted():
@@ -78,7 +93,7 @@ def test_enumerated_graphs_are_canonical_and_strictly_sorted():
 def test_against_unpruned_bruteforce():
     """The pruned, symmetry-reduced search must see exactly the isomorphism
     classes of the raw matrix scan, with orbit sizes n!/|stabilizer|."""
-    for j, s in [(1, 2), (1, 4), (2, 4), (2, 5), (3, 6), (3, 7)]:
+    for j, s in [(1, 2), (1, 4), (2, 4), (2, 5), (2, 6), (2, 7), (3, 6), (3, 7), (3, 8)]:
         raw = list(raw_stable_matrices(j, s))
         slick = enumerate_stable(j, s)
         assert {canonical_key(g) for g in raw} == {canonical_key(g) for g in slick}
