@@ -10,14 +10,21 @@ every later row), then the row itself.  Whether a row is allowed depends only
 on its sum, the column sums so far capped at 2, and the edges left; so the
 rows of each (row sum, capped column sums) are listed once per call, sorted
 by how many edges the columns would still lack, and a level stops at the
-first row that lacks more than it has left.  A full matrix is kept only if
-its vertex invariants (out-degree, in-degree, loops) are lexicographically
-non-increasing; only then is it replaced by its canonical matrix from
-`symmetry`, and a set removes the duplicates.  The order is sound because
-the invariants do not depend on the labels: sorting the vertices of any
-stable graph by them gives a matrix of its class that passes the test and
-has non-increasing row sums, so the fill reaches it.  The canonical dedup
-owns correctness regardless.
+first row that lacks more than it has left.
+
+A full matrix is searched only if it passes the leaf test: its vertices are
+in non-increasing order of the key (out-degree, in-degree, loops, neighbour
+signature).  The signature of v is the multiset over u != v of ((out, in,
+loops) of u, edges v -> u, edges u -> v), listed in descending order; it is
+computed only for adjacent vertices that tie on the first three.  The test
+is sound because the key does not depend on the labels and starts with the
+out-degree: sorting the vertices of any stable graph by it gives a matrix of
+its class with non-increasing row sums, which the fill reaches and which
+passes the test.  Each leaf that passes goes to `symmetry`; the first search
+of each canonical matrix is kept, and `canonical_graph` turns it into the
+returned graph with its per-graph memo seeded, so the catalog records of a
+class search nothing again.  The canonical dedup owns correctness
+regardless.
 
 `check_weight` is the one supported-weight policy; the CLI, the scripts and
 `catalog` call it.  Nothing here is memoized: `catalog.stable_records` keeps
@@ -30,7 +37,7 @@ from __future__ import annotations
 
 from operator import add, itemgetter
 
-from .graphs import Matrix, MultiDigraph, is_stable, symmetry
+from .graphs import Matrix, MultiDigraph, Symmetry, canonical_graph, is_stable, symmetry
 
 __all__ = [
     "MAX_WEIGHT",
@@ -78,35 +85,66 @@ def _row_candidates(row_sum: int, capped: tuple[int, ...]) -> list:
     return out
 
 
+def _invariant_ordered(rows, row_sums, col_sums) -> bool:
+    """The leaf test of the fill (see the module docstring): whether the
+    vertices of the full matrix `rows`, whose row sums are non-increasing,
+    are in non-increasing order of (out-degree, in-degree, loops, neighbour
+    signature).  Signatures are computed only for adjacent vertices that tie
+    on the first three."""
+    n = len(rows)
+    tied = []
+    for a in range(n - 1):
+        b = a + 1
+        if row_sums[a] == row_sums[b]:
+            first, second = (col_sums[a], rows[a][a]), (col_sums[b], rows[b][b])
+            if first < second:
+                return False
+            if first == second:
+                tied.append(a)
+    if not tied:
+        return True
+    invariants = [(row_sums[u], col_sums[u], rows[u][u]) for u in range(n)]
+    signatures: dict[int, list] = {}
+
+    def signature(v: int) -> list:
+        if v not in signatures:
+            row = rows[v]
+            signatures[v] = sorted(
+                [(invariants[u], row[u], rows[u][v]) for u in range(n) if u != v], reverse=True
+            )
+        return signatures[v]
+
+    return all(signature(a) >= signature(a + 1) for a in tied)
+
+
 def enumerate_stable(j: int, s: int) -> tuple[MultiDigraph, ...]:
     """One canonical representative per isomorphism class of j-vertex,
     s-edge stable graphs, sorted by canonical key.  Empty when s < 2j.
 
     Fills the rows in one recursion (see the module docstring).  Only
-    matrices whose vertex invariants (out-degree, in-degree, loops) are
-    lexicographically non-increasing reach `symmetry`, which every class
-    has one of; the rows allowed after each (row sum, column sums capped at
-    2) are listed once per call."""
+    matrices whose vertices are in non-increasing order of (out-degree,
+    in-degree, loops, neighbour signature) reach `symmetry`; every class has
+    one, because that key does not depend on the labels and starts with the
+    out-degree.  The rows allowed after each (row sum, column sums capped at
+    2) are listed once per call.  Each returned graph carries the search
+    that found it in the per-graph memo of `graphs`."""
     if j < 1 or s < 2 * j:
         return ()
     candidates: dict[tuple, list] = {}  # (row sum, capped column sums) -> _row_candidates
     rows: list[tuple[int, ...]] = []
     row_sums: list[int] = []
-    found: set[Matrix] = set()
+    found: dict[Matrix, Symmetry] = {}  # canonical matrix -> its first search
 
     def rec(left: int, col_sums: tuple[int, ...], capped: tuple[int, ...]) -> None:
         """Place the next row, with `left` edges still to place; the column
         sums so far are `col_sums`, and `capped` is them capped at 2."""
         placed = len(rows)
         if placed == j:
-            # the leaf test: in a run of equal row sums, (in-degree, loops)
-            # must not increase
-            for a in range(j - 1):
-                b = a + 1
-                if row_sums[a] == row_sums[b] and (col_sums[a], rows[a][a]) < (col_sums[b], rows[b][b]):
-                    return
-            # symmetry, not canonical_form: the per-graph memo would keep every raw matrix
-            found.add(symmetry(tuple(rows)).matrix)
+            if _invariant_ordered(rows, row_sums, col_sums):
+                # symmetry, not canonical_form: the per-graph memo would keep
+                # every raw matrix; canonical_graph seeds it once per class
+                searched = symmetry(tuple(rows))
+                found.setdefault(searched.matrix, searched)
             return
         later = j - placed - 1
         cap = row_sums[-1] if row_sums else left
@@ -130,7 +168,7 @@ def enumerate_stable(j: int, s: int) -> tuple[MultiDigraph, ...]:
 
     rec(s, (0,) * j, (0,) * j)
     # for a fixed j, row-tuple order is canonical-key order
-    return tuple(MultiDigraph(matrix) for matrix in sorted(found))
+    return tuple(canonical_graph(found[matrix]) for matrix in sorted(found))
 
 
 def raw_stable_matrices(j: int, s: int):

@@ -11,24 +11,29 @@ McKay & Piperno, "Practical graph isomorphism, II" (J. Symbolic Comput. 60,
 2014).  It is exact for every input; its cost grows with how much symmetry
 refinement fails to break, not with n!, so family graphs with dozens of
 vertices take milliseconds.  The search returns the canonical matrix itself
-(`Symmetry.matrix`): `canonical_form` wraps it, `canonical_key` is the vertex
-count followed by its rows, and the enumeration collects it.  The one memo is
-per graph: `canonical_key`, `canonical_form`, `automorphisms` and `aut_order`
-share the search result of each `MultiDigraph`, while `symmetry` itself
-keeps nothing, so the raw matrices the enumeration passes to it are not
-retained.
+(`Symmetry.matrix`) and the leaf ordering that gave it (`Symmetry.labeling`):
+`canonical_form` wraps the matrix, `canonical_key` is the vertex count
+followed by its rows, and the enumeration collects it.  The one memo is per
+graph: `canonical_key`, `canonical_form`, `automorphisms` and `aut_order`
+share the search result of each `MultiDigraph`.  `symmetry` itself keeps
+nothing, so the raw matrices the enumeration passes to it are not retained;
+instead the enumeration hands the search of each class to `canonical_graph`,
+which seeds the memo of the canonical graph, so its catalog record searches
+nothing again.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain
 from operator import index, itemgetter
 from typing import NamedTuple
 
 Matrix = tuple[tuple[int, ...], ...]
+
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 __all__ = [
     "Matrix",
@@ -41,6 +46,7 @@ __all__ = [
     "is_strongly_connected",
     "Symmetry",
     "symmetry",
+    "canonical_graph",
     "canonical_key",
     "canonical_form",
     "are_isomorphic",
@@ -61,17 +67,19 @@ class MultiDigraph:
 
     @staticmethod
     def from_rows(rows) -> "MultiDigraph":
-        """The graph of rows of integers or decimal strings: the one check of
-        a matrix from outside (command-line text, cache and fixture JSON).
-        The first entry in reading order that is not an integer or is
-        negative is reported by row and column; then the matrix must be
-        square."""
+        """The graph of rows of integers or decimal strings (ASCII digits
+        with an optional leading '-'): the one check of a matrix from outside
+        (command-line text, cache and fixture JSON).  The first entry in
+        reading order that is not an integer or is negative is reported by
+        row and column; then the matrix must be square."""
         adj = []
         for i, row in enumerate(rows, 1):
             entries = []
             for j, token in enumerate(row, 1):
                 try:
-                    x = int(token) if isinstance(token, str) else index(token)
+                    # any other string, such as "+2", "1_0" or a non-ASCII digit, fails in index()
+                    decimal = isinstance(token, str) and _DECIMAL.fullmatch(token)
+                    x = int(token) if decimal else index(token)
                 except (TypeError, ValueError):
                     raise ValueError(f"row {i}, column {j}: not an integer: {token!r}") from None
                 if x < 0:
@@ -187,11 +195,13 @@ def is_strongly_connected(g: MultiDigraph) -> bool:
 
 class Symmetry(NamedTuple):
     """Canonical form of a matrix, generators of its vertex automorphism
-    group, and the order of that group."""
+    group, the order of that group, and the leaf ordering that gave the
+    canonical form: row i of `matrix` is row labeling[i] of the input."""
 
     matrix: Matrix
     generators: tuple[tuple[int, ...], ...]
     order: int
+    labeling: tuple[int, ...]
 
 
 def symmetry(adj: Matrix) -> Symmetry:
@@ -217,7 +227,7 @@ def symmetry(adj: Matrix) -> Symmetry:
     """
     n = len(adj)
     if n <= 1:
-        return Symmetry(adj, (), 1)  # its own canonical form, no other ordering
+        return Symmetry(adj, (), 1, tuple(range(n)))  # its own canonical form, no other ordering
     # links[v]: (u, multiplicity v -> u, multiplicity u -> v) for each u joined
     # to v; a loop pairs v with itself
     links = [
@@ -311,14 +321,34 @@ def symmetry(adj: Matrix) -> Symmetry:
     visit(refine([start[loops] for loops in sorted(start)]), [])
     first_path = first[2]
     order = math.prod(len(orbit([v], fixing(first_path[:d]))) for d, v in enumerate(first_path))
-    return Symmetry(best[0], tuple(generators), order)
+    return Symmetry(best[0], tuple(generators), order, tuple(best[1]))
 
 
-@cache
+_searched: dict[MultiDigraph, Symmetry] = {}
+
+
 def _symmetry_of(g: MultiDigraph) -> Symmetry:
     """`symmetry` of g, searched once per graph; `canonical_key`,
-    `automorphisms` and `aut_order` all read it."""
-    return symmetry(g.adj)
+    `canonical_form`, `automorphisms` and `aut_order` all read it."""
+    found = _searched.get(g)
+    if found is None:
+        found = _searched[g] = symmetry(g.adj)
+    return found
+
+
+def canonical_graph(found: Symmetry) -> MultiDigraph:
+    """The canonical graph of a search result, with the memo seeded so that
+    no later call searches it again: the same matrix and group order, the
+    identity as its labeling, and the generators conjugated into the
+    canonical labels (vertex i is vertex labeling[i] of the searched graph)."""
+    labeling = found.labeling
+    position = [0] * len(labeling)
+    for i, v in enumerate(labeling):
+        position[v] = i
+    generators = tuple(tuple(position[phi[v]] for v in labeling) for phi in found.generators)
+    g = MultiDigraph(found.matrix)
+    _searched.setdefault(g, Symmetry(found.matrix, generators, found.order, tuple(range(g.n))))
+    return g
 
 
 def canonical_key(g: MultiDigraph) -> tuple[int, ...]:

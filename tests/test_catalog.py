@@ -348,7 +348,7 @@ def test_reread_searches_each_graph_once(tmp_path, monkeypatch):
     _fill_disk_cache(tmp_path, [3])
     monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(catalog, "_memo", {})
-    graphs._symmetry_of.cache_clear()
+    graphs._searched.clear()
     searched = Counter()
     search = graphs.symmetry
 
@@ -361,6 +361,30 @@ def test_reread_searches_each_graph_once(tmp_path, monkeypatch):
     # one search per record: a record's z needs no search of its components
     assert searched == Counter(r.graph.adj for r in records)
     assert any(r.cls == "disconnected" for r in records)
+
+
+def test_cold_records_search_only_inside_the_fill(tmp_path, monkeypatch):
+    """A cold catalog searches each kept fill leaf once and nothing more:
+    `build_record` and `write_catalog` read the memo the fill seeded."""
+    monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(catalog, "_memo", {})
+    monkeypatch.setattr(graphs, "_searched", {})
+    searched = Counter()
+    search = graphs.symmetry
+
+    def counting(where):
+        def counted(adj):
+            searched[where] += 1
+            return search(adj)
+
+        return counted
+
+    monkeypatch.setattr(enumeration, "symmetry", counting("fill"))
+    monkeypatch.setattr(graphs, "symmetry", counting("elsewhere"))
+    records = stable_records(5, 10)
+    assert len(records) == 85
+    assert (tmp_path / "stable-5-10.jsonl").exists()
+    assert searched == Counter(fill=248)
 
 
 def test_identity_suites_read_the_catalogs(tmp_path, monkeypatch):

@@ -2,10 +2,21 @@ import math
 
 import pytest
 
-from tyz import enumeration
+from hypothesis import given, settings, strategies as st
+
+from tyz import enumeration, graphs
 from tyz.catalog import class_counts, weight_records
 from tyz.enumeration import enumerate_stable, raw_stable_matrices
-from tyz.graphs import automorphisms, canonical_form, canonical_key, is_stable, parse_graph, symmetry
+from tyz.graphs import (
+    aut_order,
+    automorphisms,
+    canonical_form,
+    canonical_key,
+    is_stable,
+    parse_graph,
+    relabel,
+    symmetry,
+)
 
 
 def test_one_vertex_catalogs():
@@ -64,8 +75,11 @@ def test_weight_six_class_counts_by_vertex_count():
 
 
 def test_fill_keeps_only_invariant_ordered_matrices(monkeypatch):
-    """Only matrices with non-increasing (out, in, loops) vertex invariants
-    reach the symmetry search: 1,607 of the 6,210 full matrices of (5, 10)."""
+    """Only full matrices that pass the leaf test reach the symmetry search.
+    Of the 6,210 full matrices of (5, 10), 1,607 have non-increasing (out,
+    in, loops) vertex invariants; 248 of those also have non-increasing
+    neighbour signatures wherever two adjacent vertices tie on all three,
+    and 248 searches give the 85 classes."""
     calls = []
 
     def counted(adj):
@@ -74,7 +88,77 @@ def test_fill_keeps_only_invariant_ordered_matrices(monkeypatch):
 
     monkeypatch.setattr(enumeration, "symmetry", counted)
     assert len(enumerate_stable(5, 10)) == 85
-    assert len(calls) <= 1607
+    assert len(calls) <= 248
+
+
+def _sorted_by_key(g):
+    """g with its vertices in descending order of (out-degree, in-degree,
+    loops, neighbour signature), ties kept in label order."""
+    n, adj = g.n, g.adj
+    outs, ins = g.out_degrees(), g.in_degrees()
+    invariants = [(outs[v], ins[v], adj[v][v]) for v in range(n)]
+
+    def key(v):
+        others = [(invariants[u], adj[v][u], adj[u][v]) for u in range(n) if u != v]
+        return invariants[v], sorted(others, reverse=True)
+
+    return relabel(g, sorted(range(n), key=key, reverse=True))
+
+
+def _passes_leaf_test(g) -> bool:
+    return enumeration._invariant_ordered(g.adj, g.out_degrees(), g.in_degrees())
+
+
+def test_leaf_test_accepts_every_class_sorted_by_its_key():
+    """The leaf test is sound: sorting any graph's vertices by the key gives
+    a matrix that passes it, so the fill keeps a matrix of every class."""
+    for k in range(1, 6):
+        for r in weight_records(k):
+            assert _passes_leaf_test(_sorted_by_key(r.graph)), r.graph
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_leaf_test_accepts_relabelled_classes_sorted_by_their_key(data):
+    records = weight_records(data.draw(st.integers(1, 5)))
+    g = records[data.draw(st.integers(0, len(records) - 1))].graph
+    g = relabel(g, data.draw(st.permutations(range(g.n))))
+    assert _passes_leaf_test(_sorted_by_key(g)), g
+
+
+def test_leaf_test_rejects_a_tied_pair_out_of_signature_order():
+    # vertices 1 and 2 tie on (out, in, loops) = (2, 2, 0); toward vertex 0,
+    # vertex 1 has (1 out, 2 in) and vertex 2 has (2 out, 1 in), so vertex 2
+    # has the larger signature and must come first
+    g = parse_graph("0 2 1;1 0 1;2 0 0")
+    assert (g.out_degrees(), g.in_degrees()) == ((3, 2, 2), (3, 2, 2))
+    assert not _passes_leaf_test(g)
+    assert _passes_leaf_test(relabel(g, [0, 2, 1]))
+
+
+def test_seeded_symmetry_equals_a_fresh_search(monkeypatch):
+    """The fill seeds the per-graph memo of every class it returns; the
+    group, its order and the canonical form read from that seed equal those
+    of a fresh search of the same graph."""
+    search = graphs.symmetry
+    outside = []
+
+    def counting(adj):
+        outside.append(adj)
+        return search(adj)
+
+    monkeypatch.setattr(graphs, "symmetry", counting)
+    monkeypatch.setattr(graphs, "_searched", {})
+    for k in range(1, 6):
+        for j in range(1, k + 1):
+            classes = enumerate_stable(j, j + k)
+            seeded = [(automorphisms(g), aut_order(g), canonical_form(g)) for g in classes]
+            assert outside == []
+            graphs._searched.clear()
+            fresh = [(automorphisms(g), aut_order(g), canonical_form(g)) for g in classes]
+            assert seeded == fresh, (j, k)
+            assert outside == [g.adj for g in classes]
+            outside.clear()
 
 
 def test_enumerated_graphs_are_canonical_and_strictly_sorted():

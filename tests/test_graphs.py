@@ -75,6 +75,12 @@ def test_parse_reports_position_of_bad_entry():
         ("-1 x;2 2", "row 1, column 1: negative entry -1"),
         ("x -1;2 2", "row 1, column 1: not an integer: 'x'"),
         ("1 2;3 -4;5", "row 2, column 2: negative entry -4"),
+        # only ASCII digits with an optional leading '-' are decimal
+        ("1_0 0;0 +2", "row 1, column 1: not an integer: '1_0'"),
+        ("0 +2;2 0", "row 1, column 2: not an integer: '+2'"),
+        ("\u0663", "row 1, column 1: not an integer: '\u0663'"),
+        ("0 2;2 \uff10", "row 2, column 2: not an integer: '\uff10'"),
+        ("0 2;2 --1", "row 2, column 2: not an integer: '--1'"),
     ]:
         assert _message(parse_graph, text) == message
         rows = [row.split() for row in text.split(";")]
