@@ -70,25 +70,67 @@ def test_catalog_is_deterministic():
 
 
 def test_weight_six_class_counts_by_vertex_count():
-    """Pins the enumerator's own output; an independent count is still owed."""
+    """Pins the enumerator's output; `census_count` derives the same counts
+    without generating a graph (test_census_count_equals_the_enumerator)."""
     assert [len(enumerate_stable(j, j + 6)) for j in (1, 2, 3, 4, 5)] == [1, 45, 600, 2388, 2252]
 
 
 def test_fill_keeps_only_invariant_ordered_matrices(monkeypatch):
-    """Only full matrices that pass the leaf test reach the symmetry search.
-    Of the 6,210 full matrices of (5, 10), 1,607 have non-increasing (out,
-    in, loops) vertex invariants; 248 of those also have non-increasing
-    neighbour signatures wherever two adjacent vertices tie on all three,
-    and 248 searches give the 85 classes."""
-    calls = []
+    """The fill builds only matrices with non-increasing (out, in, loops)
+    vertex types, and only those that pass the leaf test reach the symmetry
+    search.  Of the 6,210 full matrices of (5, 10), the fill builds the
+    1,607 whose types are non-increasing; 248 of those also have
+    non-increasing neighbour signatures wherever two adjacent vertices have
+    equal types, and 248 searches give the 85 classes."""
+    leaves, calls = [], []
+    leaf_test = enumeration._signature_ordered
+
+    def counted_leaf(rows, types):
+        leaves.append(tuple(rows))
+        return leaf_test(rows, types)
 
     def counted(adj):
         calls.append(adj)
         return symmetry(adj)
 
+    monkeypatch.setattr(enumeration, "_signature_ordered", counted_leaf)
     monkeypatch.setattr(enumeration, "symmetry", counted)
     assert len(enumerate_stable(5, 10)) == 85
+    assert len(leaves) == len(set(leaves)) == 1607
     assert len(calls) <= 248
+
+
+def _types(g):
+    """The (out-degree, in-degree, loops) of each vertex of g."""
+    return list(zip(g.out_degrees(), g.in_degrees(), (g.adj[v][v] for v in range(g.n))))
+
+
+def test_type_sequences_cover_every_class():
+    """Every listed type sequence is non-increasing with both degree sums
+    equal to the edge count, and the sorted types of every class of weight
+    <= 5 are listed."""
+    for k in range(1, 6):
+        records = weight_records(k)
+        for j in range(1, k + 1):
+            listed = list(enumeration._type_sequences(j, j + k))
+            assert len(listed) == len(set(listed))
+            for types in listed:
+                assert list(types) == sorted(types, reverse=True)
+                assert sum(out for out, _, _ in types) == sum(in_ for _, in_, _ in types) == j + k
+                for out, in_, loops in types:
+                    assert out >= 2 and in_ >= 2 and loops <= min(out, in_)
+            listed = set(listed)
+            for g in (r.graph for r in records if r.graph.n == j):
+                assert tuple(sorted(_types(g), reverse=True)) in listed, g
+
+
+def test_census_count_equals_the_enumerator():
+    """Burnside's count over S_j and the fill agree on every catalog of
+    weight <= 6, (6, 12) included."""
+    for k in range(1, 7):
+        for j in range(1, k + 1):
+            assert enumeration.census_count(j, j + k) == len(enumerate_stable(j, j + k)), (j, k)
+    assert enumeration.census_count(0, 0) == enumeration.census_count(3, 5) == 0
 
 
 def _sorted_by_key(g):
@@ -106,7 +148,10 @@ def _sorted_by_key(g):
 
 
 def _passes_leaf_test(g) -> bool:
-    return enumeration._invariant_ordered(g.adj, g.out_degrees(), g.in_degrees())
+    """Whether the fill keeps g: its vertex types are non-increasing, as the
+    fill builds them, and it passes the leaf test."""
+    types = _types(g)
+    return types == sorted(types, reverse=True) and enumeration._signature_ordered(g.adj, types)
 
 
 def test_leaf_test_accepts_every_class_sorted_by_its_key():
