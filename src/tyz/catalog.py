@@ -2,17 +2,19 @@
 
 A catalog is a JSON-lines file, one record per stable graph, in strictly
 increasing canonical-key order.  Every stored field is recomputable from the
-adjacency matrix alone, and reading a catalog recomputes and compares all of
-them, so a corrupt or tampered file fails loudly with the line number and
-field name.  A catalog is written to a temporary file renamed into place, so
-no reader sees a partial one; the on-disk cache (`stable_records`) checks
-each line's vertex and edge count before rebuilding its record, rebuilds a
-file that fails to read, and warns (RuntimeWarning) of that and of a failed
-write, which loses only the disk copy.  The records of
-each (cache directory, j, s) are kept in memory too (`_memo`), and with the
-disk cache that is the only memo of the census: `weight_records` serves every weight-k sum here,
-the census (`class_counts`, one TABLE2 row), the formal sum (`expansion`),
-the Bernoulli and unit-ball identity sums, and the verify suites.
+adjacency matrix alone, each by one computation in `build_record`
+(det(A - I) is read off the characteristic polynomial as (-1)^n chi(1)), and
+reading a catalog recomputes and compares all of them, so a corrupt or
+tampered file fails loudly with the line number and field name.  A catalog
+is written to a temporary file renamed into place, so no reader sees a
+partial one; the on-disk cache (`stable_records`) checks each line's vertex
+and edge count before rebuilding its record, rebuilds a file that fails to
+read, and warns (RuntimeWarning) of that and of a failed write, which loses
+only the disk copy.  The records of each (cache directory, j, s) are kept in
+memory too (`_memo`), and with the disk cache that is the only memo of the
+census: `weight_records` serves every weight-k sum here, the census
+(`class_counts`, one TABLE2 row), the formal sum (`expansion`), the
+Bernoulli and unit-ball identity sums, and the verify suites.
 
 The golden z-values for weights 1..4 live in data/golden_z.json.  They are
 pinned independently of the closed formula, which is exactly what makes the
@@ -57,7 +59,7 @@ from .graphs import (
     weak_components,
 )
 from .spectral import charpoly, coefficient_from_linear, z_orbit
-from .zeta import FamilySpec, build_family, det_a_minus_i, sym_factor, z, z_family
+from .zeta import FamilySpec, build_family, sym_factor, z, z_family
 
 __all__ = [
     "format_rational",
@@ -144,28 +146,33 @@ class CatalogRecord:
 
 
 def build_record(g: MultiDigraph) -> CatalogRecord:
-    """The record of g, from its canonical matrix and one connectivity pass.
+    """The record of g, each field computed once from its canonical matrix.
 
-    z is (-1)^c det(A - I)/|Aut(G)| when all c weak components are strongly
-    connected, else 0: `zeta.z`'s rule for unions, since the components'
-    determinants and orders multiply and |Aut(G)| adds `sym_factor`.
+    charpoly is Berkowitz's recurrence, and det(A - I) is read off it as
+    (-1)^n chi(1), the coefficient sum; aut is `aut_order`, from the
+    graph's one `symmetry` search; the class comes from one connectivity
+    pass; Euler tours from the matrix-tree minor.  z is (-1)^c det(A - I)/
+    |Aut(G)| when all c weak components are strongly connected, else 0:
+    `zeta.z`'s rule for unions, since the components' determinants and
+    orders multiply and |Aut(G)| adds `sym_factor`.
     """
     if not is_semistable(g):
         raise ValueError("z is defined for semistable graphs only")
     g = canonical_form(g)
     parts = connectivity(g)
-    det, aut = det_a_minus_i(g), aut_order(g)
+    poly = charpoly(g)
+    det, aut, edges = (-1) ** g.n * sum(poly), aut_order(g), g.edge_count
     strong = all(is_strong for _, is_strong in parts)
     return CatalogRecord(
         graph=g,
-        weight=g.weight,
-        edges=g.edge_count,
+        weight=edges - g.n,
+        edges=edges,
         cls=_class_of(parts),
         det_a_minus_i=det,
         aut=aut,
         z=Fraction((-1) ** len(parts) * det, aut) if strong else Fraction(0),
         euler_tours=euler_tour_count(g),
-        charpoly=charpoly(g),
+        charpoly=poly,
     )
 
 
@@ -240,7 +247,7 @@ def read_catalog(path, size: tuple[int, int]) -> list[CatalogRecord]:
     record, on a duplicate or out-of-order one, and on one without j
     vertices and s edges."""
     out = []
-    last_key = None
+    last = None
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
@@ -250,10 +257,10 @@ def read_catalog(path, size: tuple[int, int]) -> list[CatalogRecord]:
             except (ValueError, RecursionError) as exc:  # also too many digits, too deep
                 raise ValueError(f"line {line_no}: invalid JSON: {exc}") from None
             rec = _record_from_json(obj, f"line {line_no}", size)
-            key = canonical_key(rec.graph)
-            if last_key is not None and key <= last_key:
+            # every matrix here is j x j, so row-tuple order is canonical-key order
+            if last is not None and rec.graph.adj <= last:
                 raise ValueError(f"line {line_no}: duplicate or out-of-order record")
-            last_key = key
+            last = rec.graph.adj
             out.append(rec)
     return out
 

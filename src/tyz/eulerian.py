@@ -116,16 +116,17 @@ def arborescence_count(g: MultiDigraph, root: int) -> int:
     column and taking the determinant counts the trees with every arrow
     pointing toward the root.  A single vertex has exactly one (empty) tree.
     """
-    n = g.n
-    if not 0 <= root < n:
+    if not 0 <= root < g.n:
         raise ValueError("root out of range")
-    outs = g.out_degrees()
-    lap = [
-        [(outs[i] - g.adj[i][i] if i == j else -g.adj[i][j]) for j in range(n)]
-        for i in range(n)
+    return det_int(_tree_minor(g, g.out_degrees(), root))
+
+
+def _tree_minor(g: MultiDigraph, outs: tuple[int, ...], root: int) -> list[list[int]]:
+    """The loopless Laplacian D_out - A without the root row and column."""
+    others = [v for v in range(g.n) if v != root]
+    return [
+        [outs[i] - g.adj[i][i] if i == j else -g.adj[i][j] for j in others] for i in others
     ]
-    minor = [[lap[i][j] for j in range(n) if j != root] for i in range(n) if i != root]
-    return det_int(minor)
 
 
 def arborescences_bruteforce(g: MultiDigraph, root: int) -> int:
@@ -161,13 +162,15 @@ def arborescences_bruteforce(g: MultiDigraph, root: int) -> int:
 def euler_tour_count(g: MultiDigraph) -> int:
     """epsilon(G) = tau(G, 0) * prod((deg+(v) - 1)!), zero for unbalanced or
     edgeless input; tau(G, 0) is zero when a balanced G is weakly
-    disconnected, since some vertex cannot reach vertex 0."""
-    if g.edge_count == 0 or not is_balanced(g):
+    disconnected, since some vertex cannot reach vertex 0.  The out-degrees
+    are summed once and serve the balance test, the minor and the factorials."""
+    outs = g.out_degrees()
+    if not any(outs) or outs != g.in_degrees():
         return 0
-    tau = arborescence_count(g, 0)
+    tau = det_int(_tree_minor(g, outs, 0))
     if tau == 0:  # an isolated vertex has no (deg+ - 1)!
         return 0
-    return tau * math.prod(math.factorial(d - 1) for d in g.out_degrees())
+    return tau * math.prod(math.factorial(d - 1) for d in outs)
 
 
 def euler_tour_bruteforce(g: MultiDigraph) -> int:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from operator import index, itemgetter
 from typing import NamedTuple
 
@@ -143,15 +143,26 @@ def is_stable(g: MultiDigraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _reach(adj, start: int) -> set[int]:
-    """Vertices reachable from start along the arcs of the matrix adj."""
-    seen, stack = {start}, [start]
-    while stack:
-        for v, mult in enumerate(adj[stack.pop()]):
-            if mult and v not in seen:
-                seen.add(v)
-                stack.append(v)
+def _reach(masks: list[int], start: int) -> int:
+    """Bit mask of the vertices reachable from start, where bit u of
+    masks[v] is set when an arc leads from v to u."""
+    seen = frontier = 1 << start
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~seen
+        seen |= frontier
     return seen
+
+
+def _neighbour_masks(adj: Matrix) -> tuple[list[int], list[int]]:
+    """Per vertex, the bit masks of its out- and in-neighbours."""
+    bits = [1 << u for u in range(len(adj))]
+    outs = [sum(compress(bits, row)) for row in adj]
+    return outs, [sum(compress(bits, col)) for col in zip(*adj)]
 
 
 def induced_subgraph(g: MultiDigraph, vertices: list[int]) -> MultiDigraph:
@@ -167,25 +178,29 @@ def weak_components(g: MultiDigraph) -> list[MultiDigraph]:
 
 def connectivity(g: MultiDigraph) -> list[tuple[list[int], bool]]:
     """The weak components of g as increasing vertex lists, by least vertex,
-    each with whether it is strongly connected.  Unlike `weak_components` it
-    computes no canonical form, so it never runs `symmetry`."""
-    arcs, reverse = g.adj, tuple(zip(*g.adj))
-    either = [[a + b for a, b in zip(out, into)] for out, into in zip(arcs, reverse)]
-    remaining = set(range(g.n))
+    each with whether it is strongly connected.  Reachability runs on one int
+    bit mask per vertex for its out-, in- and either-direction neighbours.
+    Unlike `weak_components` it computes no canonical form, so it never runs
+    `symmetry`."""
+    outs, ins = _neighbour_masks(g.adj)
+    either = [o | i for o, i in zip(outs, ins)]
+    remaining = (1 << g.n) - 1
     parts = []
     while remaining:
-        start = min(remaining)
+        start = (remaining & -remaining).bit_length() - 1
         comp = _reach(either, start)
-        parts.append((sorted(comp), _reach(arcs, start) == comp == _reach(reverse, start)))
-        remaining -= comp
+        strong = _reach(outs, start) == comp == _reach(ins, start)
+        parts.append(([v for v in range(start, g.n) if comp >> v & 1], strong))
+        remaining &= ~comp
     return parts
 
 
 def is_strongly_connected(g: MultiDigraph) -> bool:
     if g.n == 0:
         raise ValueError("strong connectivity is undefined for the empty graph")
-    full = set(range(g.n))
-    return _reach(g.adj, 0) == full and _reach(tuple(zip(*g.adj)), 0) == full
+    outs, ins = _neighbour_masks(g.adj)
+    full = (1 << g.n) - 1
+    return _reach(outs, 0) == full == _reach(ins, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +407,7 @@ def aut_order(g: MultiDigraph) -> int:
     Product of the factorials of all multiplicities times the number of
     vertex permutations stabilizing the matrix.
     """
-    label_factor = math.prod(math.factorial(x) for row in g.adj for x in row)
+    label_factor = math.prod(math.factorial(x) for row in g.adj for x in row if x > 1)
     return label_factor * _symmetry_of(g).order
 
 

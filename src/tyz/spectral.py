@@ -48,23 +48,31 @@ def charpoly(g: MultiDigraph) -> tuple[int, ...]:
     plain Python integers: with M the leading k x k block, r and c the rest of
     row and column k, and p_k = det(lambda*I - M), p_(k+1) = (lambda - A[k][k])
     p_k - r adj(lambda*I - M) c, where the adjugate is a polynomial in M with
-    the coefficients of p_k, so only the products r M^m c are needed.
+    the coefficients of p_k, so only the walk counts r M^m c are needed.
+
+    Step k lists the walks r c, r M c, ..., r M^(k-1) c, one matrix-vector
+    product apart (the product after the last walk is never read), and then
+    reverses the list once, so that coefficient d pairs p_k's coefficients
+    c_0, c_1, ... with r M^(d-2) c, r M^(d-3) c, ... as a plain zip.  Full
+    rows and columns stand in for their leading blocks: `map` stops at the
+    shorter operand, which is the length-k vector.
     """
     n = g.n
     if n == 0:
         raise ValueError("charpoly needs at least one vertex")
     adj = g.adj
+    cols = tuple(zip(*adj))
     coeffs = [1]
     for k in range(n):
-        block = [row[:k] for row in adj[:k]]
-        r, v = adj[k][:k], [row[k] for row in adj[:k]]
-        walks = []  # walks[m] = r M^m c
-        for _ in range(k):
-            walks.append(sum(map(mul, r, v)))
-            v = [sum(map(mul, row, v)) for row in block]
-        prev = coeffs + [0]  # coefficient d pairs prev[i] with walks[d - 2 - i]
+        row, v, block = adj[k], cols[k][:k], adj[:k]
+        walks = [sum(map(mul, row, v))] if k else []  # walks[m] = r M^m c
+        for _ in range(k - 1):
+            v = [sum(map(mul, block_row, v)) for block_row in block]
+            walks.append(sum(map(mul, row, v)))
+        walks.reverse()  # now walks[k - 1 - m] = r M^m c
+        prev = coeffs + [0]
         coeffs = [1] + [
-            prev[d] - adj[k][k] * prev[d - 1] - sum(map(mul, prev[: d - 1], walks[d - 2 :: -1]))
+            prev[d] - row[k] * prev[d - 1] - sum(map(mul, prev, walks[k + 1 - d :]))
             for d in range(1, k + 2)
         ]
     return tuple(coeffs)

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from collections import Counter
 from fractions import Fraction
@@ -7,7 +8,9 @@ import pytest
 
 import tyz.catalog as catalog
 import tyz.enumeration as enumeration
+import tyz.eulerian as eulerian
 import tyz.graphs as graphs
+import tyz.zeta as zeta
 from tyz.catalog import (
     TABLE2,
     build_record,
@@ -80,10 +83,14 @@ def test_record_uses_canonical_matrix():
 
 def test_record_z_and_class_have_two_derivations():
     # z from the record's own det and aut against zeta.z's rule for unions,
-    # and the class against weak_components and the whole-graph strong check
+    # det (read off the characteristic polynomial) against Bareiss
+    # elimination, and the class against weak_components and the
+    # whole-graph strong check
     for k in range(1, 6):
         for r in weight_records(k):
             assert r.z == z(r.graph), r.graph
+            assert r.det_a_minus_i == zeta.det_a_minus_i(r.graph), r.graph
+            assert r.det_a_minus_i == (-1) ** r.graph.n * sum(r.charpoly), r.graph
             comps = graphs.weak_components(r.graph)
             if len(comps) != 1:
                 assert r.cls == "disconnected", r.graph
@@ -91,6 +98,73 @@ def test_record_z_and_class_have_two_derivations():
                 assert r.cls == "strongly_connected", r.graph
             else:
                 assert r.cls == "connected", r.graph
+
+
+def test_record_does_each_computation_once(monkeypatch):
+    """A record runs one characteristic polynomial, one connectivity pass and
+    at most one symmetry search; its only determinant is the Euler-tour
+    minor of a balanced graph, so det(A - I) is not eliminated again."""
+    catalogs = [enumerate_stable(j, j + k) for k in range(1, 5) for j in range(1, k + 1)]
+    monkeypatch.setattr(graphs, "_searched", {})  # so each record searches afresh
+    calls = Counter()
+    minors = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(catalog, "charpoly")
+    counting(catalog, "connectivity")
+    counting(graphs, "symmetry")
+    counting(zeta, "det_int")  # what zeta.det_a_minus_i eliminates with
+    det_int = eulerian.det_int
+
+    def recording(m):
+        minors.append(m)
+        return det_int(m)
+
+    monkeypatch.setattr(eulerian, "det_int", recording)
+    assert not hasattr(catalog, "det_a_minus_i")
+    built = 0
+    for gs in catalogs:
+        for g in gs:
+            calls.clear()
+            minors.clear()
+            rec = build_record(g)
+            assert calls["charpoly"] == 1 and calls["connectivity"] == 1, g
+            assert calls["symmetry"] <= 1 and calls["det_int"] == 0, g
+            if eulerian.is_balanced(g):
+                outs = g.out_degrees()
+                laplacian = [
+                    [outs[i] - x if i == j else -x for j, x in enumerate(row)]
+                    for i, row in enumerate(g.adj)
+                ]
+                assert minors == [[row[1:] for row in laplacian[1:]]], g
+            else:
+                assert minors == [] and rec.euler_tours == 0, g
+            built += 1
+    assert built == sum(TABLE2[k][0] for k in range(1, 5))
+
+
+def test_aut_orders_sum_to_the_labelled_matrices():
+    """Each class of j-vertex matrices has j! / (vertex automorphisms)
+    labelled members, and aut counts label bijections as well, so
+    j! * prod(m!) / aut summed over a catalog counts its labelled stable
+    matrices, which Burnside's dynamic program counts directly."""
+    for k in range(1, 6):
+        for j in range(1, k + 1):
+            labelled = 0
+            for r in stable_records(j, j + k):
+                labels = math.prod(math.factorial(x) for row in r.graph.adj for x in row)
+                members, rest = divmod(math.factorial(j) * labels, r.aut)
+                assert rest == 0, r.graph
+                labelled += members
+            assert labelled == enumeration._fixed_matrices((1,) * j, j + k), (j, j + k)
 
 
 def test_record_rejects_graph_that_is_not_semistable():

@@ -14,6 +14,7 @@ from tyz.graphs import (
     automorphisms,
     canonical_form,
     canonical_key,
+    connectivity,
     disjoint_union,
     format_graph,
     induced_subgraph,
@@ -289,6 +290,85 @@ def test_strong_connectivity_examples():
 def test_strong_connectivity_rejects_empty():
     with pytest.raises(ValueError):
         is_strongly_connected(EMPTY)
+
+
+def _reach_oracle(adj, start):
+    """Vertices reachable from start along the arcs of the matrix adj, as a set."""
+    seen, stack = {start}, [start]
+    while stack:
+        for v, mult in enumerate(adj[stack.pop()]):
+            if mult and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def _connectivity_oracle(g):
+    arcs, reverse = g.adj, tuple(zip(*g.adj))
+    either = [[a + b for a, b in zip(out, into)] for out, into in zip(arcs, reverse)]
+    remaining = set(range(g.n))
+    parts = []
+    while remaining:
+        start = min(remaining)
+        comp = _reach_oracle(either, start)
+        strong = _reach_oracle(arcs, start) == comp == _reach_oracle(reverse, start)
+        parts.append((sorted(comp), strong))
+        remaining -= comp
+    return parts
+
+
+def _strongly_connected_oracle(g):
+    full = set(range(g.n))
+    return _reach_oracle(g.adj, 0) == full == _reach_oracle(tuple(zip(*g.adj)), 0)
+
+
+@st.composite
+def sparse_graphs(draw, max_n=7):
+    """Mostly-zero matrices, some vertices cut off but for their loops
+    (isolated when they have none), so that every connectivity class shows."""
+    n = draw(st.integers(0, max_n))
+    entry = st.sampled_from([0, 0, 0, 1, 2])
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    cut = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
+    for v in cut:
+        for u in range(n):
+            if u != v:
+                rows[v][u] = rows[u][v] = 0
+    return MultiDigraph.from_rows(rows)
+
+
+@given(sparse_graphs())
+def test_connectivity_matches_set_oracle(g):
+    assert connectivity(g) == _connectivity_oracle(g)
+    if g.n:
+        assert is_strongly_connected(g) == _strongly_connected_oracle(g)
+
+
+def _cycle_rows(k):
+    return [[int(j == (i + 1) % k) for j in range(k)] for i in range(k)]
+
+
+def test_connectivity_beyond_64_vertices():
+    # 70 vertices: a 20-cycle, a path of 30, 10 looped vertices and a 10-cycle
+    # with a doubled chord, so the masks need more than one 64-bit word
+    path = [[int(j == i + 1) for j in range(30)] for i in range(30)]
+    chorded = _cycle_rows(10)
+    chorded[3][7] = 2
+    blocks = [_cycle_rows(20), path] + [[[1]]] * 10 + [chorded]
+    g = disjoint_union([MultiDigraph.from_rows(b) for b in blocks])
+    assert g.n == 70
+    parts = connectivity(g)
+    assert parts == _connectivity_oracle(g)
+    assert [len(comp) for comp, _ in parts] == [20, 30] + [1] * 10 + [10]
+    assert [strong for _, strong in parts] == [True, False] + [True] * 10 + [True]
+    assert not is_strongly_connected(g)
+    order = list(range(70))
+    random.Random(70).shuffle(order)
+    shuffled = relabel(g, order)
+    assert connectivity(shuffled) == _connectivity_oracle(shuffled)
+    ring = relabel(MultiDigraph.from_rows(_cycle_rows(70)), order)
+    assert is_strongly_connected(ring) and _strongly_connected_oracle(ring)
+    assert connectivity(ring) == [(list(range(70)), True)]
 
 
 def test_weak_components_of_block_diagonal():

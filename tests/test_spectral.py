@@ -51,7 +51,15 @@ def _shuffled(g):
     return relabel(g, order)
 
 
+def _random_matrix(n, seed, max_entry=3):
+    rng = random.Random(seed)
+    rows = [[rng.randint(0, max_entry) for _ in range(n)] for _ in range(n)]
+    return MultiDigraph.from_rows(rows)
+
+
 @given(small_graphs())
+@example(MultiDigraph.from_rows([[3]]))
+@example(_random_matrix(9, seed=9))
 @example(_shuffled(build_family(FamilySpec("D", n=5))))
 @example(_shuffled(build_family(FamilySpec("K", n=8))))
 def test_charpoly_at_one_is_det_of_identity_minus_adjacency(g):
