@@ -29,33 +29,34 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from importlib import resources
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 from .enumeration import check_weight, enumerate_stable
 from .eulerian import (
     ZERO_POLY,
     IntPolynomial,
+    _tour_count,
     arborescence_count,
     arborescences_bruteforce,
     bernoulli,
     cycle_decomposition_poly,
     euler_tour_bruteforce,
-    euler_tour_count,
     is_balanced,
     unit_ball_rhs,
 )
 from .graphs import (
     MultiDigraph,
+    _semistable,
     canonical_form,
     canonical_key,
     aut_order,
     connectivity,
     format_graph,
-    is_semistable,
     weak_components,
 )
 from .spectral import charpoly, coefficient_from_linear, z_orbit
@@ -132,8 +133,7 @@ def _class_of(parts: list[tuple[list[int], bool]]) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogRecord:
+class CatalogRecord(NamedTuple):
     graph: MultiDigraph  # canonical form
     weight: int
     edges: int
@@ -156,12 +156,13 @@ def build_record(g: MultiDigraph) -> CatalogRecord:
     `zeta.z`'s rule for unions, since the components' determinants and
     orders multiply and |Aut(G)| adds `sym_factor`.
     """
-    if not is_semistable(g):
-        raise ValueError("z is defined for semistable graphs only")
     g = canonical_form(g)
+    outs, ins = g.out_degrees(), g.in_degrees()
+    if not _semistable(outs, ins):
+        raise ValueError("z is defined for semistable graphs only")
     parts = connectivity(g)
     poly = charpoly(g)
-    det, aut, edges = (-1) ** g.n * sum(poly), aut_order(g), g.edge_count
+    det, aut, edges = (-1) ** g.n * sum(poly), aut_order(g), sum(outs)
     strong = all(is_strong for _, is_strong in parts)
     return CatalogRecord(
         graph=g,
@@ -171,7 +172,7 @@ def build_record(g: MultiDigraph) -> CatalogRecord:
         det_a_minus_i=det,
         aut=aut,
         z=Fraction((-1) ** len(parts) * det, aut) if strong else Fraction(0),
-        euler_tours=euler_tour_count(g),
+        euler_tours=_tour_count(g, outs, ins),
         charpoly=poly,
     )
 
@@ -202,12 +203,15 @@ def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
     if "adjacency" not in obj:
         raise ValueError(f"{where}: missing field 'adjacency'")
     rows = obj["adjacency"]
-    if not isinstance(rows, list) or not all(
-        isinstance(row, list) and all(type(x) is int for x in row) for row in rows
+    # type, not isinstance: a bool or an int subclass is no matrix entry
+    if (
+        not isinstance(rows, list)
+        or not all(isinstance(row, list) for row in rows)
+        or not set(map(type, chain.from_iterable(rows))) <= {int}
     ):
         raise ValueError(f"{where}: field 'adjacency' is not a list of integer rows")
     try:
-        g = MultiDigraph.from_rows(rows)
+        g = MultiDigraph.from_int_rows(rows)
     except ValueError as exc:
         raise ValueError(f"{where}: field 'adjacency': {exc}") from None
     if (g.n, g.edge_count) != size:
@@ -227,7 +231,8 @@ def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
 
 
 def write_catalog(records, path) -> None:
-    records = sorted(records, key=lambda r: canonical_key(r.graph))
+    # records hold canonical graphs, so (n, rows) order is canonical-key order
+    records = sorted(records, key=lambda r: (r.graph.n, r.graph.adj))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # the rename is atomic, so readers see the old catalog or the whole new one
@@ -314,8 +319,7 @@ def weight_records(k: int) -> tuple[CatalogRecord, ...]:
     return tuple(r for j in range(1, k + 1) for r in stable_records(j, j + k))
 
 
-@dataclass(frozen=True)
-class GraphClassCounts:
+class GraphClassCounts(NamedTuple):
     """Counts of stable graphs of one weight: all, weakly connected,
     strongly connected, and strongly connected with det(A - I) != 0."""
 
@@ -344,8 +348,7 @@ def class_counts(k: int) -> GraphClassCounts:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormalSum:
+class FormalSum(NamedTuple):
     """The weight-k expansion coefficient as a formal rational combination of
     stable graphs; zero coefficients are retained."""
 
@@ -406,8 +409,7 @@ TABLE2 = {
 }
 
 
-@dataclass(frozen=True)
-class GoldenFixture:
+class GoldenFixture(NamedTuple):
     weight: int
     entries: tuple[tuple[MultiDigraph, Fraction], ...]
 
@@ -435,16 +437,14 @@ def _fixture_by_key(weight: int) -> dict[tuple[int, ...], Fraction]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifyCase:
+class VerifyCase(NamedTuple):
     name: str
     expected: str
     actual: str
     ok: bool
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     suite: str
     cases: tuple[VerifyCase, ...]
 

@@ -27,10 +27,10 @@ Conventions that matter here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
+from typing import NamedTuple
 
 from .graphs import MultiDigraph
 from .zeta import det_int
@@ -48,10 +48,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(NamedTuple):
     """Polynomial in one indeterminate N, exact rational coefficients,
-    lowest degree first, trailing zeros trimmed."""
+    lowest degree first, trailing zeros trimmed.
+
+    Like the package's other value types it is a tuple (of one field): `+`,
+    `*` and `==` with a polynomial on the left are polynomial operations, but
+    a plain tuple on the left of `+` or `==` meets the tuple protocol, so
+    `(c,) + p` concatenates and `(coeffs,) == p` holds.  `int * p` stays a
+    TypeError, not a repeated tuple."""
 
     coeffs: tuple[Fraction, ...]
 
@@ -86,6 +91,9 @@ class IntPolynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return IntPolynomial.of(out)
+
+    def __rmul__(self, other):
+        return NotImplemented  # not tuple repetition: int * p raises TypeError
 
     def scale(self, factor) -> "IntPolynomial":
         return IntPolynomial.of([Fraction(factor) * c for c in self.coeffs])
@@ -162,10 +170,15 @@ def arborescences_bruteforce(g: MultiDigraph, root: int) -> int:
 def euler_tour_count(g: MultiDigraph) -> int:
     """epsilon(G) = tau(G, 0) * prod((deg+(v) - 1)!), zero for unbalanced or
     edgeless input; tau(G, 0) is zero when a balanced G is weakly
-    disconnected, since some vertex cannot reach vertex 0.  The out-degrees
-    are summed once and serve the balance test, the minor and the factorials."""
-    outs = g.out_degrees()
-    if not any(outs) or outs != g.in_degrees():
+    disconnected, since some vertex cannot reach vertex 0."""
+    return _tour_count(g, g.out_degrees(), g.in_degrees())
+
+
+def _tour_count(g: MultiDigraph, outs: tuple[int, ...], ins: tuple[int, ...]) -> int:
+    """`euler_tour_count` of g with these out- and in-degrees, summed once by
+    the caller; the out-degrees serve the balance test, the minor and the
+    factorials."""
+    if not any(outs) or outs != ins:
         return 0
     tau = det_int(_tree_minor(g, outs, 0))
     if tau == 0:  # an isolated vertex has no (deg+ - 1)!

@@ -4,6 +4,8 @@ A graph is an n x n matrix of nonnegative integers: entry (i, j) counts the
 directed edges i -> j, and a diagonal entry counts loops.  One loop adds 1 to
 the out-degree and 1 to the in-degree of its vertex (so a single vertex with
 two loops is already stable).  The empty graph (n = 0) is a valid value.
+`MultiDigraph`, like every value type of the package, is a NamedTuple, so a
+graph compares and hashes as its matrix tuple, in C.
 
 Canonical forms and automorphism groups come from one search, `symmetry`:
 partition refinement with individualization and automorphism pruning, after
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from itertools import chain, compress
 from operator import index, itemgetter
 from typing import NamedTuple
@@ -59,9 +60,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MultiDigraph:
-    """Immutable multidigraph given by its adjacency matrix."""
+class MultiDigraph(NamedTuple):
+    """Immutable multidigraph given by its adjacency matrix.
+
+    A one-field tuple: it compares and hashes as its matrix tuple, so
+    `MultiDigraph(adj) == (adj,)`."""
 
     adj: Matrix
 
@@ -83,14 +86,21 @@ class MultiDigraph:
                 except (TypeError, ValueError):
                     raise ValueError(f"row {i}, column {j}: not an integer: {token!r}") from None
                 if x < 0:
-                    raise ValueError(f"row {i}, column {j}: negative entry {x}")
+                    raise _negative_entry(i, j, x)
                 entries.append(x)
             adj.append(tuple(entries))
-        n = len(adj)
-        for i, row in enumerate(adj, 1):
-            if len(row) != n:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {n} (matrix must be square)")
-        return MultiDigraph(tuple(adj))
+        return _square(tuple(adj))
+
+    @staticmethod
+    def from_int_rows(rows) -> "MultiDigraph":
+        """`from_rows` of rows whose entries are all of type int, as a
+        caller that has scanned them already knows: only the negative-entry
+        and square checks are left, with the same messages."""
+        for i, row in enumerate(rows, 1):
+            if row and min(row) < 0:
+                j, x = next((j, x) for j, x in enumerate(row, 1) if x < 0)
+                raise _negative_entry(i, j, x)
+        return _square(tuple(map(tuple, rows)))
 
     @property
     def n(self) -> int:
@@ -126,9 +136,25 @@ class MultiDigraph:
 EMPTY = MultiDigraph(())
 
 
+def _negative_entry(i: int, j: int, x: int) -> ValueError:
+    return ValueError(f"row {i}, column {j}: negative entry {x}")
+
+
+def _square(adj: Matrix) -> MultiDigraph:
+    n = len(adj)
+    for i, row in enumerate(adj, 1):
+        if len(row) != n:
+            raise ValueError(f"row {i} has {len(row)} entries, expected {n} (matrix must be square)")
+    return MultiDigraph(adj)
+
+
 def is_semistable(g: MultiDigraph) -> bool:
     """deg-(v) >= 1, deg+(v) >= 1 and deg-(v) + deg+(v) >= 3 at every vertex."""
-    outs, ins = g.out_degrees(), g.in_degrees()
+    return _semistable(g.out_degrees(), g.in_degrees())
+
+
+def _semistable(outs: tuple[int, ...], ins: tuple[int, ...]) -> bool:
+    """`is_semistable` of a graph with these out- and in-degrees."""
     return all(o >= 1 and i >= 1 and o + i >= 3 for o, i in zip(outs, ins))
 
 

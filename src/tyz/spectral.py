@@ -22,10 +22,10 @@ assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from operator import mul
+from typing import NamedTuple
 
 from .graphs import MultiDigraph, automorphisms, aut_order, is_semistable, is_strongly_connected
 
@@ -78,8 +78,7 @@ def charpoly(g: MultiDigraph) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class LinearSubgraph:
+class LinearSubgraph(NamedTuple):
     """Vertex-disjoint simple directed cycles with labeled edge choices.
 
     Each cycle is stored rotated so its smallest vertex comes first, and the

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graphs import (
     MultiDigraph,
@@ -120,8 +120,7 @@ def z(g: MultiDigraph) -> Fraction:
 FAMILY_NAMES = ("A", "B", "C", "K", "D", "Kmn", "loops", "twovertex")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """A named family instance.
 
     family      parameters        graph
