@@ -31,12 +31,11 @@ import re
 import warnings
 from fractions import Fraction
 from functools import cache
-from importlib import resources
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
-from .enumeration import check_weight, enumerate_stable
+from .enumeration import check_weight, stable_classes
 from .eulerian import (
     ZERO_POLY,
     IntPolynomial,
@@ -51,12 +50,13 @@ from .eulerian import (
 )
 from .graphs import (
     MultiDigraph,
+    Symmetry,
+    _label_factor,
     _semistable,
-    canonical_form,
     canonical_key,
-    aut_order,
     connectivity,
     format_graph,
+    symmetry,
     weak_components,
 )
 from .spectral import charpoly, coefficient_from_linear, z_orbit
@@ -148,21 +148,27 @@ class CatalogRecord(NamedTuple):
 def build_record(g: MultiDigraph) -> CatalogRecord:
     """The record of g, each field computed once from its canonical matrix.
 
-    charpoly is Berkowitz's recurrence, and det(A - I) is read off it as
-    (-1)^n chi(1), the coefficient sum; aut is `aut_order`, from the
-    graph's one `symmetry` search; the class comes from one connectivity
-    pass; Euler tours from the matrix-tree minor.  z is (-1)^c det(A - I)/
-    |Aut(G)| when all c weak components are strongly connected, else 0:
-    `zeta.z`'s rule for unions, since the components' determinants and
-    orders multiply and |Aut(G)| adds `sym_factor`.
+    One direct `symmetry` search (no memo) gives the canonical matrix and
+    vertex group order, and aut is that order times the multiplicity
+    factorials.  det(A - I) is read off charpoly as (-1)^n chi(1); the class
+    comes from one connectivity pass; Euler tours from the matrix-tree
+    minor.  z is (-1)^c det(A - I)/|Aut(G)| when all c weak components are
+    strongly connected, else 0: `zeta.z`'s rule for unions, since the
+    components' determinants and orders multiply and |Aut(G)| adds
+    `sym_factor`.
     """
-    g = canonical_form(g)
+    return _record(symmetry(g.adj))
+
+
+def _record(found: Symmetry) -> CatalogRecord:
+    """`build_record` from a search result, such as one a cold catalog's fill kept."""
+    g = MultiDigraph(found.matrix)
     outs, ins = g.out_degrees(), g.in_degrees()
     if not _semistable(outs, ins):
         raise ValueError("z is defined for semistable graphs only")
     parts = connectivity(g)
     poly = charpoly(g)
-    det, aut, edges = (-1) ** g.n * sum(poly), aut_order(g), sum(outs)
+    det, aut, edges = (-1) ** g.n * sum(poly), _label_factor(g.adj) * found.order, sum(outs)
     strong = all(is_strong for _, is_strong in parts)
     return CatalogRecord(
         graph=g,
@@ -220,6 +226,8 @@ def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
             f"not {size[0]} and {size[1]}"
         )
     fresh = build_record(g)
+    if record_to_json(fresh).items() <= obj.items():  # the walk below names the field
+        return fresh
     for field, value in record_to_json(fresh).items():
         if field not in obj:
             raise ValueError(f"{where}: missing field '{field}'")
@@ -227,7 +235,6 @@ def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
             raise ValueError(
                 f"{where}: field '{field}': stored {obj[field]!r}, recomputed {value!r}"
             )
-    return fresh
 
 
 def write_catalog(records, path) -> None:
@@ -301,7 +308,7 @@ def stable_records(j: int, s: int) -> tuple[CatalogRecord, ...]:
         else:
             _memo[memo_key] = records
             return records
-    records = tuple(build_record(g) for g in enumerate_stable(j, s))
+    records = tuple(map(_record, stable_classes(j, s)))
     if path is not None:
         try:
             write_catalog(records, path)
@@ -418,7 +425,7 @@ class GoldenFixture(NamedTuple):
 def golden_fixture(weight: int) -> GoldenFixture:
     """Pinned (graph, z) pairs: complete for weights 1..3, the strongly
     connected graphs for weight 4."""
-    data = json.loads(resources.files("tyz").joinpath("data/golden_z.json").read_text())
+    data = json.loads((Path(__file__).parent / "data" / "golden_z.json").read_text("utf-8"))
     if str(weight) not in data:
         raise ValueError(f"no golden fixture for weight {weight}")
     entries = tuple(

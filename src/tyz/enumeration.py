@@ -24,9 +24,9 @@ order.  The fill is sound because the key (out, in, loops, signature) does
 not depend on the labels: sorting the vertices of any stable graph by it
 gives a matrix of its class whose type sequence is listed, whose rows the
 fill reaches, and which passes the test.  Each leaf that passes goes to
-`symmetry`; the first search of each canonical matrix is kept, and
-`canonical_graph` turns it into the returned graph with its per-graph memo
-seeded, so the catalog records of a class search nothing again.  The
+`symmetry`; the first search of each canonical matrix is kept
+(`stable_classes`), and the catalog record of the class reads its matrix
+and group order from that result, so it searches nothing again.  The
 canonical dedup owns correctness regardless.
 
 `census_count` counts the same classes without generating a graph, by
@@ -44,7 +44,7 @@ from collections import defaultdict
 from math import comb, factorial, gcd
 from operator import sub
 
-from .graphs import Matrix, MultiDigraph, Symmetry, canonical_graph, is_stable, symmetry
+from .graphs import Matrix, MultiDigraph, Symmetry, is_stable, symmetry
 
 __all__ = [
     "MAX_WEIGHT",
@@ -52,6 +52,7 @@ __all__ = [
     "check_weight",
     "census_count",
     "enumerate_stable",
+    "stable_classes",
     "raw_stable_matrices",
 ]
 
@@ -163,13 +164,16 @@ def _signature_ordered(rows, types) -> bool:
 
 def enumerate_stable(j: int, s: int) -> tuple[MultiDigraph, ...]:
     """One canonical representative per isomorphism class of j-vertex,
-    s-edge stable graphs, sorted by canonical key.  Empty when s < 2j.
+    s-edge stable graphs, sorted by canonical key.  Empty when s < 2j."""
+    return tuple(MultiDigraph(found.matrix) for found in stable_classes(j, s))
 
-    Fixes each vertex's (out-degree, in-degree, loops) first and then fills
+
+def stable_classes(j: int, s: int) -> tuple[Symmetry, ...]:
+    """The first `symmetry` search of each class of `enumerate_stable`, in
+    the same order: its canonical matrix and vertex group order.  Fixes each vertex's (out-degree, in-degree, loops) first and then fills
     the rows with those margins (see the module docstring).  Only matrices
     whose equal-type neighbours are in non-increasing order of neighbour
-    signature reach `symmetry`; every class has one.  Each returned graph
-    carries the search that found it in the per-graph memo of `graphs`."""
+    signature reach `symmetry`; every class has one."""
     if j < 1 or s < 2 * j:
         return ()
     last = j - 1
@@ -185,7 +189,7 @@ def enumerate_stable(j: int, s: int) -> tuple[MultiDigraph, ...]:
                 rows.append(caps[:last] + (types[last][2],))
                 if _signature_ordered(rows, types):
                     # symmetry, not canonical_form: the per-graph memo would
-                    # keep every raw matrix; canonical_graph seeds it once per class
+                    # keep every raw matrix
                     searched = symmetry(tuple(rows))
                     found.setdefault(searched.matrix, searched)
                 rows.pop()
@@ -205,7 +209,7 @@ def enumerate_stable(j: int, s: int) -> tuple[MultiDigraph, ...]:
     # than at the next full garbage collection
     del rec
     # for a fixed j, row-tuple order is canonical-key order
-    return tuple(canonical_graph(found[matrix]) for matrix in sorted(found))
+    return tuple(found[matrix] for matrix in sorted(found))
 
 
 def _cycle_types(j: int, largest: int):

@@ -18,10 +18,9 @@ vertices take milliseconds.  The search returns the canonical matrix itself
 followed by its rows, and the enumeration collects it.  The one memo is per
 graph: `canonical_key`, `canonical_form`, `automorphisms` and `aut_order`
 share the search result of each `MultiDigraph`.  `symmetry` itself keeps
-nothing, so the raw matrices the enumeration passes to it are not retained;
-instead the enumeration hands the search of each class to `canonical_graph`,
-which seeds the memo of the canonical graph, so its catalog record searches
-nothing again.
+nothing, and no census or catalog record fills the memo: a cold record
+reads the search its class kept in the fill, and a reread one searches its
+stored matrix once, directly.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ __all__ = [
     "is_strongly_connected",
     "Symmetry",
     "symmetry",
-    "canonical_graph",
     "canonical_key",
     "canonical_form",
     "are_isomorphic",
@@ -254,7 +252,8 @@ def symmetry(adj: Matrix) -> Symmetry:
     depends on the vertex labels.  Individualize: the first cell with more
     than one vertex branches into one child per vertex, which becomes a cell
     of its own before refining again.  Every discrete partition is a leaf
-    ordering, read off as a matrix.
+    ordering, read off as a matrix; when the first refinement is already
+    discrete, that one leaf is returned with the trivial group at once.
 
     Prune: two leaves with equal matrices give an automorphism, and the
     search jumps back to where their paths part, since the automorphism maps
@@ -297,6 +296,14 @@ def symmetry(adj: Matrix) -> Symmetry:
             cells = split
         return cells
 
+    start: dict[int, list[int]] = {}
+    for v in range(n):
+        start.setdefault(adj[v][v], []).append(v)
+    cells = refine([start[loops] for loops in sorted(start)])
+    if len(cells) == n:  # already discrete: one leaf, so the group is trivial
+        leaf_order = [cell[0] for cell in cells]
+        return Symmetry(_leaf_matrix(adj, leaf_order), (), 1, tuple(leaf_order))
+
     generators: list[tuple[int, ...]] = []
     first = best = None  # (leaf matrix, leaf ordering, path) of the first and least leaves
 
@@ -315,8 +322,7 @@ def symmetry(adj: Matrix) -> Symmetry:
 
     def leaf(order: list[int], path: list[int]) -> int:
         nonlocal first, best
-        pick = itemgetter(*order)  # n > 1, so pick returns a tuple
-        matrix = tuple([pick(adj[a]) for a in order])
+        matrix = _leaf_matrix(adj, order)
         if first is None:
             first = best = (matrix, order, path)
             return len(path)
@@ -356,13 +362,15 @@ def symmetry(adj: Matrix) -> Symmetry:
                 return back
         return depth
 
-    start: dict[int, list[int]] = {}
-    for v in range(n):
-        start.setdefault(adj[v][v], []).append(v)
-    visit(refine([start[loops] for loops in sorted(start)]), [])
+    visit(cells, [])
     first_path = first[2]
     order = math.prod(len(orbit([v], fixing(first_path[:d]))) for d, v in enumerate(first_path))
     return Symmetry(best[0], tuple(generators), order, tuple(best[1]))
+
+
+def _leaf_matrix(adj: Matrix, order: list[int]) -> Matrix:
+    pick = itemgetter(*order)  # n > 1, so pick returns a tuple
+    return tuple([pick(adj[a]) for a in order])
 
 
 _searched: dict[MultiDigraph, Symmetry] = {}
@@ -375,21 +383,6 @@ def _symmetry_of(g: MultiDigraph) -> Symmetry:
     if found is None:
         found = _searched[g] = symmetry(g.adj)
     return found
-
-
-def canonical_graph(found: Symmetry) -> MultiDigraph:
-    """The canonical graph of a search result, with the memo seeded so that
-    no later call searches it again: the same matrix and group order, the
-    identity as its labeling, and the generators conjugated into the
-    canonical labels (vertex i is vertex labeling[i] of the searched graph)."""
-    labeling = found.labeling
-    position = [0] * len(labeling)
-    for i, v in enumerate(labeling):
-        position[v] = i
-    generators = tuple(tuple(position[phi[v]] for v in labeling) for phi in found.generators)
-    g = MultiDigraph(found.matrix)
-    _searched.setdefault(g, Symmetry(found.matrix, generators, found.order, tuple(range(g.n))))
-    return g
 
 
 def canonical_key(g: MultiDigraph) -> tuple[int, ...]:
@@ -433,8 +426,12 @@ def aut_order(g: MultiDigraph) -> int:
     Product of the factorials of all multiplicities times the number of
     vertex permutations stabilizing the matrix.
     """
-    label_factor = math.prod(math.factorial(x) for row in g.adj for x in row if x > 1)
-    return label_factor * _symmetry_of(g).order
+    return _label_factor(g.adj) * _symmetry_of(g).order
+
+
+def _label_factor(adj: Matrix) -> int:
+    """The product of the factorials of all multiplicities (parallel edges)."""
+    return math.prod(math.factorial(x) for row in adj for x in row if x > 1)
 
 
 def disjoint_union(gs: list[MultiDigraph]) -> MultiDigraph:

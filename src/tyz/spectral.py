@@ -6,7 +6,7 @@ coefficient c_i equals the signed count sum((-1)^p(L)) over linear subgraphs
 L on exactly i vertices, where a linear subgraph is a set of vertex-disjoint
 simple directed cycles (loops are 1-cycles) with every parallel edge choice
 distinguished, and p(L) is the number of cycles.  `charpoly` computes them
-by Berkowitz's division-free recurrence, `coefficient_from_linear` by that count.
+by one determinant at a Kronecker point, `coefficient_from_linear` by that count.
 
 Grouping the labeled linear subgraphs into orbits of the automorphism group
 turns det(I - A) into the orbit sum
@@ -22,9 +22,9 @@ assumed.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import permutations, product
-from operator import mul
 from typing import NamedTuple
 
 from .graphs import MultiDigraph, automorphisms, aut_order, is_semistable, is_strongly_connected
@@ -44,38 +44,39 @@ Cycle = tuple[Arc, ...]
 def charpoly(g: MultiDigraph) -> tuple[int, ...]:
     """Coefficients (c_0, ..., c_n) of det(lambda*I - A), leading first, c_0 = 1.
 
-    Berkowitz's division-free recurrence (Inf. Process. Lett. 18, 1984) over
-    plain Python integers: with M the leading k x k block, r and c the rest of
-    row and column k, and p_k = det(lambda*I - M), p_(k+1) = (lambda - A[k][k])
-    p_k - r adj(lambda*I - M) c, where the adjugate is a polynomial in M with
-    the coefficients of p_k, so only the walk counts r M^m c are needed.
-
-    Step k lists the walks r c, r M c, ..., r M^(k-1) c, one matrix-vector
-    product apart (the product after the last walk is never read), and then
-    reverses the list once, so that coefficient d pairs p_k's coefficients
-    c_0, c_1, ... with r M^(d-2) c, r M^(d-3) c, ... as a plain zip.  Full
-    rows and columns stand in for their leading blocks: `map` stops at the
-    shorter operand, which is the length-k vector.
+    One determinant over plain Python integers: chi(X) at the Kronecker
+    point X = 2^b, by Bareiss's fraction-free elimination (Math. Comp. 22,
+    1968), read back as n + 1 balanced base-2^b digits.  With r_v the sum of
+    |a_vu| over row v, each principal minor of A is at most the product of
+    its rows' r_v (|det M| <= perm |M|), so sum |c_i| <= P = prod(1 + r_v),
+    and b = P.bit_length() + 2 keeps every digit below X/4.  No pivoting:
+    the k-th pivot is the leading k x k minor of X*I - A, the product of
+    X - lambda over the eigenvalues of that block, and |lambda| <= max r_v
+    < X, so no pivot is 0.  The numbers reach n*b bits, and b grows with
+    the sum of log(1 + r_v), so dense graphs cost the most: on a 2-core x86
+    VM (Python 3.11), A(40) takes 0.01 s, K(35) 0.3 s and the all-ones 70 x
+    70 matrix 29 s.
     """
     n = g.n
     if n == 0:
         raise ValueError("charpoly needs at least one vertex")
-    adj = g.adj
-    cols = tuple(zip(*adj))
-    coeffs = [1]
-    for k in range(n):
-        row, v, block = adj[k], cols[k][:k], adj[:k]
-        walks = [sum(map(mul, row, v))] if k else []  # walks[m] = r M^m c
-        for _ in range(k - 1):
-            v = [sum(map(mul, block_row, v)) for block_row in block]
-            walks.append(sum(map(mul, row, v)))
-        walks.reverse()  # now walks[k - 1 - m] = r M^m c
-        prev = coeffs + [0]
-        coeffs = [1] + [
-            prev[d] - row[k] * prev[d - 1] - sum(map(mul, prev, walks[k + 1 - d :]))
-            for d in range(1, k + 2)
-        ]
-    return tuple(coeffs)
+    b = math.prod([1 + sum(map(abs, row)) for row in g.adj]).bit_length() + 2
+    x, half = 1 << b, 1 << (b - 1)
+    m = [[-a for a in row] for row in g.adj]
+    for i, row in enumerate(m):
+        row[i] += x
+    prev = 1
+    for k in range(n - 1):
+        pivot, top = m[k][k], m[k][k + 1 :]
+        for row in m[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [(pivot * a - f * c) // prev for a, c in zip(row[k + 1 :], top)]
+        prev = pivot
+    value, coeffs = m[-1][-1], []
+    for _ in range(n + 1):
+        coeffs.append(((value + half) & (x - 1)) - half)  # the balanced digit
+        value = (value - coeffs[-1]) >> b
+    return tuple(reversed(coeffs))
 
 
 class LinearSubgraph(NamedTuple):

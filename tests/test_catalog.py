@@ -105,7 +105,6 @@ def test_record_does_each_computation_once(monkeypatch):
     at most one symmetry search; its only determinant is the Euler-tour
     minor of a balanced graph, so det(A - I) is not eliminated again."""
     catalogs = [enumerate_stable(j, j + k) for k in range(1, 5) for j in range(1, k + 1)]
-    monkeypatch.setattr(graphs, "_searched", {})  # so each record searches afresh
     calls = Counter()
     minors = []
 
@@ -120,7 +119,7 @@ def test_record_does_each_computation_once(monkeypatch):
 
     counting(catalog, "charpoly")
     counting(catalog, "connectivity")
-    counting(graphs, "symmetry")
+    counting(catalog, "symmetry")  # build_record searches directly, not through the memo
     counting(zeta, "det_int")  # what zeta.det_a_minus_i eliminates with
     det_int = eulerian.det_int
 
@@ -422,7 +421,7 @@ def test_reread_searches_each_graph_once(tmp_path, monkeypatch):
     _fill_disk_cache(tmp_path, [3])
     monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(catalog, "_memo", {})
-    graphs._searched.clear()
+    monkeypatch.setattr(graphs, "_searched", {})
     searched = Counter()
     search = graphs.symmetry
 
@@ -430,16 +429,18 @@ def test_reread_searches_each_graph_once(tmp_path, monkeypatch):
         searched[adj] += 1
         return search(adj)
 
-    monkeypatch.setattr(graphs, "symmetry", counting)
+    monkeypatch.setattr(catalog, "symmetry", counting)
     records = weight_records(3)
     # one search per record: a record's z needs no search of its components
     assert searched == Counter(r.graph.adj for r in records)
     assert any(r.cls == "disconnected" for r in records)
+    assert graphs._searched == {}
 
 
 def test_cold_records_search_only_inside_the_fill(tmp_path, monkeypatch):
     """A cold catalog searches each kept fill leaf once and nothing more:
-    `build_record` and `write_catalog` read the memo the fill seeded."""
+    each record is built from the search its class kept in the fill, and
+    nothing is left in the per-graph memo."""
     monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(catalog, "_memo", {})
     monkeypatch.setattr(graphs, "_searched", {})
@@ -454,11 +455,13 @@ def test_cold_records_search_only_inside_the_fill(tmp_path, monkeypatch):
         return counted
 
     monkeypatch.setattr(enumeration, "symmetry", counting("fill"))
+    monkeypatch.setattr(catalog, "symmetry", counting("elsewhere"))
     monkeypatch.setattr(graphs, "symmetry", counting("elsewhere"))
     records = stable_records(5, 10)
     assert len(records) == 85
     assert (tmp_path / "stable-5-10.jsonl").exists()
     assert searched == Counter(fill=248)
+    assert graphs._searched == {}
 
 
 def test_identity_suites_read_the_catalogs(tmp_path, monkeypatch):
@@ -466,14 +469,15 @@ def test_identity_suites_read_the_catalogs(tmp_path, monkeypatch):
     monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(catalog, "_memo", {})
     built = []
-    build = enumeration.enumerate_stable
+    build = enumeration.stable_classes
 
     def counting(j, s):
         built.append((j, s))
         return build(j, s)
 
-    for module in (enumeration, catalog):  # catalog imports it by name
-        monkeypatch.setattr(module, "enumerate_stable", counting)
+    # enumerate_stable calls it too; catalog imports it by name
+    for module in (enumeration, catalog):
+        monkeypatch.setattr(module, "stable_classes", counting)
     assert verify("all", max_weight=5, allow_slow=True).ok
     assert verify("bernoulli", max_weight=5, allow_slow=True).ok
     assert built == []

@@ -4,11 +4,10 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from tyz import enumeration, graphs
+from tyz import enumeration
 from tyz.catalog import class_counts, weight_records
 from tyz.enumeration import enumerate_stable, raw_stable_matrices
 from tyz.graphs import (
-    aut_order,
     automorphisms,
     canonical_form,
     canonical_key,
@@ -179,31 +178,6 @@ def test_leaf_test_rejects_a_tied_pair_out_of_signature_order():
     assert (g.out_degrees(), g.in_degrees()) == ((3, 2, 2), (3, 2, 2))
     assert not _passes_leaf_test(g)
     assert _passes_leaf_test(relabel(g, [0, 2, 1]))
-
-
-def test_seeded_symmetry_equals_a_fresh_search(monkeypatch):
-    """The fill seeds the per-graph memo of every class it returns; the
-    group, its order and the canonical form read from that seed equal those
-    of a fresh search of the same graph."""
-    search = graphs.symmetry
-    outside = []
-
-    def counting(adj):
-        outside.append(adj)
-        return search(adj)
-
-    monkeypatch.setattr(graphs, "symmetry", counting)
-    monkeypatch.setattr(graphs, "_searched", {})
-    for k in range(1, 6):
-        for j in range(1, k + 1):
-            classes = enumerate_stable(j, j + k)
-            seeded = [(automorphisms(g), aut_order(g), canonical_form(g)) for g in classes]
-            assert outside == []
-            graphs._searched.clear()
-            fresh = [(automorphisms(g), aut_order(g), canonical_form(g)) for g in classes]
-            assert seeded == fresh, (j, k)
-            assert outside == [g.adj for g in classes]
-            outside.clear()
 
 
 def test_enumerated_graphs_are_canonical_and_strictly_sorted():

@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -73,6 +75,57 @@ def test_charpoly_at_one_is_det_of_identity_minus_adjacency(g):
         assert sum(c * t ** (g.n - i) for i, c in enumerate(poly)) == det_int(t_minus_a)
 
 
+def _berkowitz(adj):
+    """Oracle: Berkowitz's division-free recurrence (Inf. Process. Lett. 18,
+    1984).  With M the leading k x k block, r and c the rest of row and
+    column k, and p_k = det(lambda*I - M), p_(k+1) = (lambda - A[k][k]) p_k
+    - r adj(lambda*I - M) c, where the adjugate is a polynomial in M with
+    the coefficients of p_k, so only the walk counts r M^m c are needed."""
+    n = len(adj)
+    cols = tuple(zip(*adj))
+    coeffs = [1]
+    for k in range(n):
+        row, v, block = adj[k], cols[k][:k], adj[:k]
+        walks = [sum(map(mul, row, v))] if k else []  # walks[m] = r M^m c
+        for _ in range(k - 1):
+            v = [sum(map(mul, block_row, v)) for block_row in block]
+            walks.append(sum(map(mul, row, v)))
+        walks.reverse()  # now walks[k - 1 - m] = r M^m c
+        prev = coeffs + [0]
+        coeffs = [1] + [
+            prev[d] - row[k] * prev[d - 1] - sum(map(mul, prev, walks[k + 1 - d :]))
+            for d in range(1, k + 2)
+        ]
+    return tuple(coeffs)
+
+
+def test_charpoly_equals_berkowitz_on_signed_matrices():
+    """The digit bound sum |c_i| <= prod(1 + r_v) must hold for negative
+    entries, zero rows and one heavy diagonal entry too."""
+    rng = random.Random(13)
+    entries = (0, 0, 0, 1, 1, 2, 3, -1, -2, -7, 100, -1000)
+    for trial in range(600):
+        n = rng.randint(1, 10)
+        rows = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 0:
+            rows[rng.randrange(n)] = [0] * n
+        if trial % 5 == 0:
+            v = rng.randrange(n)
+            rows[v][v] = 50
+        adj = tuple(map(tuple, rows))
+        assert charpoly(MultiDigraph(adj)) == _berkowitz(adj), adj
+
+
+def test_charpoly_of_a_dense_graph_is_fast_and_exact():
+    """K(35) is the densest graph the size check of `tyz z` admits, and
+    the dense case is where the Kronecker digits are widest."""
+    g = build_family(FamilySpec("K", n=35))
+    start = time.perf_counter()
+    poly = charpoly(g)
+    assert time.perf_counter() - start < 1.0
+    assert poly == _berkowitz(g.adj)
+
+
 # --- linear subgraphs ---
 
 
@@ -115,8 +168,8 @@ def test_coefficient_index_bounds():
 
 @given(small_graphs())
 def test_charpoly_equals_signed_cycle_sums(g):
-    """Two independent routes to the same coefficients: Berkowitz's
-    recurrence vs inclusion of vertex-disjoint cycle collections."""
+    """Two independent routes to the same coefficients: one determinant at
+    a Kronecker point vs inclusion of vertex-disjoint cycle collections."""
     want = charpoly(g)
     got = (1,) + tuple(coefficient_from_linear(g, i) for i in range(1, g.n + 1))
     assert got == want

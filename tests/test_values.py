@@ -67,10 +67,13 @@ def test_int_times_polynomial_stays_a_type_error():
 
 def test_import_loads_no_dataclasses_or_inspect():
     """`import tyz` is each CLI call's start-up; -S keeps site-packages
-    .pth files, which may import anything, out of the check."""
+    .pth files, which may import anything, out of the check.  The golden
+    fixture is read by path, so neither `importlib.resources` nor the
+    `tempfile` it imports is loaded either."""
+    unwanted = ("dataclasses", "inspect", "importlib.resources", "tempfile")
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import tyz; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        f"print(' '.join(m for m in {unwanted!r} if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code, str(SRC)],
