@@ -35,7 +35,7 @@ from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
-from .enumeration import check_weight, stable_classes
+from .enumeration import check_weight, enumerate_stable
 from .eulerian import (
     ZERO_POLY,
     IntPolynomial,
@@ -145,23 +145,20 @@ class CatalogRecord(NamedTuple):
     charpoly: tuple[int, ...]
 
 
-def build_record(g: MultiDigraph) -> CatalogRecord:
+def build_record(g: MultiDigraph | Symmetry) -> CatalogRecord:
     """The record of g, each field computed once from its canonical matrix.
 
-    One direct `symmetry` search (no memo) gives the canonical matrix and
-    vertex group order, and aut is that order times the multiplicity
-    factorials.  det(A - I) is read off charpoly as (-1)^n chi(1); the class
-    comes from one connectivity pass; Euler tours from the matrix-tree
-    minor.  z is (-1)^c det(A - I)/|Aut(G)| when all c weak components are
-    strongly connected, else 0: `zeta.z`'s rule for unions, since the
-    components' determinants and orders multiply and |Aut(G)| adds
-    `sym_factor`.
+    g is a graph, searched once directly (no memo), or a `symmetry` result,
+    such as the one a cold catalog's fill kept for its class; the canonical
+    matrix and vertex group order come from it, and aut is that order times
+    the multiplicity factorials.  det(A - I) is read off charpoly as (-1)^n
+    chi(1); the class comes from one connectivity pass; Euler tours from the
+    matrix-tree minor.  z is (-1)^c det(A - I)/|Aut(G)| when all c weak
+    components are strongly connected, else 0: `zeta.z`'s rule for unions,
+    since the components' determinants and orders multiply and |Aut(G)|
+    adds `sym_factor`.
     """
-    return _record(symmetry(g.adj))
-
-
-def _record(found: Symmetry) -> CatalogRecord:
-    """`build_record` from a search result, such as one a cold catalog's fill kept."""
+    found = g if isinstance(g, Symmetry) else symmetry(g.adj)
     g = MultiDigraph(found.matrix)
     outs, ins = g.out_degrees(), g.in_degrees()
     if not _semistable(outs, ins):
@@ -226,15 +223,16 @@ def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
             f"not {size[0]} and {size[1]}"
         )
     fresh = build_record(g)
-    if record_to_json(fresh).items() <= obj.items():  # the walk below names the field
+    expected = record_to_json(fresh)
+    if expected.items() <= obj.items():
         return fresh
-    for field, value in record_to_json(fresh).items():
-        if field not in obj:
-            raise ValueError(f"{where}: missing field '{field}'")
-        if obj[field] != value:
-            raise ValueError(
-                f"{where}: field '{field}': stored {obj[field]!r}, recomputed {value!r}"
-            )
+    # the first missing or differing field in record order; there is one
+    field = next(f for f in expected if f not in obj or obj[f] != expected[f])
+    if field not in obj:
+        raise ValueError(f"{where}: missing field '{field}'")
+    raise ValueError(
+        f"{where}: field '{field}': stored {obj[field]!r}, recomputed {expected[field]!r}"
+    )
 
 
 def write_catalog(records, path) -> None:
@@ -308,7 +306,7 @@ def stable_records(j: int, s: int) -> tuple[CatalogRecord, ...]:
         else:
             _memo[memo_key] = records
             return records
-    records = tuple(map(_record, stable_classes(j, s)))
+    records = tuple(map(build_record, enumerate_stable(j, s, searches=True)))
     if path is not None:
         try:
             write_catalog(records, path)

@@ -24,9 +24,9 @@ order.  The fill is sound because the key (out, in, loops, signature) does
 not depend on the labels: sorting the vertices of any stable graph by it
 gives a matrix of its class whose type sequence is listed, whose rows the
 fill reaches, and which passes the test.  Each leaf that passes goes to
-`symmetry`; the first search of each canonical matrix is kept
-(`stable_classes`), and the catalog record of the class reads its matrix
-and group order from that result, so it searches nothing again.  The
+`symmetry`; the first search of each canonical matrix is kept, and with
+`searches=True` it is returned, so the catalog record of the class reads
+its matrix and group order from it and searches nothing again.  The
 canonical dedup owns correctness regardless.
 
 `census_count` counts the same classes without generating a graph, by
@@ -52,7 +52,6 @@ __all__ = [
     "check_weight",
     "census_count",
     "enumerate_stable",
-    "stable_classes",
     "raw_stable_matrices",
 ]
 
@@ -162,15 +161,16 @@ def _signature_ordered(rows, types) -> bool:
     return True
 
 
-def enumerate_stable(j: int, s: int) -> tuple[MultiDigraph, ...]:
+def enumerate_stable(
+    j: int, s: int, *, searches: bool = False
+) -> tuple[MultiDigraph, ...] | tuple[Symmetry, ...]:
     """One canonical representative per isomorphism class of j-vertex,
-    s-edge stable graphs, sorted by canonical key.  Empty when s < 2j."""
-    return tuple(MultiDigraph(found.matrix) for found in stable_classes(j, s))
+    s-edge stable graphs, sorted by canonical key.  Empty when s < 2j.
+    With searches=True, the first `symmetry` search of each class instead,
+    in the same order: a catalog record reads its canonical matrix and
+    vertex group order, so it searches nothing again.
 
-
-def stable_classes(j: int, s: int) -> tuple[Symmetry, ...]:
-    """The first `symmetry` search of each class of `enumerate_stable`, in
-    the same order: its canonical matrix and vertex group order.  Fixes each vertex's (out-degree, in-degree, loops) first and then fills
+    Fixes each vertex's (out-degree, in-degree, loops) first and then fills
     the rows with those margins (see the module docstring).  Only matrices
     whose equal-type neighbours are in non-increasing order of neighbour
     signature reach `symmetry`; every class has one."""
@@ -209,7 +209,9 @@ def stable_classes(j: int, s: int) -> tuple[Symmetry, ...]:
     # than at the next full garbage collection
     del rec
     # for a fixed j, row-tuple order is canonical-key order
-    return tuple(found[matrix] for matrix in sorted(found))
+    if searches:
+        return tuple(found[matrix] for matrix in sorted(found))
+    return tuple(map(MultiDigraph, sorted(found)))
 
 
 def _cycle_types(j: int, largest: int):

@@ -6,7 +6,8 @@ coefficient c_i equals the signed count sum((-1)^p(L)) over linear subgraphs
 L on exactly i vertices, where a linear subgraph is a set of vertex-disjoint
 simple directed cycles (loops are 1-cycles) with every parallel edge choice
 distinguished, and p(L) is the number of cycles.  `charpoly` computes them
-by one determinant at a Kronecker point, `coefficient_from_linear` by that count.
+by one determinant at a Kronecker point (by Berkowitz's recurrence on large
+dense graphs), `coefficient_from_linear` by that count.
 
 Grouping the labeled linear subgraphs into orbits of the automorphism group
 turns det(I - A) into the orbit sum
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import permutations, product
+from operator import mul
 from typing import NamedTuple
 
 from .graphs import MultiDigraph, automorphisms, aut_order, is_semistable, is_strongly_connected
@@ -41,6 +43,12 @@ Arc = tuple[int, int, int]  # (tail, head, parallel edge label)
 Cycle = tuple[Arc, ...]
 
 
+# the n*b above which Berkowitz's recurrence is cheaper than the Kronecker
+# determinant in CPython (2-core x86 VM, Python 3.11.7: at or below it the
+# determinant wins up to 3x on sparse graphs and loses at most 1.2x)
+_KRONECKER_BITS = 1024
+
+
 def charpoly(g: MultiDigraph) -> tuple[int, ...]:
     """Coefficients (c_0, ..., c_n) of det(lambda*I - A), leading first, c_0 = 1.
 
@@ -52,15 +60,21 @@ def charpoly(g: MultiDigraph) -> tuple[int, ...]:
     and b = P.bit_length() + 2 keeps every digit below X/4.  No pivoting:
     the k-th pivot is the leading k x k minor of X*I - A, the product of
     X - lambda over the eigenvalues of that block, and |lambda| <= max r_v
-    < X, so no pivot is 0.  The numbers reach n*b bits, and b grows with
-    the sum of log(1 + r_v), so dense graphs cost the most: on a 2-core x86
-    VM (Python 3.11), A(40) takes 0.01 s, K(35) 0.3 s and the all-ones 70 x
-    70 matrix 29 s.
+    < X, so no pivot is 0.
+
+    The numbers reach n*b bits, b grows with the sum of log(1 + r_v), and
+    CPython divides big integers in quadratic time, so on dense graphs the
+    determinant costs about n^7 log^2 n.  Above n*b = `_KRONECKER_BITS` the
+    coefficients come from `_berkowitz` instead, whose n^4 steps stay on
+    small integers: every census graph takes the determinant, and the
+    all-ones 100 x 100 matrix takes Berkowitz, in about 3 s.
     """
     n = g.n
     if n == 0:
         raise ValueError("charpoly needs at least one vertex")
     b = math.prod([1 + sum(map(abs, row)) for row in g.adj]).bit_length() + 2
+    if n * b > _KRONECKER_BITS:
+        return _berkowitz(g.adj)
     x, half = 1 << b, 1 << (b - 1)
     m = [[-a for a in row] for row in g.adj]
     for i, row in enumerate(m):
@@ -77,6 +91,31 @@ def charpoly(g: MultiDigraph) -> tuple[int, ...]:
         coeffs.append(((value + half) & (x - 1)) - half)  # the balanced digit
         value = (value - coeffs[-1]) >> b
     return tuple(reversed(coeffs))
+
+
+def _berkowitz(adj) -> tuple[int, ...]:
+    """`charpoly` of a nonempty matrix by Berkowitz's division-free
+    recurrence (Inf. Process. Lett. 18, 1984): with M the leading k x k
+    block, r and c the rest of row and column k, and p_k = det(lambda*I - M),
+    p_(k+1) = (lambda - A[k][k]) p_k - r adj(lambda*I - M) c, where the
+    adjugate is a polynomial in M with the coefficients of p_k, so only the
+    walk counts r M^m c are needed.  Full rows and columns stand in for
+    their leading blocks: `map` stops at the length-k vector."""
+    cols = tuple(zip(*adj))
+    coeffs = [1]
+    for k in range(len(adj)):
+        row, v, block = adj[k], cols[k][:k], adj[:k]
+        walks = [sum(map(mul, row, v))] if k else []  # walks[m] = r M^m c
+        for _ in range(k - 1):
+            v = [sum(map(mul, block_row, v)) for block_row in block]
+            walks.append(sum(map(mul, row, v)))
+        walks.reverse()  # now walks[k - 1 - m] = r M^m c
+        prev = coeffs + [0]
+        coeffs = [1] + [
+            prev[d] - row[k] * prev[d - 1] - sum(map(mul, prev, walks[k + 1 - d :]))
+            for d in range(1, k + 2)
+        ]
+    return tuple(coeffs)
 
 
 class LinearSubgraph(NamedTuple):

@@ -469,15 +469,14 @@ def test_identity_suites_read_the_catalogs(tmp_path, monkeypatch):
     monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(catalog, "_memo", {})
     built = []
-    build = enumeration.stable_classes
+    build = enumeration.enumerate_stable
 
-    def counting(j, s):
+    def counting(j, s, **options):
         built.append((j, s))
-        return build(j, s)
+        return build(j, s, **options)
 
-    # enumerate_stable calls it too; catalog imports it by name
-    for module in (enumeration, catalog):
-        monkeypatch.setattr(module, "stable_classes", counting)
+    for module in (enumeration, catalog):  # catalog imports it by name
+        monkeypatch.setattr(module, "enumerate_stable", counting)
     assert verify("all", max_weight=5, allow_slow=True).ok
     assert verify("bernoulli", max_weight=5, allow_slow=True).ok
     assert built == []

@@ -1,11 +1,10 @@
 import random
-import time
 from fractions import Fraction
-from operator import mul
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from tyz import spectral
 from tyz.catalog import weight_records
 from tyz.graphs import MultiDigraph, is_strongly_connected, parse_graph, relabel
 from tyz.spectral import (
@@ -75,33 +74,11 @@ def test_charpoly_at_one_is_det_of_identity_minus_adjacency(g):
         assert sum(c * t ** (g.n - i) for i, c in enumerate(poly)) == det_int(t_minus_a)
 
 
-def _berkowitz(adj):
-    """Oracle: Berkowitz's division-free recurrence (Inf. Process. Lett. 18,
-    1984).  With M the leading k x k block, r and c the rest of row and
-    column k, and p_k = det(lambda*I - M), p_(k+1) = (lambda - A[k][k]) p_k
-    - r adj(lambda*I - M) c, where the adjugate is a polynomial in M with
-    the coefficients of p_k, so only the walk counts r M^m c are needed."""
-    n = len(adj)
-    cols = tuple(zip(*adj))
-    coeffs = [1]
-    for k in range(n):
-        row, v, block = adj[k], cols[k][:k], adj[:k]
-        walks = [sum(map(mul, row, v))] if k else []  # walks[m] = r M^m c
-        for _ in range(k - 1):
-            v = [sum(map(mul, block_row, v)) for block_row in block]
-            walks.append(sum(map(mul, row, v)))
-        walks.reverse()  # now walks[k - 1 - m] = r M^m c
-        prev = coeffs + [0]
-        coeffs = [1] + [
-            prev[d] - row[k] * prev[d - 1] - sum(map(mul, prev, walks[k + 1 - d :]))
-            for d in range(1, k + 2)
-        ]
-    return tuple(coeffs)
-
-
-def test_charpoly_equals_berkowitz_on_signed_matrices():
-    """The digit bound sum |c_i| <= prod(1 + r_v) must hold for negative
-    entries, zero rows and one heavy diagonal entry too."""
+def test_charpoly_kernels_agree_on_signed_matrices(monkeypatch):
+    """The Kronecker determinant, forced on every matrix, equals Berkowitz's
+    recurrence: the digit bound sum |c_i| <= prod(1 + r_v) must hold for
+    negative entries, zero rows and one heavy diagonal entry too."""
+    monkeypatch.setattr(spectral, "_KRONECKER_BITS", float("inf"))
     rng = random.Random(13)
     entries = (0, 0, 0, 1, 1, 2, 3, -1, -2, -7, 100, -1000)
     for trial in range(600):
@@ -113,17 +90,27 @@ def test_charpoly_equals_berkowitz_on_signed_matrices():
             v = rng.randrange(n)
             rows[v][v] = 50
         adj = tuple(map(tuple, rows))
-        assert charpoly(MultiDigraph(adj)) == _berkowitz(adj), adj
+        assert charpoly(MultiDigraph(adj)) == spectral._berkowitz(adj), adj
 
 
-def test_charpoly_of_a_dense_graph_is_fast_and_exact():
-    """K(35) is the densest graph the size check of `tyz z` admits, and
-    the dense case is where the Kronecker digits are widest."""
-    g = build_family(FamilySpec("K", n=35))
-    start = time.perf_counter()
-    poly = charpoly(g)
-    assert time.perf_counter() - start < 1.0
-    assert poly == _berkowitz(g.adj)
+def test_charpoly_takes_berkowitz_only_on_large_dense_graphs(monkeypatch):
+    """Census graphs take the Kronecker determinant; the all-ones 48 x 48
+    matrix, whose determinant numbers would reach 13,056 bits, takes
+    Berkowitz and gets chi = X^48 - 48 X^47 (eigenvalues 48 and 0)."""
+    taken = []
+    berkowitz = spectral._berkowitz
+
+    def counting(adj):
+        taken.append(len(adj))
+        return berkowitz(adj)
+
+    monkeypatch.setattr(spectral, "_berkowitz", counting)
+    for k in range(1, 5):
+        for rec in weight_records(k):
+            assert charpoly(rec.graph) == rec.charpoly
+    assert taken == []
+    assert charpoly(build_family(FamilySpec("K", n=48))) == (1, -48) + (0,) * 47
+    assert taken == [48]
 
 
 # --- linear subgraphs ---
