@@ -306,7 +306,7 @@ def stable_records(j: int, s: int) -> tuple[CatalogRecord, ...]:
         else:
             _memo[memo_key] = records
             return records
-    records = tuple(map(build_record, enumerate_stable(j, s, searches=True)))
+    records = tuple(map(build_record, enumerate_stable(j, s)))
     if path is not None:
         try:
             write_catalog(records, path)

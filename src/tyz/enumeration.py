@@ -24,10 +24,10 @@ order.  The fill is sound because the key (out, in, loops, signature) does
 not depend on the labels: sorting the vertices of any stable graph by it
 gives a matrix of its class whose type sequence is listed, whose rows the
 fill reaches, and which passes the test.  Each leaf that passes goes to
-`symmetry`; the first search of each canonical matrix is kept, and with
-`searches=True` it is returned, so the catalog record of the class reads
-its matrix and group order from it and searches nothing again.  The
-canonical dedup owns correctness regardless.
+`symmetry`; the first search of each canonical matrix is kept and
+returned, so the catalog record of the class reads its matrix and group
+order from it and searches nothing again.  The canonical dedup owns
+correctness regardless.
 
 `census_count` counts the same classes without generating a graph, by
 Burnside's lemma, and `raw_stable_matrices` lists every labelled matrix;
@@ -161,14 +161,13 @@ def _signature_ordered(rows, types) -> bool:
     return True
 
 
-def enumerate_stable(
-    j: int, s: int, *, searches: bool = False
-) -> tuple[MultiDigraph, ...] | tuple[Symmetry, ...]:
-    """One canonical representative per isomorphism class of j-vertex,
-    s-edge stable graphs, sorted by canonical key.  Empty when s < 2j.
-    With searches=True, the first `symmetry` search of each class instead,
-    in the same order: a catalog record reads its canonical matrix and
-    vertex group order, so it searches nothing again.
+def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
+    """The first `symmetry` search of each isomorphism class of j-vertex,
+    s-edge stable graphs, sorted by canonical matrix (for a fixed j, the
+    canonical-key order).  Empty when s < 2j.  A catalog record reads the
+    canonical matrix and vertex group order of its class from it, so it
+    searches nothing again; `MultiDigraph` of the matrix is the class's
+    canonical representative.
 
     Fixes each vertex's (out-degree, in-degree, loops) first and then fills
     the rows with those margins (see the module docstring).  Only matrices
@@ -209,9 +208,7 @@ def enumerate_stable(
     # than at the next full garbage collection
     del rec
     # for a fixed j, row-tuple order is canonical-key order
-    if searches:
-        return tuple(found[matrix] for matrix in sorted(found))
-    return tuple(map(MultiDigraph, sorted(found)))
+    return tuple(found[matrix] for matrix in sorted(found))
 
 
 def _cycle_types(j: int, largest: int):

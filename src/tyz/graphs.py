@@ -13,7 +13,7 @@ McKay & Piperno, "Practical graph isomorphism, II" (J. Symbolic Comput. 60,
 2014).  It is exact for every input; its cost grows with how much symmetry
 refinement fails to break, not with n!, so family graphs with dozens of
 vertices take milliseconds.  The search returns the canonical matrix itself
-(`Symmetry.matrix`) and the leaf ordering that gave it (`Symmetry.labeling`):
+(`Symmetry.matrix`), with generators and the order of the vertex group:
 `canonical_form` wraps the matrix, `canonical_key` is the vertex count
 followed by its rows, and the enumeration collects it.  The one memo is per
 graph: `canonical_key`, `canonical_form`, `automorphisms` and `aut_order`
@@ -234,13 +234,11 @@ def is_strongly_connected(g: MultiDigraph) -> bool:
 
 class Symmetry(NamedTuple):
     """Canonical form of a matrix, generators of its vertex automorphism
-    group, the order of that group, and the leaf ordering that gave the
-    canonical form: row i of `matrix` is row labeling[i] of the input."""
+    group, and the order of that group."""
 
     matrix: Matrix
     generators: tuple[tuple[int, ...], ...]
     order: int
-    labeling: tuple[int, ...]
 
 
 def symmetry(adj: Matrix) -> Symmetry:
@@ -267,7 +265,7 @@ def symmetry(adj: Matrix) -> Symmetry:
     """
     n = len(adj)
     if n <= 1:
-        return Symmetry(adj, (), 1, tuple(range(n)))  # its own canonical form, no other ordering
+        return Symmetry(adj, (), 1)  # its own canonical form, no other ordering
     # links[v]: (u, multiplicity v -> u, multiplicity u -> v) for each u joined
     # to v; a loop pairs v with itself
     links = [
@@ -301,8 +299,7 @@ def symmetry(adj: Matrix) -> Symmetry:
         start.setdefault(adj[v][v], []).append(v)
     cells = refine([start[loops] for loops in sorted(start)])
     if len(cells) == n:  # already discrete: one leaf, so the group is trivial
-        leaf_order = [cell[0] for cell in cells]
-        return Symmetry(_leaf_matrix(adj, leaf_order), (), 1, tuple(leaf_order))
+        return Symmetry(_leaf_matrix(adj, [cell[0] for cell in cells]), (), 1)
 
     generators: list[tuple[int, ...]] = []
     first = best = None  # (leaf matrix, leaf ordering, path) of the first and least leaves
@@ -365,7 +362,7 @@ def symmetry(adj: Matrix) -> Symmetry:
     visit(cells, [])
     first_path = first[2]
     order = math.prod(len(orbit([v], fixing(first_path[:d]))) for d, v in enumerate(first_path))
-    return Symmetry(best[0], tuple(generators), order, tuple(best[1]))
+    return Symmetry(best[0], tuple(generators), order)
 
 
 def _leaf_matrix(adj: Matrix, order: list[int]) -> Matrix:

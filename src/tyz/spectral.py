@@ -6,8 +6,8 @@ coefficient c_i equals the signed count sum((-1)^p(L)) over linear subgraphs
 L on exactly i vertices, where a linear subgraph is a set of vertex-disjoint
 simple directed cycles (loops are 1-cycles) with every parallel edge choice
 distinguished, and p(L) is the number of cycles.  `charpoly` computes them
-by one determinant at a Kronecker point (by Berkowitz's recurrence on large
-dense graphs), `coefficient_from_linear` by that count.
+by Berkowitz's division-free recurrence, `coefficient_from_linear` by that
+count.
 
 Grouping the labeled linear subgraphs into orbits of the automorphism group
 turns det(I - A) into the orbit sum
@@ -23,7 +23,6 @@ assumed.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import permutations, product
 from operator import mul
@@ -43,78 +42,37 @@ Arc = tuple[int, int, int]  # (tail, head, parallel edge label)
 Cycle = tuple[Arc, ...]
 
 
-# the n*b above which Berkowitz's recurrence is cheaper than the Kronecker
-# determinant in CPython (2-core x86 VM, Python 3.11.7: at or below it the
-# determinant wins up to 3x on sparse graphs and loses at most 1.2x)
-_KRONECKER_BITS = 1024
-
-
 def charpoly(g: MultiDigraph) -> tuple[int, ...]:
     """Coefficients (c_0, ..., c_n) of det(lambda*I - A), leading first, c_0 = 1.
 
-    One determinant over plain Python integers: chi(X) at the Kronecker
-    point X = 2^b, by Bareiss's fraction-free elimination (Math. Comp. 22,
-    1968), read back as n + 1 balanced base-2^b digits.  With r_v the sum of
-    |a_vu| over row v, each principal minor of A is at most the product of
-    its rows' r_v (|det M| <= perm |M|), so sum |c_i| <= P = prod(1 + r_v),
-    and b = P.bit_length() + 2 keeps every digit below X/4.  No pivoting:
-    the k-th pivot is the leading k x k minor of X*I - A, the product of
-    X - lambda over the eigenvalues of that block, and |lambda| <= max r_v
-    < X, so no pivot is 0.
-
-    The numbers reach n*b bits, b grows with the sum of log(1 + r_v), and
-    CPython divides big integers in quadratic time, so on dense graphs the
-    determinant costs about n^7 log^2 n.  Above n*b = `_KRONECKER_BITS` the
-    coefficients come from `_berkowitz` instead, whose n^4 steps stay on
-    small integers: every census graph takes the determinant, and the
-    all-ones 100 x 100 matrix takes Berkowitz, in about 3 s.
+    Berkowitz's division-free recurrence (Inf. Process. Lett. 18, 1984):
+    with M the leading k x k block, r and c the rest of row and column k,
+    and p_k = det(lambda*I - M), p_(k+1) = (lambda - A[k][k]) p_k -
+    r adj(lambda*I - M) c, where the adjugate is a polynomial in M with the
+    coefficients of p_k.  So from p_1 = (1, -A[0][0]) on, with walks[m] =
+    r M^m c, new[d] = prev[d] - A[k][k] prev[d-1] - sum_m walks[m] prev[d-2-m],
+    updated in place from the top down, as new[d] reads only prev[:d+1].
+    n^4 steps on integers of about n log2(max row sum) bits: the all-ones
+    100 x 100 matrix takes about 3 s (2-core x86 VM, CPython 3.11).  Full
+    rows and columns stand in for their leading blocks: `map` stops at the
+    length-k vector.
     """
-    n = g.n
+    n, adj = g.n, g.adj
     if n == 0:
         raise ValueError("charpoly needs at least one vertex")
-    b = math.prod([1 + sum(map(abs, row)) for row in g.adj]).bit_length() + 2
-    if n * b > _KRONECKER_BITS:
-        return _berkowitz(g.adj)
-    x, half = 1 << b, 1 << (b - 1)
-    m = [[-a for a in row] for row in g.adj]
-    for i, row in enumerate(m):
-        row[i] += x
-    prev = 1
-    for k in range(n - 1):
-        pivot, top = m[k][k], m[k][k + 1 :]
-        for row in m[k + 1 :]:
-            f = row[k]
-            row[k + 1 :] = [(pivot * a - f * c) // prev for a, c in zip(row[k + 1 :], top)]
-        prev = pivot
-    value, coeffs = m[-1][-1], []
-    for _ in range(n + 1):
-        coeffs.append(((value + half) & (x - 1)) - half)  # the balanced digit
-        value = (value - coeffs[-1]) >> b
-    return tuple(reversed(coeffs))
-
-
-def _berkowitz(adj) -> tuple[int, ...]:
-    """`charpoly` of a nonempty matrix by Berkowitz's division-free
-    recurrence (Inf. Process. Lett. 18, 1984): with M the leading k x k
-    block, r and c the rest of row and column k, and p_k = det(lambda*I - M),
-    p_(k+1) = (lambda - A[k][k]) p_k - r adj(lambda*I - M) c, where the
-    adjugate is a polynomial in M with the coefficients of p_k, so only the
-    walk counts r M^m c are needed.  Full rows and columns stand in for
-    their leading blocks: `map` stops at the length-k vector."""
     cols = tuple(zip(*adj))
-    coeffs = [1]
-    for k in range(len(adj)):
+    coeffs = [1, -adj[0][0]]
+    for k in range(1, n):
         row, v, block = adj[k], cols[k][:k], adj[:k]
-        walks = [sum(map(mul, row, v))] if k else []  # walks[m] = r M^m c
+        walks = [sum(map(mul, row, v))]  # walks[m] = r M^m c
         for _ in range(k - 1):
             v = [sum(map(mul, block_row, v)) for block_row in block]
             walks.append(sum(map(mul, row, v)))
-        walks.reverse()  # now walks[k - 1 - m] = r M^m c
-        prev = coeffs + [0]
-        coeffs = [1] + [
-            prev[d] - row[k] * prev[d - 1] - sum(map(mul, prev, walks[k + 1 - d :]))
-            for d in range(1, k + 2)
-        ]
+        a = row[k]
+        coeffs.append(0)
+        for d in range(k + 1, 1, -1):
+            coeffs[d] -= a * coeffs[d - 1] + sum(map(mul, walks, coeffs[d - 2 :: -1]))
+        coeffs[1] -= a
     return tuple(coeffs)
 
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from tyz import spectral
 from tyz.catalog import weight_records
 from tyz.graphs import MultiDigraph, is_strongly_connected, parse_graph, relabel
 from tyz.spectral import (
@@ -58,6 +57,15 @@ def _random_matrix(n, seed, max_entry=3):
     return MultiDigraph.from_rows(rows)
 
 
+def _assert_charpoly_is_det_of_t_minus_adjacency(adj):
+    # a monic polynomial of degree n is fixed by its values at n + 1 points,
+    # so Bareiss determinants of tI - A at t = 0..n check every coefficient
+    n, poly = len(adj), charpoly(MultiDigraph(adj))
+    for t in range(n + 1):
+        t_minus_a = [[t * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(adj)]
+        assert sum(c * t ** (n - i) for i, c in enumerate(poly)) == det_int(t_minus_a), adj
+
+
 @given(small_graphs())
 @example(MultiDigraph.from_rows([[3]]))
 @example(_random_matrix(9, seed=9))
@@ -65,20 +73,14 @@ def _random_matrix(n, seed, max_entry=3):
 @example(_shuffled(build_family(FamilySpec("K", n=8))))
 def test_charpoly_at_one_is_det_of_identity_minus_adjacency(g):
     # det(I - A) = (-1)^n det(A - I), and also the coefficient sum
-    poly = charpoly(g)
-    assert sum(poly) == (-1) ** g.n * det_a_minus_i(g)
-    # a monic polynomial of degree n is fixed by its values at n + 1 points,
-    # so Bareiss determinants of tI - A at t = 0..n check every coefficient
-    for t in range(g.n + 1):
-        t_minus_a = [[t * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(g.adj)]
-        assert sum(c * t ** (g.n - i) for i, c in enumerate(poly)) == det_int(t_minus_a)
+    assert sum(charpoly(g)) == (-1) ** g.n * det_a_minus_i(g)
+    _assert_charpoly_is_det_of_t_minus_adjacency(g.adj)
 
 
-def test_charpoly_kernels_agree_on_signed_matrices(monkeypatch):
-    """The Kronecker determinant, forced on every matrix, equals Berkowitz's
-    recurrence: the digit bound sum |c_i| <= prod(1 + r_v) must hold for
-    negative entries, zero rows and one heavy diagonal entry too."""
-    monkeypatch.setattr(spectral, "_KRONECKER_BITS", float("inf"))
+def test_charpoly_matches_determinants_on_signed_matrices():
+    """Berkowitz's recurrence equals Bareiss determinants of tI - A at
+    t = 0..n on signed matrices too: negative entries, zero rows and one
+    heavy diagonal entry."""
     rng = random.Random(13)
     entries = (0, 0, 0, 1, 1, 2, 3, -1, -2, -7, 100, -1000)
     for trial in range(600):
@@ -89,28 +91,13 @@ def test_charpoly_kernels_agree_on_signed_matrices(monkeypatch):
         if trial % 5 == 0:
             v = rng.randrange(n)
             rows[v][v] = 50
-        adj = tuple(map(tuple, rows))
-        assert charpoly(MultiDigraph(adj)) == spectral._berkowitz(adj), adj
+        _assert_charpoly_is_det_of_t_minus_adjacency(tuple(map(tuple, rows)))
 
 
-def test_charpoly_takes_berkowitz_only_on_large_dense_graphs(monkeypatch):
-    """Census graphs take the Kronecker determinant; the all-ones 48 x 48
-    matrix, whose determinant numbers would reach 13,056 bits, takes
-    Berkowitz and gets chi = X^48 - 48 X^47 (eigenvalues 48 and 0)."""
-    taken = []
-    berkowitz = spectral._berkowitz
-
-    def counting(adj):
-        taken.append(len(adj))
-        return berkowitz(adj)
-
-    monkeypatch.setattr(spectral, "_berkowitz", counting)
-    for k in range(1, 5):
-        for rec in weight_records(k):
-            assert charpoly(rec.graph) == rec.charpoly
-    assert taken == []
+def test_charpoly_of_the_all_ones_48_matrix():
+    """The all-ones 48 x 48 matrix has eigenvalues 48 and 0, so
+    chi = X^48 - 48 X^47."""
     assert charpoly(build_family(FamilySpec("K", n=48))) == (1, -48) + (0,) * 47
-    assert taken == [48]
 
 
 # --- linear subgraphs ---
@@ -155,8 +142,8 @@ def test_coefficient_index_bounds():
 
 @given(small_graphs())
 def test_charpoly_equals_signed_cycle_sums(g):
-    """Two independent routes to the same coefficients: one determinant at
-    a Kronecker point vs inclusion of vertex-disjoint cycle collections."""
+    """Two independent routes to the same coefficients: Berkowitz's
+    recurrence vs inclusion of vertex-disjoint cycle collections."""
     want = charpoly(g)
     got = (1,) + tuple(coefficient_from_linear(g, i) for i in range(1, g.n + 1))
     assert got == want
