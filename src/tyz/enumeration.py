@@ -73,16 +73,6 @@ def check_weight(k: int, allow_slow: bool = True) -> int:
     return k
 
 
-def _compositions(total: int, parts: int):
-    """All sequences of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
-
-
 def _bounded_compositions(total: int, caps: tuple[int, ...]):
     """All sequences x with 0 <= x[u] <= caps[u] summing to `total`."""
     if len(caps) == 1:
@@ -280,7 +270,7 @@ def raw_stable_matrices(j: int, s: int):
     isomorphic to exactly one returned representative.  Exponential in j*j,
     usable only for tiny sizes.
     """
-    for flat in _compositions(s, j * j):
+    for flat in _bounded_compositions(s, (s,) * (j * j)):
         g = MultiDigraph(tuple(flat[i * j : (i + 1) * j] for i in range(j)))
         if is_stable(g):
             yield g

@@ -463,5 +463,5 @@ def parse_graph(text: str) -> MultiDigraph:
     )
 
 
-def format_graph(g: MultiDigraph, sep: str = ";") -> str:
-    return sep.join(" ".join(str(x) for x in row) for row in g.adj)
+def format_graph(g: MultiDigraph) -> str:
+    return ";".join(" ".join(str(x) for x in row) for row in g.adj)

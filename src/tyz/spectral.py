@@ -7,7 +7,7 @@ L on exactly i vertices, where a linear subgraph is a set of vertex-disjoint
 simple directed cycles (loops are 1-cycles) with every parallel edge choice
 distinguished, and p(L) is the number of cycles.  `charpoly` computes them
 by Berkowitz's division-free recurrence, `coefficient_from_linear` by that
-count.
+count, all coefficients from one enumeration.
 
 Grouping the labeled linear subgraphs into orbits of the automorphism group
 turns det(I - A) into the orbit sum
@@ -16,9 +16,9 @@ turns det(I - A) into the orbit sum
 
 the empty subgraph included with p = 0.  The acting group pairs a matrix
 automorphism phi with a label bijection per vertex pair, so its order is
-|Aut(G)| including the multiplicity factorials; orbit size times stabilizer
-order is asserted to equal the group order on every orbit rather than
-assumed.
+|Aut(G)| including the multiplicity factorials.  One sweep of the group over
+an orbit's representative gives the orbit and the stabilizer, whose sizes
+are asserted to multiply to the group order rather than assumed.
 """
 
 from __future__ import annotations
@@ -160,11 +160,13 @@ def _vertex_mask(cycle: Cycle) -> int:
     return mask
 
 
-def coefficient_from_linear(g: MultiDigraph, i: int) -> int:
-    """c_i of the characteristic polynomial as the signed linear-subgraph count."""
-    if not 1 <= i <= g.n:
-        raise ValueError("coefficient index out of range")
-    return sum((-1) ** s.p for s in linear_subgraphs(g) if s.vertex_count() == i)
+def coefficient_from_linear(g: MultiDigraph) -> tuple[int, ...]:
+    """Every coefficient (c_0, ..., c_n) of the characteristic polynomial:
+    c_0 = 1, c_i the signed count of linear subgraphs on i vertices."""
+    coeffs = [1] + [0] * g.n
+    for s in linear_subgraphs(g):
+        coeffs[s.vertex_count()] += (-1) ** s.p
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +208,8 @@ def z_orbit(g: MultiDigraph) -> Fraction:
     for sub in subgraphs:
         if sub in seen:
             continue
-        orbit = {_act(phi, labels, sub) for phi, labels in group}
-        stabilizer = sum(1 for phi, labels in group if _act(phi, labels, sub) == sub)
+        images = [_act(phi, labels, sub) for phi, labels in group]
+        orbit, stabilizer = set(images), images.count(sub)
         if len(orbit) * stabilizer != order:
             raise AssertionError("orbit size times stabilizer must equal the group order")
         seen |= orbit

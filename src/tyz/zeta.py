@@ -7,7 +7,8 @@ For a strongly connected semistable graph,
 for a connected graph that is not strongly connected z(G) = 0, and for a
 disjoint union z is the product over components divided by the order of the
 permutation group of the components (the factorial of each isomorphism-class
-multiplicity).  z of the empty graph is 1.
+multiplicity).  `z` reads the components and their strong connectivity off
+one `connectivity` pass; z of the empty graph, with no components, is 1.
 
 Also here: exact integer determinants (fraction-free elimination) and the
 closed forms for the classical families (doubled cycles, bidirected cycles,
@@ -26,9 +27,10 @@ from .graphs import (
     MultiDigraph,
     aut_order,
     canonical_key,
+    connectivity,
+    induced_subgraph,
     is_semistable,
     is_strongly_connected,
-    weak_components,
 )
 
 __all__ = [
@@ -102,15 +104,12 @@ def sym_factor(components: list[MultiDigraph]) -> int:
 def z(g: MultiDigraph) -> Fraction:
     if not is_semistable(g):
         raise ValueError("z is defined for semistable graphs only")
-    if g.n == 0:
-        return Fraction(1)
-    comps = weak_components(g)
-    if any(not is_strongly_connected(c) for c in comps):
+    parts = connectivity(g)
+    if not all(strong for _, strong in parts):
         return Fraction(0)
-    value = Fraction(1)
-    for c in comps:
-        value *= z_strong(c)
-    return value / sym_factor(comps)
+    comps = [induced_subgraph(g, part) for part, _ in parts]
+    terms = (Fraction(-det_a_minus_i(c), aut_order(c)) for c in comps)
+    return math.prod(terms, start=Fraction(1)) / sym_factor(comps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -21,6 +22,7 @@ from tyz.catalog import (
     golden_fixture,
     parse_rational,
     read_catalog,
+    record_to_json,
     stable_records,
     verify,
     weight_records,
@@ -29,6 +31,10 @@ from tyz.catalog import (
 from tyz.enumeration import enumerate_stable
 from tyz.graphs import MultiDigraph, canonical_key, format_graph, parse_graph, relabel
 from tyz.zeta import z
+
+
+# sha256 of the catalog lines of every weight <= 5, see test_catalog_lines_are_pinned
+CATALOG_SHA256 = "b96388909a297c196298ab85be198cfc243299a3d6bcc42145c3cca048603242"
 
 
 def _clear_memo():
@@ -571,7 +577,7 @@ def test_unknown_fixture_weight():
 def test_table2_constants():
     assert TABLE2[5] == (589, 474, 373, 316)
     for k in (1, 2, 3):
-        assert class_counts(k).as_tuple() == TABLE2[k]
+        assert class_counts(k) == TABLE2[k]
 
 
 @pytest.mark.parametrize(
@@ -645,3 +651,20 @@ def test_table2_max_weight_validation():
 def test_bernoulli_suite_respects_max_weight():
     report = verify("bernoulli", max_weight=2)
     assert len(report.cases) == 2 and report.ok
+
+
+def test_catalog_lines_are_pinned(tmp_path, monkeypatch):
+    """Every catalog of weight k <= 5, built cold in catalog order (k, then j),
+    hashes line by line to a pinned value: a refactor must not move a record,
+    a field or a canonical representative.  A deliberate change of canonical
+    representative updates this pin and the `verify all` pin in
+    tests/test_cli.py together."""
+    monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(catalog, "_memo", {})
+    monkeypatch.setattr(graphs, "_searched", {})
+    records = [r for k in range(1, 6) for j in range(1, k + 1) for r in stable_records(j, j + k)]
+    digest = hashlib.sha256()
+    for r in records:
+        digest.update((json.dumps(record_to_json(r)) + "\n").encode())
+    assert len(records) == 691
+    assert digest.hexdigest() == CATALOG_SHA256

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -18,6 +19,8 @@ from tyz.zeta import FamilySpec, build_family
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# sha256 of `tyz verify all --format json` standard output
+VERIFY_ALL_SHA256 = "cfadbeb67cffec39d8251ebb5a9e112931713434e7a4fd267c9e3e5b2a7f77c9"
 
 
 def run(capsys, *argv):
@@ -134,6 +137,17 @@ def test_verify_unitball_follows_max_weight(capsys):
     rows = {row["case"]: row for row in json.loads(out)["rows"]}
     assert code == 0 and rows["P_5 catalog sum"]["status"] == "pass"
     assert rows["P_5 leading coefficient"]["actual"] == "-1/3840"
+
+
+def test_verify_all_json_is_pinned(capsys, tmp_path, monkeypatch):
+    """The whole `verify all` report, from a cold cache, is byte-identical
+    to a pinned one; a deliberate change of canonical representative updates
+    this pin and the catalog pin in tests/test_catalog.py together."""
+    monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(catalog, "_memo", {})
+    code, out, err = run(capsys, "verify", "all", "--format", "json")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):

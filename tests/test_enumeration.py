@@ -213,10 +213,10 @@ def test_against_unpruned_bruteforce():
 
 
 def test_class_counts_small_weights():
-    assert class_counts(1).as_tuple() == (1, 1, 1, 1)
-    assert class_counts(2).as_tuple() == (4, 3, 3, 3)
-    assert class_counts(3).as_tuple() == (15, 11, 10, 9)
-    assert class_counts(4).as_tuple() == (82, 61, 51, 45)
+    assert class_counts(1) == (1, 1, 1, 1)
+    assert class_counts(2) == (4, 3, 3, 3)
+    assert class_counts(3) == (15, 11, 10, 9)
+    assert class_counts(4) == (82, 61, 51, 45)
 
 
 def test_class_counts_rejects_nonpositive():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from tyz import spectral
 from tyz.catalog import weight_records
 from tyz.graphs import MultiDigraph, is_strongly_connected, parse_graph, relabel
 from tyz.spectral import (
@@ -125,28 +126,31 @@ def test_cycle_structure_stats():
 
 
 def test_coefficient_examples():
-    assert coefficient_from_linear(parse_graph("2"), 1) == -2
-    assert coefficient_from_linear(parse_graph("1 1;1 1"), 1) == -2
-    assert coefficient_from_linear(parse_graph("1 1;1 1"), 2) == 0
-    assert coefficient_from_linear(parse_graph("0 2;2 0"), 1) == 0
-    assert coefficient_from_linear(parse_graph("0 2;2 0"), 2) == -4
+    assert coefficient_from_linear(parse_graph("2")) == (1, -2)
+    assert coefficient_from_linear(parse_graph("1 1;1 1")) == (1, -2, 0)
+    assert coefficient_from_linear(parse_graph("0 2;2 0")) == (1, 0, -4)
+    assert coefficient_from_linear(parse_graph("0 0;0 0")) == (1, 0, 0)
 
 
-def test_coefficient_index_bounds():
-    g = parse_graph("2")
-    with pytest.raises(ValueError):
-        coefficient_from_linear(g, 0)
-    with pytest.raises(ValueError):
-        coefficient_from_linear(g, 2)
+def test_coefficients_come_from_one_enumeration(monkeypatch):
+    calls = []
+    real = spectral.linear_subgraphs
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(spectral, "linear_subgraphs", counting)
+    g = build_family(FamilySpec("K", n=4))
+    assert coefficient_from_linear(g) == charpoly(g)
+    assert len(calls) == 1
 
 
 @given(small_graphs())
 def test_charpoly_equals_signed_cycle_sums(g):
     """Two independent routes to the same coefficients: Berkowitz's
     recurrence vs inclusion of vertex-disjoint cycle collections."""
-    want = charpoly(g)
-    got = (1,) + tuple(coefficient_from_linear(g, i) for i in range(1, g.n + 1))
-    assert got == want
+    assert coefficient_from_linear(g) == charpoly(g)
 
 
 # --- the orbit formula ---

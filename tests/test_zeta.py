@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from tyz import graphs, zeta
 from tyz.graphs import EMPTY, disjoint_union, parse_graph, weak_components
 from tyz.zeta import (
     FamilySpec,
@@ -90,11 +91,39 @@ def test_z_strong_rejects_non_strongly_connected():
 
 def test_z_of_empty_graph_is_one():
     assert z(EMPTY) == 1
+    assert type(z(EMPTY)) is Fraction
 
 
 def test_z_vanishes_when_connected_but_not_strongly():
     g = parse_graph("2 1;0 2")
     assert z(g) == 0
+    value = z(disjoint_union([parse_graph("0 2;2 0"), g]))
+    assert value == 0 and type(value) is Fraction
+
+
+def test_z_reads_one_connectivity_pass(monkeypatch):
+    g = disjoint_union([parse_graph("2"), parse_graph("0 2;2 0"), parse_graph("2")])
+    want = z_strong(parse_graph("2")) ** 2 * z_strong(parse_graph("0 2;2 0")) / 2
+    calls = []
+    real = zeta.connectivity
+
+    def counting(h):
+        calls.append(h)
+        return real(h)
+
+    def forbidden(*args):
+        raise AssertionError("z repeats the connectivity work")
+
+    monkeypatch.setattr(zeta, "connectivity", counting)
+    for module, name in [
+        (zeta, "is_strongly_connected"),
+        (zeta, "z_strong"),
+        (graphs, "is_strongly_connected"),
+        (graphs, "weak_components"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    assert z(g) == want == Fraction(3, 64)
+    assert calls == [g]
 
 
 def test_z_on_disjoint_unions():
