@@ -16,22 +16,21 @@ remaining capacities) are listed once per call.  The last row is forced: it
 is the remaining capacities, and its own column must already be full.
 
 Every full matrix thus has its vertices in non-increasing (out, in, loops)
-order, and is searched only if it passes the leaf test: wherever two
-adjacent vertices have equal types, their neighbour signatures are
-non-increasing too.  The signature of v is the multiset over u != v of
-((out, in, loops) of u, edges v -> u, edges u -> v), listed in descending
-order.  The fill is sound because the key (out, in, loops, signature) does
-not depend on the labels: sorting the vertices of any stable graph by it
-gives a matrix of its class whose type sequence is listed, whose rows the
-fill reaches, and which passes the test.  Each leaf that passes goes to
-`symmetry`; the first search of each canonical matrix is kept and
-returned, so the catalog record of the class reads its matrix and group
-order from it and searches nothing again.  The canonical dedup owns
+order, and is kept only if it passes the leaf test: `graphs.refine` of its
+runs of equal type, `ordered`, keeps each vertex in order.  The fill is
+sound because the refinement does not depend on the labels: listing any
+stable graph's vertices in the refined order of its types gives a matrix of
+its class that the fill reaches and that passes.  When that partition is
+discrete, the matrix is the class's canonical one with the trivial group,
+kept with no search and no dedup; any other kept leaf hands its partition
+to `symmetry`, and the first search of each canonical matrix is kept, so
+the record of the class searches nothing again.  The canonical dedup owns
 correctness regardless.
 
 `census_count` counts the same classes without generating a graph, by
-Burnside's lemma, and `raw_stable_matrices` lists every labelled matrix;
-both are oracles for the tests.  `check_weight` is the one supported-weight
+Burnside's lemma, `connected_count` the weakly connected ones among them,
+and `raw_stable_matrices` lists every labelled matrix; all three are
+oracles for the tests.  `check_weight` is the one supported-weight
 policy; the CLI, the scripts and `catalog` call it.  Nothing here is
 memoized: `catalog.stable_records` keeps the records of each (j, s), and
 every per-weight consumer (census, expansion, identities, verify suites)
@@ -41,16 +40,18 @@ reads them through `catalog.weight_records`.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import groupby
 from math import comb, factorial, gcd
 from operator import sub
 
-from .graphs import Matrix, MultiDigraph, Symmetry, is_stable, symmetry
+from .graphs import Matrix, MultiDigraph, Symmetry, is_stable, refine, symmetry
 
 __all__ = [
     "MAX_WEIGHT",
     "SLOW_WEIGHT",
     "check_weight",
     "census_count",
+    "connected_count",
     "enumerate_stable",
     "raw_stable_matrices",
 ]
@@ -121,67 +122,37 @@ def _row_choices(v: int, kind: Type, caps: tuple[int, ...]) -> list:
     (row, capacities after): its loops on the diagonal, its out - loops
     other edges split under the capacities of the other columns."""
     out, _, loops = kind
-    masked = caps[:v] + (0,) + caps[v + 1 :]
-    choices = []
-    for off in _bounded_compositions(out - loops, masked):
-        choices.append((off[:v] + (loops,) + off[v + 1 :], tuple(map(sub, caps, off))))
-    return choices
-
-
-def _signature_ordered(rows, types) -> bool:
-    """The leaf test of the fill (see the module docstring): whether each
-    two adjacent vertices of the full matrix `rows` that have equal types
-    are in non-increasing order of neighbour signature.  Each signature here
-    also holds the vertex's own term, which is the same for two vertices of
-    equal type and so leaves the comparison unchanged."""
-    cols = None
-    upper = None  # the signature of vertex a, when it tied with vertex a - 1
-    for a in range(len(rows) - 1):
-        if types[a] != types[a + 1]:
-            upper = None
-            continue
-        if cols is None:
-            cols = tuple(zip(*rows))
-        if upper is None:
-            upper = sorted(zip(types, rows[a], cols[a]), reverse=True)
-        lower = sorted(zip(types, rows[a + 1], cols[a + 1]), reverse=True)
-        if upper < lower:
-            return False
-        upper = lower
-    return True
+    offs = _bounded_compositions(out - loops, caps[:v] + (0,) + caps[v + 1 :])
+    return [(off[:v] + (loops,) + off[v + 1 :], tuple(map(sub, caps, off))) for off in offs]
 
 
 def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
-    """The first `symmetry` search of each isomorphism class of j-vertex,
-    s-edge stable graphs, sorted by canonical matrix (for a fixed j, the
-    canonical-key order).  Empty when s < 2j.  A catalog record reads the
-    canonical matrix and vertex group order of its class from it, so it
-    searches nothing again; `MultiDigraph` of the matrix is the class's
-    canonical representative.
-
-    Fixes each vertex's (out-degree, in-degree, loops) first and then fills
-    the rows with those margins (see the module docstring).  Only matrices
-    whose equal-type neighbours are in non-increasing order of neighbour
-    signature reach `symmetry`; every class has one."""
+    """A `Symmetry` of each isomorphism class of j-vertex, s-edge stable
+    graphs, its first search or its refined leaf, sorted by canonical matrix
+    (for a fixed j, the canonical-key order).  Empty when s < 2j.  A catalog
+    record reads the canonical matrix and vertex group order of its class
+    from it, so it searches nothing again; `MultiDigraph` of the matrix is
+    the class's canonical representative.  The module docstring describes
+    the fill and its leaf test."""
     if j < 1 or s < 2 * j:
         return ()
     last = j - 1
     choices: dict[tuple, list] = {}  # (vertex, type, capacities) -> _row_choices
     rows: list[tuple[int, ...]] = []
-    found: dict[Matrix, Symmetry] = {}  # canonical matrix -> its first search
+    found: dict[Matrix, Symmetry] = {}  # canonical matrix -> what its class keeps
     types: tuple[Type, ...] = ()  # the sequence being filled
 
     def rec(v: int, caps: tuple[int, ...]) -> None:
         """Place row v; column u can still take caps[u] off-diagonal edges."""
         if v == last:
             if caps[last] == 0:  # the forced last row adds nothing to its own column
-                rows.append(caps[:last] + (types[last][2],))
-                if _signature_ordered(rows, types):
-                    # symmetry, not canonical_form: the per-graph memo would
-                    # keep every raw matrix
-                    searched = symmetry(tuple(rows))
+                leaf = (*rows, caps[:last] + (types[last][2],))
+                cells = refine(leaf, tuple(zip(*leaf)), runs, ordered=True)
+                if cells is not None and len(cells) == j:  # discrete: refinement orders it
+                    found[leaf] = Symmetry(leaf, (), 1)
+                elif cells is not None:  # symmetry, not canonical_form: its memo would keep every leaf
+                    searched = symmetry(leaf, cells)
                     found.setdefault(searched.matrix, searched)
-                rows.pop()
             return
         key = (v, types[v], caps)
         entry = choices.get(key)
@@ -193,6 +164,7 @@ def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
             rows.pop()
 
     for types in _type_sequences(j, s):
+        runs = [list(run) for _, run in groupby(range(j), types.__getitem__)]  # equal types
         rec(0, tuple(in_ - loops for _, in_, loops in types))
     # rec refers to itself; dropping it frees the row choices now rather
     # than at the next full garbage collection
@@ -261,6 +233,20 @@ def census_count(j: int, s: int) -> int:
             centralizer *= p**m * factorial(m)
         total += factorial(j) // centralizer * _fixed_matrices(cycles, s)
     return total // factorial(j)
+
+
+def connected_count(k: int) -> int:
+    """The number of weakly connected stable graphs of weight k, without
+    generating one: the inverse Euler transform of the weight totals
+    (Bernstein & Sloane, Linear Algebra Appl. 226-228, 1995), since weights
+    add over components.  With c(w) = sum over d | w of d * connected(d),
+    the totals a satisfy w a(w) = sum over i = 1..w of c(i) a(w - i)."""
+    totals = [1] + [sum(census_count(j, j + w) for j in range(1, w + 1)) for w in range(1, k + 1)]
+    c, connected = [0] * (k + 1), [0] * (k + 1)
+    for w in range(1, k + 1):
+        c[w] = w * totals[w] - sum(c[i] * totals[w - i] for i in range(1, w))
+        connected[w] = (c[w] - sum(d * connected[d] for d in range(1, w) if w % d == 0)) // w
+    return connected[k] if k >= 1 else 0
 
 
 def raw_stable_matrices(j: int, s: int):

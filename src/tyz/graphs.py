@@ -9,25 +9,27 @@ graph compares and hashes as its matrix tuple, in C.
 
 Canonical forms and automorphism groups come from one search, `symmetry`:
 partition refinement with individualization and automorphism pruning, after
-McKay & Piperno, "Practical graph isomorphism, II" (J. Symbolic Comput. 60,
-2014).  It is exact for every input; its cost grows with how much symmetry
-refinement fails to break, not with n!, so family graphs with dozens of
-vertices take milliseconds.  The search returns the canonical matrix itself
-(`Symmetry.matrix`), with generators and the order of the vertex group:
-`canonical_form` wraps the matrix, `canonical_key` is the vertex count
-followed by its rows, and the enumeration collects it.  The one memo is per
-graph: `canonical_key`, `canonical_form`, `automorphisms` and `aut_order`
-share the search result of each `MultiDigraph`.  `symmetry` itself keeps
-nothing, and no census or catalog record fills the memo: a cold record
-reads the search its class kept in the fill, and a reread one searches its
-stored matrix once, directly.
+McKay & Piperno, "Practical graph isomorphism, II" (J. Symbolic Comput.
+60, 2014).  It is exact for every input; its cost grows with how much
+symmetry refinement fails to break, not with n!, so family graphs with
+dozens of vertices take milliseconds.  Its refinement, `refine`, is a
+splitter queue that the census fill's leaf test shares; both start from the
+cells of equal (out, in, loops) type in descending order.  The search
+returns the canonical matrix itself (`Symmetry.matrix`), with generators and
+the order of the vertex group: `canonical_form` wraps the matrix,
+`canonical_key` is the vertex count followed by its rows, and the
+enumeration collects it.  The one memo is per graph: `canonical_key`,
+`canonical_form`, `automorphisms` and `aut_order` share the search result of
+each `MultiDigraph`.  `symmetry` itself keeps nothing, and no census or
+catalog record fills the memo: a cold record reads the search its class kept
+in the fill, and a reread one searches its stored matrix once, directly.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from itertools import chain, compress
+from itertools import chain, compress, groupby
 from operator import index, itemgetter
 from typing import NamedTuple
 
@@ -45,6 +47,7 @@ __all__ = [
     "connectivity",
     "is_strongly_connected",
     "Symmetry",
+    "refine",
     "symmetry",
     "canonical_key",
     "canonical_form",
@@ -241,17 +244,74 @@ class Symmetry(NamedTuple):
     order: int
 
 
-def symmetry(adj: Matrix) -> Symmetry:
+def refine(adj: Matrix, cols: Matrix, cells, queue=None, ordered: bool = False):
+    """Refine the ordered partition `cells` of the vertices of adj (columns
+    `cols`) to an equitable one by a splitter queue (McKay & Piperno 2014): a
+    splitter W splits each cell by the multiset over w in W of (edges v -> w,
+    edges w -> v), its pieces in place in ascending signature order.  `queue`
+    indexes the first splitters in `cells`, all when None; a split cell that
+    was queued queues all its pieces, any other all but the first largest.
+    Only positions are read, never labels.  With `ordered`, returns None at
+    the first vertex whose signature is below its predecessor's in its cell."""
+    n = len(adj)
+    order: list[int] = []
+    ends = {}  # start -> end of each cell, as positions in order
+    for cell in cells:
+        start = len(order)
+        order += cell
+        ends[start] = len(order)
+    starts = list(ends)
+    queue = starts if queue is None else [starts[i] for i in queue]
+    queued = set(queue)
+    for first in queue:
+        if len(ends) == n:
+            break
+        queued.remove(first)
+        splitter = order[first : ends[first]]
+        single = len(splitter) == 1  # then pick returns the entry, not a tuple
+        whole = len(splitter) == n  # then the multiset needs no pick
+        pick = itemgetter(*splitter)
+        start = 0
+        while start < n:
+            end = ends[start]
+            if end - start > 1:
+                cell = order[start:end]
+                sigs = []
+                for v in cell:
+                    if single:
+                        sig = pick(adj[v]), pick(cols[v])
+                    elif whole:
+                        sig = sorted(zip(adj[v], cols[v]))
+                    else:
+                        sig = sorted(zip(pick(adj[v]), pick(cols[v])))
+                    if ordered and sigs and sig < sigs[-1]:
+                        return None
+                    sigs.append(sig)
+                if sigs.count(sigs[0]) < len(sigs):
+                    if not ordered:  # a stable sort by signature alone
+                        sigs, order[start:end] = zip(*sorted(zip(sigs, cell), key=itemgetter(0)))
+                    cuts = [start + p for p in range(1, len(cell)) if sigs[p] != sigs[p - 1]]
+                    pieces = list(zip([start, *cuts], [*cuts, end]))
+                    ends.update(pieces)
+                    if start not in queued:
+                        pieces.remove(max(pieces, key=lambda piece: piece[1] - piece[0]))
+                    fresh = [a for a, _ in pieces if a not in queued]
+                    queue += fresh  # the loop over queue takes them in turn
+                    queued.update(fresh)
+            start = end
+    return [order[a : ends[a]] for a in sorted(ends)]
+
+
+def symmetry(adj: Matrix, cells=None) -> Symmetry:
     """Search the vertex orderings of adj that partition refinement admits.
 
-    Refine: vertices start in cells by loop count; a cell is split by each
-    vertex's multiset of (cell, out-multiplicity, in-multiplicity) over its
-    neighbours, and the new cells are ordered by that signature, so no step
-    depends on the vertex labels.  Individualize: the first cell with more
-    than one vertex branches into one child per vertex, which becomes a cell
-    of its own before refining again.  Every discrete partition is a leaf
-    ordering, read off as a matrix; when the first refinement is already
-    discrete, that one leaf is returned with the trivial group at once.
+    Refine (`refine`) from cells of equal (out, in, loops) type in
+    descending order of type, the fill's vertex order; `cells`, the fill's
+    refined start, is not refined again.  Individualize: the first cell with
+    more than one vertex branches into one child per vertex, a cell of its
+    own and the only one queued to refine again.  Every discrete partition is
+    a leaf ordering, read off as a matrix; when the first refinement is
+    already discrete, that one leaf is returned with the trivial group.
 
     Prune: two leaves with equal matrices give an automorphism, and the
     search jumps back to where their paths part, since the automorphism maps
@@ -266,38 +326,11 @@ def symmetry(adj: Matrix) -> Symmetry:
     n = len(adj)
     if n <= 1:
         return Symmetry(adj, (), 1)  # its own canonical form, no other ordering
-    # links[v]: (u, multiplicity v -> u, multiplicity u -> v) for each u joined
-    # to v; a loop pairs v with itself
-    links = [
-        [(u, adj[v][u], adj[u][v]) for u in range(n) if adj[v][u] or adj[u][v]]
-        for v in range(n)
-    ]
-
-    def refine(cells: list[list[int]]) -> list[list[int]]:
-        while len(cells) < n:
-            cell_of = [0] * n
-            for index, cell in enumerate(cells):
-                for v in cell:
-                    cell_of[v] = index
-            split: list[list[int]] = []
-            for cell in cells:
-                if len(cell) == 1:
-                    split.append(cell)
-                    continue
-                parts: dict[tuple, list[int]] = {}
-                for v in cell:
-                    signature = tuple(sorted([(cell_of[u], o, i) for u, o, i in links[v]]))
-                    parts.setdefault(signature, []).append(v)
-                split.extend(parts[signature] for signature in sorted(parts))
-            if len(split) == len(cells):
-                return cells
-            cells = split
-        return cells
-
-    start: dict[int, list[int]] = {}
-    for v in range(n):
-        start.setdefault(adj[v][v], []).append(v)
-    cells = refine([start[loops] for loops in sorted(start)])
+    cols = tuple(zip(*adj))
+    if cells is None:
+        types = [(sum(adj[v]), sum(cols[v]), adj[v][v]) for v in range(n)]
+        start = sorted(range(n), key=types.__getitem__, reverse=True)  # stable: ties by label
+        cells = refine(adj, cols, [list(run) for _, run in groupby(start, types.__getitem__)])
     if len(cells) == n:  # already discrete: one leaf, so the group is trivial
         return Symmetry(_leaf_matrix(adj, [cell[0] for cell in cells]), (), 1)
 
@@ -354,7 +387,7 @@ def symmetry(adj: Matrix) -> Symmetry:
             # cells in place, so a leaf ordering records the whole path; the
             # jump back in leaf() relies on that
             child = cells[:target] + [[v], [u for u in cell if u != v]] + cells[target + 1 :]
-            back = visit(refine(child), path + [v])
+            back = visit(refine(adj, cols, child, [target]), path + [v])
             if back < depth:
                 return back
         return depth

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import time
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from tyz.zeta import z
 
 
 # sha256 of the catalog lines of every weight <= 5, see test_catalog_lines_are_pinned
-CATALOG_SHA256 = "b96388909a297c196298ab85be198cfc243299a3d6bcc42145c3cca048603242"
+CATALOG_SHA256 = "183ff3863bd5a13881aeb66bd5f39cfe3a17ca1a9e499901dd2259a0a7d0a6ea"
 
 
 def _clear_memo():
@@ -164,8 +165,10 @@ def test_aut_orders_sum_to_the_labelled_matrices():
     """Each class of j-vertex matrices has j! / (vertex automorphisms)
     labelled members, and aut counts label bijections as well, so
     j! * prod(m!) / aut summed over a catalog counts its labelled stable
-    matrices, which Burnside's dynamic program counts directly."""
-    for k in range(1, 6):
+    matrices, which Burnside's dynamic program counts directly.  Weight 6
+    has many classes that the fill keeps without a search, with group
+    order 1, so this checks that shortcut in aggregate too."""
+    for k in range(1, 7):
         for j in range(1, k + 1):
             labelled = 0
             for r in stable_records(j, j + k):
@@ -326,6 +329,40 @@ def test_corrupt_cache_is_rebuilt(tmp_path, monkeypatch):
     _clear_memo()
 
 
+# The (2, 5) catalog as versions before the type-partition start wrote it:
+# the same six classes, each under another canonical representative.
+OLD_REPRESENTATIVES_2_5 = ("0 2;2 1", "0 2;3 0", "1 1;1 2", "1 1;2 1", "2 0;0 3", "2 0;1 2")
+
+
+def test_catalog_in_old_representatives_is_rebuilt_once(tmp_path, monkeypatch):
+    """A catalog written before the refinement started from the type
+    partition has every stored field right but its representatives: it is
+    rebuilt with one warning naming 'adjacency', and the rewritten file
+    reads back without one."""
+    monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(catalog, "_memo", {})
+    lines = []
+    for text in OLD_REPRESENTATIVES_2_5:
+        old = parse_graph(text)
+        line = record_to_json(build_record(old))
+        line["adjacency"] = [list(row) for row in old.adj]
+        lines.append(json.dumps(line) + "\n")
+    path = tmp_path / "stable-2-5.jsonl"
+    path.write_text("".join(lines))
+    with pytest.warns(RuntimeWarning) as caught:
+        records = stable_records(2, 5)
+    assert len(caught) == 1
+    assert "stable-2-5.jsonl: line 1: field 'adjacency'" in str(caught[0].message)
+    assert {r.graph for r in records} == {
+        graphs.canonical_form(parse_graph(text)) for text in OLD_REPRESENTATIVES_2_5
+    }
+    assert all(r.graph != parse_graph(text) for r in records for text in OLD_REPRESENTATIVES_2_5)
+    monkeypatch.setattr(catalog, "_memo", {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert stable_records(2, 5) == records
+
+
 def test_duplicate_record_is_rejected(tmp_path, monkeypatch):
     monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
     _clear_memo()
@@ -448,9 +485,10 @@ def test_reread_searches_each_graph_once(tmp_path, monkeypatch):
 
 
 def test_cold_records_search_only_inside_the_fill(tmp_path, monkeypatch):
-    """A cold catalog searches each kept fill leaf once and nothing more:
-    each record is built from the search its class kept in the fill, and
-    nothing is left in the per-graph memo."""
+    """A cold catalog searches each kept fill leaf whose refinement is not
+    discrete once, and nothing more: each record is built from the search or
+    the refined leaf its class kept in the fill, and nothing is left in the
+    per-graph memo."""
     monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(catalog, "_memo", {})
     monkeypatch.setattr(graphs, "_searched", {})
@@ -458,9 +496,9 @@ def test_cold_records_search_only_inside_the_fill(tmp_path, monkeypatch):
     search = graphs.symmetry
 
     def counting(where):
-        def counted(adj):
+        def counted(adj, cells=None):
             searched[where] += 1
-            return search(adj)
+            return search(adj, cells)
 
         return counted
 
@@ -470,7 +508,7 @@ def test_cold_records_search_only_inside_the_fill(tmp_path, monkeypatch):
     records = stable_records(5, 10)
     assert len(records) == 85
     assert (tmp_path / "stable-5-10.jsonl").exists()
-    assert searched == Counter(fill=248)
+    assert searched == Counter(fill=169)
     assert graphs._searched == {}
 
 

@@ -20,7 +20,7 @@ from tyz.zeta import FamilySpec, build_family
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # sha256 of `tyz verify all --format json` standard output
-VERIFY_ALL_SHA256 = "cfadbeb67cffec39d8251ebb5a9e112931713434e7a4fd267c9e3e5b2a7f77c9"
+VERIFY_ALL_SHA256 = "f93517aa7d6fd3f57d6887d945b62e39d700ea8def0171215358a54115b39c09"
 
 
 def run(capsys, *argv):

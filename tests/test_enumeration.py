@@ -1,11 +1,13 @@
 import math
+import random
+from functools import cache
 
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
 from tyz import enumeration
-from tyz.catalog import class_counts, weight_records
+from tyz.catalog import TABLE2, class_counts, weight_records
 from tyz.enumeration import enumerate_stable, raw_stable_matrices
 from tyz.graphs import (
     MultiDigraph,
@@ -14,6 +16,7 @@ from tyz.graphs import (
     canonical_key,
     is_stable,
     parse_graph,
+    refine,
     relabel,
     symmetry,
 )
@@ -84,25 +87,26 @@ def test_fill_keeps_only_invariant_ordered_matrices(monkeypatch):
     """The fill builds only matrices with non-increasing (out, in, loops)
     vertex types, and only those that pass the leaf test reach the symmetry
     search.  Of the 6,210 full matrices of (5, 10), the fill builds the
-    1,607 whose types are non-increasing; 248 of those also have
-    non-increasing neighbour signatures wherever two adjacent vertices have
-    equal types, and 248 searches give the 85 classes."""
+    1,607 whose types are non-increasing; refining their type runs leaves
+    the vertices of some in order, and those whose refinement is not
+    discrete take at most 169 searches for the 85 classes."""
     leaves, calls = [], []
-    leaf_test = enumeration._signature_ordered
+    leaf_test = enumeration.refine
 
-    def counted_leaf(rows, types):
-        leaves.append(tuple(rows))
-        return leaf_test(rows, types)
+    def counted_leaf(adj, cols, cells, queue=None, ordered=False):
+        assert ordered and queue is None
+        leaves.append(adj)
+        return leaf_test(adj, cols, cells, queue, ordered)
 
-    def counted(adj):
+    def counted(adj, cells=None):
         calls.append(adj)
-        return symmetry(adj)
+        return symmetry(adj, cells)
 
-    monkeypatch.setattr(enumeration, "_signature_ordered", counted_leaf)
+    monkeypatch.setattr(enumeration, "refine", counted_leaf)
     monkeypatch.setattr(enumeration, "symmetry", counted)
     assert len(enumerate_stable(5, 10)) == 85
     assert len(leaves) == len(set(leaves)) == 1607
-    assert len(calls) <= 248
+    assert len(calls) <= 169
 
 
 def _types(g):
@@ -138,30 +142,46 @@ def test_census_count_equals_the_enumerator():
     assert enumeration.census_count(0, 0) == enumeration.census_count(3, 5) == 0
 
 
+def test_connected_count_is_the_inverse_euler_transform_of_the_census():
+    """The connected classes counted from the weight totals alone equal
+    TABLE2's connected column for k <= 5, and the enumerator's connected
+    records at k = 6."""
+    for k in range(1, 6):
+        assert enumeration.connected_count(k) == TABLE2[k][1], k
+    connected = sum(r.cls != "disconnected" for r in weight_records(6))
+    assert enumeration.connected_count(6) == connected == 4835
+    assert enumeration.connected_count(0) == 0
+
+
+def _type_runs(g):
+    """The vertices of g in cells of equal (out, in, loops) type, the cells
+    in descending order of type, as the fill and `symmetry` start."""
+    types = _types(g)
+    return [
+        [v for v in range(g.n) if types[v] == t] for t in sorted(set(types), reverse=True)
+    ]
+
+
 def _sorted_by_key(g):
-    """g with its vertices in descending order of (out-degree, in-degree,
-    loops, neighbour signature), ties kept in label order."""
-    n, adj = g.n, g.adj
-    outs, ins = g.out_degrees(), g.in_degrees()
-    invariants = [(outs[v], ins[v], adj[v][v]) for v in range(n)]
-
-    def key(v):
-        others = [(invariants[u], adj[v][u], adj[u][v]) for u in range(n) if u != v]
-        return invariants[v], sorted(others, reverse=True)
-
-    return relabel(g, sorted(range(n), key=key, reverse=True))
+    """g with its vertices in the order of the refinement of its type
+    partition: the key is the position of a vertex's cell."""
+    cells = refine(g.adj, tuple(zip(*g.adj)), _type_runs(g))
+    return relabel(g, [v for cell in cells for v in cell])
 
 
 def _passes_leaf_test(g) -> bool:
     """Whether the fill keeps g: its vertex types are non-increasing, as the
-    fill builds them, and it passes the leaf test."""
+    fill builds them, and refining its type runs keeps its vertices in order."""
     types = _types(g)
-    return types == sorted(types, reverse=True) and enumeration._signature_ordered(g.adj, types)
+    if types != sorted(types, reverse=True):
+        return False
+    return refine(g.adj, tuple(zip(*g.adj)), _type_runs(g), ordered=True) is not None
 
 
 def test_leaf_test_accepts_every_class_sorted_by_its_key():
-    """The leaf test is sound: sorting any graph's vertices by the key gives
-    a matrix that passes it, so the fill keeps a matrix of every class."""
+    """The leaf test is sound: the refinement of the type partition does not
+    depend on the labels, so the matrix of any graph in its refined order
+    passes, and the fill keeps a matrix of every class."""
     for k in range(1, 6):
         for r in weight_records(k):
             assert _passes_leaf_test(_sorted_by_key(r.graph)), r.graph
@@ -178,12 +198,50 @@ def test_leaf_test_accepts_relabelled_classes_sorted_by_their_key(data):
 
 def test_leaf_test_rejects_a_tied_pair_out_of_signature_order():
     # vertices 1 and 2 tie on (out, in, loops) = (2, 2, 0); toward vertex 0,
-    # vertex 1 has (1 out, 2 in) and vertex 2 has (2 out, 1 in), so vertex 2
-    # has the larger signature and must come first
-    g = parse_graph("0 2 1;1 0 1;2 0 0")
+    # vertex 1 has (2 out, 1 in) and vertex 2 has (1 out, 2 in), so vertex 2
+    # has the smaller signature over the splitter {0} and must come first
+    g = parse_graph("0 1 2;2 0 0;1 1 0")
     assert (g.out_degrees(), g.in_degrees()) == ((3, 2, 2), (3, 2, 2))
+    assert _type_runs(g) == [[0], [1, 2]]
     assert not _passes_leaf_test(g)
     assert _passes_leaf_test(relabel(g, [0, 2, 1]))
+
+
+def test_refinement_alone_orders_the_passing_leaf_of_a_discrete_class():
+    """A leaf whose refinement is discrete is kept without a search: it is
+    then the canonical matrix of its class, with the trivial group."""
+    g = relabel(parse_graph("0 1 2;2 0 0;1 1 0"), [0, 2, 1])
+    assert refine(g.adj, tuple(zip(*g.adj)), _type_runs(g), ordered=True) == [[0], [1], [2]]
+    assert symmetry(g.adj) == (g.adj, (), 1)
+    assert g.adj in {found.matrix for found in enumerate_stable(3, 7)}
+
+
+@cache
+def _fill_of_weights_to_5():
+    """What the fill keeps for every class of weight <= 5."""
+    return [found for k in range(1, 6) for j in range(1, k + 1) for found in enumerate_stable(j, j + k)]
+
+
+def _relabelled_search_agrees(found, rng) -> None:
+    g = MultiDigraph(found.matrix)
+    searched = symmetry(relabel(g, rng.sample(range(g.n), g.n)).adj)
+    assert (searched.matrix, searched.order) == (found.matrix, found.order), g
+
+
+def test_fill_matrices_equal_a_fresh_search_of_a_relabelling():
+    """The fill keeps a leaf whose refinement is discrete without searching
+    it; a fresh search of a relabelling of every class of weight <= 5
+    returns the fill's matrix and group order all the same."""
+    rng = random.Random(16)
+    for found in _fill_of_weights_to_5():
+        _relabelled_search_agrees(found, rng)
+
+
+@settings(deadline=None)
+@given(st.data(), st.randoms(use_true_random=False))
+def test_fill_matrix_equals_a_fresh_search_of_a_random_relabelling(data, rng):
+    kept = _fill_of_weights_to_5()
+    _relabelled_search_agrees(kept[data.draw(st.integers(0, len(kept) - 1))], rng)
 
 
 def test_enumerated_graphs_are_canonical_and_strictly_sorted():
