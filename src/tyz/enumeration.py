@@ -20,12 +20,12 @@ order, and is kept only if it passes the leaf test: `graphs.refine` of its
 runs of equal type, `ordered`, keeps each vertex in order.  The fill is
 sound because the refinement does not depend on the labels: listing any
 stable graph's vertices in the refined order of its types gives a matrix of
-its class that the fill reaches and that passes.  When that partition is
-discrete, the matrix is the class's canonical one with the trivial group,
-kept with no search and no dedup; any other kept leaf hands its partition
-to `symmetry`, and the first search of each canonical matrix is kept, so
-the record of the class searches nothing again.  The canonical dedup owns
-correctness regardless.
+its class that the fill reaches and that passes.  A kept leaf hands its
+refined partition to `symmetry`, which does not refine it again: when the
+partition is discrete, the leaf is its class's canonical matrix with the
+trivial group and there is no search.  The first `Symmetry` of each
+canonical matrix is kept, so the record of the class searches nothing
+again.  The canonical dedup owns correctness regardless.
 
 `census_count` counts the same classes without generating a graph, by
 Burnside's lemma, `connected_count` the weakly connected ones among them,
@@ -128,12 +128,12 @@ def _row_choices(v: int, kind: Type, caps: tuple[int, ...]) -> list:
 
 def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
     """A `Symmetry` of each isomorphism class of j-vertex, s-edge stable
-    graphs, its first search or its refined leaf, sorted by canonical matrix
-    (for a fixed j, the canonical-key order).  Empty when s < 2j.  A catalog
-    record reads the canonical matrix and vertex group order of its class
-    from it, so it searches nothing again; `MultiDigraph` of the matrix is
-    the class's canonical representative.  The module docstring describes
-    the fill and its leaf test."""
+    graphs, the first the fill's `symmetry` calls give, sorted by canonical
+    matrix (for a fixed j, the canonical-key order).  Empty when s < 2j.  A
+    catalog record reads the canonical matrix and vertex group order of its
+    class from it, so it searches nothing again; `MultiDigraph` of the
+    matrix is the class's canonical representative.  The module docstring
+    describes the fill and its leaf test."""
     if j < 1 or s < 2 * j:
         return ()
     last = j - 1
@@ -148,9 +148,7 @@ def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
             if caps[last] == 0:  # the forced last row adds nothing to its own column
                 leaf = (*rows, caps[:last] + (types[last][2],))
                 cells = refine(leaf, tuple(zip(*leaf)), runs, ordered=True)
-                if cells is not None and len(cells) == j:  # discrete: refinement orders it
-                    found[leaf] = Symmetry(leaf, (), 1)
-                elif cells is not None:  # symmetry, not canonical_form: its memo would keep every leaf
+                if cells is not None:  # symmetry, not canonical_form: its memo would keep every leaf
                     searched = symmetry(leaf, cells)
                     found.setdefault(searched.matrix, searched)
             return
@@ -246,7 +244,7 @@ def connected_count(k: int) -> int:
     for w in range(1, k + 1):
         c[w] = w * totals[w] - sum(c[i] * totals[w - i] for i in range(1, w))
         connected[w] = (c[w] - sum(d * connected[d] for d in range(1, w) if w % d == 0)) // w
-    return connected[k] if k >= 1 else 0
+    return connected[k]
 
 
 def raw_stable_matrices(j: int, s: int):

@@ -269,7 +269,6 @@ def refine(adj: Matrix, cols: Matrix, cells, queue=None, ordered: bool = False):
         queued.remove(first)
         splitter = order[first : ends[first]]
         single = len(splitter) == 1  # then pick returns the entry, not a tuple
-        whole = len(splitter) == n  # then the multiset needs no pick
         pick = itemgetter(*splitter)
         start = 0
         while start < n:
@@ -280,8 +279,6 @@ def refine(adj: Matrix, cols: Matrix, cells, queue=None, ordered: bool = False):
                 for v in cell:
                     if single:
                         sig = pick(adj[v]), pick(cols[v])
-                    elif whole:
-                        sig = sorted(zip(adj[v], cols[v]))
                     else:
                         sig = sorted(zip(pick(adj[v]), pick(cols[v])))
                     if ordered and sigs and sig < sigs[-1]:
