@@ -21,6 +21,7 @@ from .catalog import (
     read_catalog,
     stable_records,
     unit_ball_lhs,
+    unit_ball_sums,
     verify,
     weight_records,
     write_catalog,
@@ -30,6 +31,7 @@ from .eulerian import (
     IntPolynomial,
     arborescence_count,
     bernoulli,
+    connected_unit_ball_rhs,
     cycle_decomposition_poly,
     euler_tour_bruteforce,
     euler_tour_count,

@@ -9,8 +9,9 @@ tampered file fails loudly with the line number and field name.  A catalog
 is written to a temporary file renamed into place, so no reader sees a
 partial one; the on-disk cache (`stable_records`) checks each line's vertex
 and edge count before rebuilding its record, rebuilds a file that fails to
-read, and warns (RuntimeWarning) of that and of a failed write, which loses
-only the disk copy.  The records of each (cache directory, j, s) are kept in
+read or holds another number of records than `census_count`, and warns
+(RuntimeWarning) of that and of a failed write, which loses only the disk
+copy.  The records of each (cache directory, j, s) are kept in
 memory too (`_memo`), and with the disk cache that is the only memo of the
 census: `weight_records` serves every weight-k sum here, the census
 (`class_counts`, one TABLE2 row), the formal sum (`expansion`), the
@@ -35,14 +36,14 @@ from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
-from .enumeration import check_weight, enumerate_stable
+from .enumeration import census_count, check_weight, enumerate_stable
 from .eulerian import (
-    ZERO_POLY,
     IntPolynomial,
     _tour_count,
     arborescence_count,
     arborescences_bruteforce,
     bernoulli,
+    connected_unit_ball_rhs,
     cycle_decomposition_poly,
     euler_tour_bruteforce,
     is_balanced,
@@ -78,6 +79,7 @@ __all__ = [
     "FormalSum",
     "expansion",
     "bernoulli_identity_lhs",
+    "unit_ball_sums",
     "unit_ball_lhs",
     "GoldenFixture",
     "golden_fixture",
@@ -292,21 +294,32 @@ def catalog_cache_dir() -> Path | None:
 
 def stable_records(j: int, s: int) -> tuple[CatalogRecord, ...]:
     """Catalog records for the j-vertex, s-edge stable graphs, cached in
-    memory per cache directory and, when one is configured, on disk."""
+    memory per cache directory and, when one is configured, on disk.
+
+    The number of records must equal `census_count(j, s)`: a catalog read
+    with another count is rebuilt like a corrupt one, and an enumeration
+    that gives another count raises RuntimeError."""
     cache_root = catalog_cache_dir()
     memo_key = (cache_root, j, s)
     if memo_key in _memo:
         return _memo[memo_key]
+    expected = census_count(j, s)
     path = None if cache_root is None else cache_root / f"stable-{j}-{s}.jsonl"
     if path is not None and path.exists():
         try:
             records = tuple(read_catalog(path, (j, s)))
+            if len(records) != expected:
+                raise ValueError(f"{len(records)} records, census_count gives {expected}")
         except (ValueError, OSError) as exc:
             warnings.warn(f"rebuilding catalog {path}: {exc}", RuntimeWarning, stacklevel=2)
         else:
             _memo[memo_key] = records
             return records
     records = tuple(map(build_record, enumerate_stable(j, s)))
+    if len(records) != expected:
+        raise RuntimeError(
+            f"enumerate_stable({j}, {s}) gave {len(records)} classes, census_count gives {expected}"
+        )
     if path is not None:
         try:
             write_catalog(records, path)
@@ -385,17 +398,30 @@ def bernoulli_identity_lhs(k: int) -> Fraction:
     return total
 
 
-def unit_ball_lhs(k: int) -> IntPolynomial:
-    """Catalog side: sum over stable weight-k graphs of
-    z(G) * prod((deg+ - 1)!) times the cycle-decomposition polynomial; the
-    identity says this equals `unit_ball_rhs(k)`."""
-    total = ZERO_POLY
+def unit_ball_sums(k: int) -> tuple[IntPolynomial, IntPolynomial]:
+    """Catalog side of both unit-ball identities, from one pass over the
+    stable weight-k graphs: the sum of z(G) * prod((deg+ - 1)!) times the
+    cycle-decomposition polynomial over all of them, which the identity
+    says equals `unit_ball_rhs(k)`, and the same sum over the weakly
+    connected ones, which equals `connected_unit_ball_rhs(k)`.  A graph
+    with z = 0 or without a decomposition adds nothing."""
+    full, connected = [Fraction(0)] * (2 * k + 1), [Fraction(0)] * (2 * k + 1)
     for r in weight_records(check_weight(k)):
-        poly = cycle_decomposition_poly(r.graph)
-        if poly.coeffs:
-            factor = math.prod(math.factorial(d - 1) for d in r.graph.out_degrees())
-            total = total + poly.scale(r.z * factor)
-    return total
+        if not r.z:
+            continue
+        factor = r.z * math.prod(math.factorial(d - 1) for d in r.graph.out_degrees())
+        sums = (full,) if r.cls == CLASS_DISCONNECTED else (full, connected)
+        for p, c in enumerate(cycle_decomposition_poly(r.graph).coeffs):
+            term = factor * c
+            for total in sums:
+                total[p] += term
+    return IntPolynomial.of(full), IntPolynomial.of(connected)
+
+
+def unit_ball_lhs(k: int) -> IntPolynomial:
+    """The full sum of `unit_ball_sums`; the identity says it equals
+    `unit_ball_rhs(k)`."""
+    return unit_ball_sums(k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +565,14 @@ def _suite_unitball(top: int) -> list[VerifyCase]:
     cases = []
     printed = {1: _P1_PRINTED, 2: _P2_PRINTED}
     for k in range(1, top + 1):
-        lhs, rhs = unit_ball_lhs(k), unit_ball_rhs(k)
+        (lhs, connected), rhs = unit_ball_sums(k), unit_ball_rhs(k)
         cases.append(VerifyCase(f"P_{k} catalog sum", format_poly(rhs), format_poly(lhs), lhs == rhs))
+        target = connected_unit_ball_rhs(k)
+        cases.append(
+            VerifyCase(
+                f"P_{k} connected sum", format_poly(target), format_poly(connected), connected == target
+            )
+        )
         leading = Fraction((-1) ** k, 2**k * math.factorial(k))
         cases.append(_rat_case(f"P_{k} leading coefficient", leading, lhs.leading()))
         if k in printed:

@@ -28,9 +28,10 @@ canonical matrix is kept, so the record of the class searches nothing
 again.  The canonical dedup owns correctness regardless.
 
 `census_count` counts the same classes without generating a graph, by
-Burnside's lemma, `connected_count` the weakly connected ones among them,
-and `raw_stable_matrices` lists every labelled matrix; all three are
-oracles for the tests.  `check_weight` is the one supported-weight
+Burnside's lemma, and `catalog.stable_records` checks every catalog's
+record count against it.  `connected_count` counts the weakly connected
+ones among them, and `raw_stable_matrices` lists every labelled matrix;
+both are oracles for the tests.  `check_weight` is the one supported-weight
 policy; the CLI, the scripts and `catalog` call it.  Nothing here is
 memoized: `catalog.stable_records` keeps the records of each (j, s), and
 every per-weight consumer (census, expansion, identities, verify suites)
@@ -190,7 +191,10 @@ def _fixed_matrices(cycles: tuple[int, ...], s: int) -> int:
     to the row sum of each vertex of the p-cycle and x p/g to the column sum
     of each vertex of the q-cycle.  The count runs over the row cycles, its
     state the edge total and each column cycle's sum capped at 2; the g
-    orbits of one block sum to y in comb(y + g - 1, g - 1) ways."""
+    orbits of one block sum to y in comb(y + g - 1, g - 1) ways.  Columns
+    of one cycle length play the same part, so states that differ only by a
+    permutation of the sums of such columns that this row cycle has passed
+    are merged: those sums are kept sorted."""
     states = {(0, (0,) * len(cycles)): 1}
     later = sum(cycles)  # the rows not yet placed
     for p in cycles:
@@ -198,12 +202,15 @@ def _fixed_matrices(cycles: tuple[int, ...], s: int) -> int:
         budget = s - 2 * later  # each later row needs 2 edges
         block = {(edges, 0, cols): count for (edges, cols), count in states.items()}
         for c, q in enumerate(cycles):
+            if c == 0 or cycles[c - 1] != q:
+                a = c  # the first column of this run of equal length
             g = gcd(p, q)
             size, to_row, to_col = p * q // g, q // g, p // g
             grown: dict[tuple, int] = defaultdict(int)
             for (edges, row, cols), count in block.items():
+                head, passed, tail = cols[:a], cols[a:c], cols[c + 1 :]
                 for y in range((budget - edges) // size + 1):
-                    after = cols[:c] + (min(2, cols[c] + y * to_col),) + cols[c + 1 :]
+                    after = head + tuple(sorted((*passed, min(2, cols[c] + y * to_col)))) + tail
                     key = (edges + y * size, min(2, row + y * to_row), after)
                     grown[key] += count * comb(y + g - 1, g - 1)
             block = grown

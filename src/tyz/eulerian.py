@@ -1,7 +1,7 @@
 """Euler tours, arborescences and cycle-decomposition polynomials of one
 graph, plus the Bernoulli numbers and unit-ball polynomials P_k.  The
 catalog sums they are compared with (`bernoulli_identity_lhs`,
-`unit_ball_lhs`) live in `catalog`, beside the records they sum over.
+`unit_ball_sums`) live in `catalog`, beside the records they sum over.
 
 Conventions that matter here:
 
@@ -17,11 +17,25 @@ Conventions that matter here:
   so the minor itself settles connectivity.
 * A cycle decomposition is a partition of the edge multiset into closed
   trails, each counted up to cyclic rotation of the trail.  Equivalently it
-  is a choice, at every vertex, of a bijection from in-edges to out-edges;
-  p(H) is the number of trails.  Under this convention sum(N^p(H)) times the
-  catalog weights reproduces P_1..P_4 exactly, and the coefficient of N^1 is
-  epsilon(G) again (a closed trail through all edges meets the fixed first
-  edge once, so trails up to rotation biject with tours starting there).
+  is a choice, at every vertex, of a bijection from in-edges to out-edges
+  (a transition system); p(H) is the number of trails.  Under this
+  convention sum(N^p(H)) times the catalog weights reproduces P_1..P_4
+  exactly, and the coefficient of N^1 is epsilon(G) again (a closed trail
+  through all edges meets the fixed first edge once, so trails up to
+  rotation biject with tours starting there).
+* `cycle_decomposition_poly` does not list all prod(deg+(v)!) transition
+  systems.  It is a product over weak components, since a trail stays in
+  one.  A vertex with l loops and m other out-edges gives the factor
+  (N + m)(N + m + 1)...(N + m + l - 1), and its loops are then deleted:
+  each loop in turn either closes a trail of its own or goes after one of
+  the transitions already placed.  Only the loopless remainder is
+  enumerated, in integer coefficients, and the vertex with the most
+  out-edges is left out of that too (see `_transition_counts`).
+* P_k is interpolated through its 2k + 1 values (-1)^k e_k(1..N) by integer
+  forward differences in the binomial basis; the only division is by (2k)!
+  at the end.  Over the weakly connected graphs alone the identity reads
+  -S_k(N)/k, S_k(N) = 1^k + ... + N^k (`connected_unit_ball_rhs`, from
+  Faulhaber's formula).
 """
 
 from __future__ import annotations
@@ -29,10 +43,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import permutations, product
+from itertools import product
 from typing import NamedTuple
 
-from .graphs import MultiDigraph
+from .graphs import MultiDigraph, connectivity
 from .zeta import det_int
 
 __all__ = [
@@ -45,6 +59,7 @@ __all__ = [
     "cycle_decomposition_poly",
     "bernoulli",
     "unit_ball_rhs",
+    "connected_unit_ball_rhs",
 ]
 
 
@@ -94,9 +109,6 @@ class IntPolynomial(NamedTuple):
 
     def __rmul__(self, other):
         return NotImplemented  # not tuple repetition: int * p raises TypeError
-
-    def scale(self, factor) -> "IntPolynomial":
-        return IntPolynomial.of([Fraction(factor) * c for c in self.coeffs])
 
     def __call__(self, x) -> Fraction:
         total = Fraction(0)
@@ -225,40 +237,87 @@ def euler_tour_bruteforce(g: MultiDigraph) -> int:
 def cycle_decomposition_poly(g: MultiDigraph) -> IntPolynomial:
     """sum over cycle decompositions H of N^p(H), as a polynomial in N.
 
-    Decompositions are enumerated as transition systems: one bijection from
-    in-edges to out-edges per vertex; the trails are the cycles of the induced
-    successor permutation on edges.  Unbalanced graphs have no decomposition
-    and give the zero polynomial; an edgeless balanced graph gives 1 (the
-    empty decomposition).
+    Unbalanced graphs have no decomposition and give the zero polynomial; an
+    edgeless balanced graph gives 1 (the empty decomposition).  Otherwise it
+    is the product over the weak components of the loop factors and of the
+    transition counts of the loopless remainder, in integers (see the
+    module docstring).
     """
     if not is_balanced(g):
         return ZERO_POLY
-    edges = g.edges()
-    if not edges:
-        return IntPolynomial.of([1])
-    ins: dict[int, list[int]] = {}
-    outs: dict[int, list[int]] = {}
-    for idx, (u, v, _) in enumerate(edges):
-        outs.setdefault(u, []).append(idx)
-        ins.setdefault(v, []).append(idx)
-    verts = sorted(ins)
-    counts: dict[int, int] = {}
-    for choice in product(*(permutations(outs[v]) for v in verts)):
-        succ = [0] * len(edges)
-        for v, image in zip(verts, choice):
-            for e, s in zip(ins[v], image):
-                succ[e] = s
-        cycles = 0
-        visited = [False] * len(edges)
-        for e in range(len(edges)):
-            if not visited[e]:
-                cycles += 1
-                while not visited[e]:
-                    visited[e] = True
-                    e = succ[e]
-        counts[cycles] = counts.get(cycles, 0) + 1
-    top = max(counts)
-    return IntPolynomial.of([counts.get(p, 0) for p in range(top + 1)])
+    adj = g.adj
+    total = [1]
+    for comp, _ in connectivity(g):
+        for v in comp:
+            total = _rising(total, sum(adj[v]) - adj[v][v], adj[v][v])
+        total = _product(total, _transition_counts(adj, comp))
+    return IntPolynomial.of(total)
+
+
+def _rising(counts: list[int], start: int, length: int) -> list[int]:
+    """counts times (N + start)(N + start + 1)...(N + start + length - 1)."""
+    for c in range(start, start + length):
+        counts = [c * x + y for x, y in zip(counts + [0], [0] + counts)]
+    return counts
+
+
+def _product(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for t, y in enumerate(b):
+            out[i + t] += x * y
+    return out
+
+
+def _transition_counts(adj, comp: list[int]) -> list[int]:
+    """sum over the transition systems of the loopless graph on the vertices
+    `comp` of N^(trails), lowest degree first.
+
+    The transitions are placed one in-edge at a time, each joining the open
+    trail that the in-edge ends to the one that an unused out-edge of its
+    head starts, or closing a trail when that is the same one.  The vertex
+    with the most out-edges, m of them, is left to the end: by then every
+    open trail runs from one of its out-edges to one of its in-edges, so its
+    m! transitions close them in every permutation, a factor
+    N(N + 1)...(N + m - 1).
+    """
+    outs: dict[int, list[int]] = {v: [] for v in comp}
+    ins: dict[int, list[int]] = {v: [] for v in comp}
+    edges = 0
+    for u in comp:
+        for v in comp:
+            if v != u:
+                for _ in range(adj[u][v]):
+                    outs[u].append(edges)
+                    ins[v].append(edges)
+                    edges += 1
+    hub = max(comp, key=lambda v: len(outs[v]))
+    slots = [(a, outs[v]) for v in comp if v != hub for a in ins[v]]
+    first = list(range(edges))  # for the last edge of an open trail, its first
+    last = list(range(edges))  # for the first edge of an open trail, its last
+    used = [False] * edges
+    counts = [0] * (edges + 1)
+
+    def place(i: int, closed: int) -> None:
+        if i == len(slots):
+            counts[closed] += 1
+            return
+        a, options = slots[i]
+        f = first[a]
+        for b in options:
+            if not used[b]:
+                used[b] = True
+                if b == f:
+                    place(i + 1, closed + 1)
+                else:
+                    end = last[b]
+                    last[f], first[end] = end, f
+                    place(i + 1, closed)
+                    last[f], first[end] = a, b
+                used[b] = False
+
+    place(0, 0)
+    return _rising(counts, 0, len(outs[hub]))
 
 
 # ---------------------------------------------------------------------------
@@ -284,32 +343,45 @@ def bernoulli(k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _interpolate(points: list[tuple[int, Fraction]]) -> IntPolynomial:
-    """Lagrange interpolation through exact points."""
-    result = ZERO_POLY
-    xs = [x for x, _ in points]
-    for t, (xt, yt) in enumerate(points):
-        basis = IntPolynomial.of([1])
-        denom = Fraction(1)
-        for s, xs_ in enumerate(xs):
-            if s == t:
-                continue
-            basis = basis * IntPolynomial.of([-xs_, 1])
-            denom *= xt - xs_
-        result = result + basis.scale(yt / denom)
-    return result
-
-
 def unit_ball_rhs(k: int) -> IntPolynomial:
     """P_k, the degree-2k polynomial with P_k(N) =
-    sum over 1 <= i_1 < ... < i_k <= N of (-i_1)...(-i_k), by interpolation
-    at N = 0..2k."""
-    points = []
-    for bound in range(2 * k + 1):
-        # elementary symmetric polynomial e_k(1..bound)
-        e = [Fraction(1)] + [Fraction(0)] * k
-        for i in range(1, bound + 1):
-            for t in range(k, 0, -1):
-                e[t] += i * e[t - 1]
-        points.append((bound, (-1) ** k * e[k]))
-    return _interpolate(points)
+    sum over 1 <= i_1 < ... < i_k <= N of (-i_1)...(-i_k), that is
+    (-1)^k e_k(1..N), interpolated through its values at N = 0..2k.
+
+    The interpolation stays in integers until the last step: the forward
+    differences d_i of the values give P_k(N) = sum of d_i binomial(N, i),
+    and binomial(N, i) is N(N - 1)...(N - i + 1) / i!, so every coefficient
+    is an integer over (2k)!.
+    """
+    top = 2 * k
+    e = [1] + [0] * k  # elementary symmetric polynomials of 1..bound
+    values = []
+    for bound in range(top + 1):
+        for t in range(k, 0, -1):
+            e[t] += bound * e[t - 1]
+        values.append((-1) ** k * e[k])
+    numerators = [0] * (top + 1)
+    falling = [1]  # N(N - 1)...(N - i + 1), lowest degree first
+    for i in range(top + 1):
+        scale = values[0] * (math.factorial(top) // math.factorial(i))
+        for p, c in enumerate(falling):
+            numerators[p] += scale * c
+        values = [b - a for a, b in zip(values, values[1:])]
+        falling = _rising(falling, -i, 1)  # times (N - i)
+    return IntPolynomial.of([Fraction(c, math.factorial(top)) for c in numerators])
+
+
+def connected_unit_ball_rhs(k: int) -> IntPolynomial:
+    """-S_k(N)/k with S_k(N) = 1^k + ... + N^k: the unit-ball identity over
+    the weakly connected graphs alone.  Every factor of a graph's term is
+    multiplicative over its weak components (z through the symmetry factor
+    of the union rule) and the weight adds, so by the exponential formula
+    (Stanley, Enumerative Combinatorics 2, 5.1) the connected sums are the
+    logarithm of sum P_k t^k = prod over i = 1..N of (1 - i t), which is
+    -sum S_m(N) t^m / m.  S_k is Faulhaber's polynomial, sum over j = 0..k
+    of binomial(k + 1, j) (-1)^j B_j N^(k + 1 - j) / (k + 1), with the B_j
+    of `bernoulli`."""
+    coeffs = [Fraction(0)] * (k + 2)
+    for j in range(k + 1):
+        coeffs[k + 1 - j] = -math.comb(k + 1, j) * (-1) ** j * bernoulli(j) / ((k + 1) * k)
+    return IntPolynomial.of(coeffs)

@@ -20,7 +20,7 @@ from tyz.zeta import FamilySpec, build_family
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # sha256 of `tyz verify all --format json` standard output
-VERIFY_ALL_SHA256 = "f93517aa7d6fd3f57d6887d945b62e39d700ea8def0171215358a54115b39c09"
+VERIFY_ALL_SHA256 = "0d385b1aa0a17a7a6d32fab0208b4c973a01256bc73107c1c843cceaab0c4333"
 
 
 def run(capsys, *argv):

@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 
 from tyz.catalog import (
     bernoulli_identity_lhs,
     unit_ball_lhs,
+    unit_ball_sums,
     weight_records,
 )
 from tyz.eulerian import (
@@ -14,6 +16,7 @@ from tyz.eulerian import (
     arborescence_count,
     arborescences_bruteforce,
     bernoulli,
+    connected_unit_ball_rhs,
     cycle_decomposition_poly,
     euler_tour_bruteforce,
     euler_tour_count,
@@ -39,7 +42,6 @@ def test_polynomial_arithmetic():
     assert (p + q).coeffs == (1, 2)
     assert (p * q).coeffs == (0, 1, 1)
     assert p(3) == 4 and (p * q)(3) == 12
-    assert p.scale(Fraction(1, 2)).coeffs == (Fraction(1, 2), Fraction(1, 2))
     assert q.leading() == 1 and p.coefficient(0) == 1 and p.coefficient(5) == 0
 
 
@@ -128,6 +130,51 @@ def test_decomposition_poly_examples():
     assert cycle_decomposition_poly(parse_graph("0 1;1 0")).coeffs == (0, 1)
     assert cycle_decomposition_poly(parse_graph("0 2;1 0")) == ZERO_POLY
     assert cycle_decomposition_poly(EMPTY).coeffs == (1,)
+    assert cycle_decomposition_poly(parse_graph("2 0;0 2")).coeffs == (0, 0, 1, 2, 1)
+    assert cycle_decomposition_poly(parse_graph("1 1;1 1")).coeffs == (0, 1, 2, 1)
+    assert cycle_decomposition_poly(parse_graph("1 1 0;0 1 1;1 0 1")).coeffs == (0, 1, 3, 3, 1)
+
+
+def _transition_systems_poly(g):
+    """Oracle: every transition system of g, one bijection from in-edges to
+    out-edges per vertex, loops included, with its trails counted as the
+    cycles of the successor permutation on the edges."""
+    if not is_balanced(g):
+        return ZERO_POLY
+    edges = g.edges()
+    ins, outs = {}, {}
+    for idx, (u, v, _) in enumerate(edges):
+        outs.setdefault(u, []).append(idx)
+        ins.setdefault(v, []).append(idx)
+    verts = sorted(ins)
+    counts = [0] * (len(edges) + 1)
+    for choice in product(*(permutations(outs[v]) for v in verts)):
+        succ = [0] * len(edges)
+        for v, image in zip(verts, choice):
+            for e, s in zip(ins[v], image):
+                succ[e] = s
+        cycles = 0
+        visited = [False] * len(edges)
+        for e in range(len(edges)):
+            if not visited[e]:
+                cycles += 1
+                while not visited[e]:
+                    visited[e] = True
+                    e = succ[e]
+        counts[cycles] += 1
+    return IntPolynomial.of(counts)
+
+
+def test_decomposition_poly_equals_every_transition_system():
+    """The loop and component rules against the plain enumeration, on every
+    balanced stable graph of weight <= 5 and on hand cases with loops on
+    several vertices and with several components."""
+    graphs = [r.graph for k in range(1, 6) for r in weight_records(k) if is_balanced(r.graph)]
+    assert len(graphs) == 274
+    hand = ["3", "2 0;0 2", "1 1;1 1", "1 1 0;0 1 1;1 0 1", "0 1 0 0;1 0 0 0;0 0 2 1;0 0 1 1"]
+    graphs += [parse_graph(text) for text in hand]
+    for g in graphs:
+        assert cycle_decomposition_poly(g) == _transition_systems_poly(g), g
 
 
 def test_decomposition_poly_at_one_counts_transition_systems():
@@ -186,6 +233,24 @@ def test_rhs_interpolation_matches_symmetric_functions():
     assert unit_ball_rhs(2)(2) == 2
     assert unit_ball_rhs(2)(3) == 11
     assert unit_ball_rhs(1)(0) == 0
+    # past the 2k + 1 interpolation points too
+    for k in range(1, 6):
+        rhs = unit_ball_rhs(k)
+        assert rhs.degree == 2 * k
+        for bound in range(3 * k + 1):
+            e_k = sum(math.prod(c) for c in combinations(range(1, bound + 1), k))
+            assert rhs(bound) == (-1) ** k * e_k, (k, bound)
+
+
+def test_connected_rhs_is_minus_a_power_sum_over_k():
+    for k in range(1, 8):
+        rhs = connected_unit_ball_rhs(k)
+        assert rhs.degree == k + 1
+        for bound in range(7):
+            assert rhs(bound) == Fraction(-sum(i**k for i in range(1, bound + 1)), k), (k, bound)
+    # its N^1 coefficient is the Bernoulli identity's target
+    for k in range(1, 8):
+        assert connected_unit_ball_rhs(k).coefficient(1) == (-1) ** (k + 1) * bernoulli(k) / k
 
 
 def test_printed_low_weight_polynomials():
@@ -201,15 +266,17 @@ def test_printed_low_weight_polynomials():
 
 def test_identity_holds_up_to_weight_four():
     for k in (1, 2, 3, 4):
-        lhs = unit_ball_lhs(k)
-        assert lhs == unit_ball_rhs(k), k
+        lhs, connected = unit_ball_sums(k)
+        assert lhs == unit_ball_lhs(k) == unit_ball_rhs(k), k
+        assert connected == connected_unit_ball_rhs(k), k
         assert lhs.degree == 2 * k
         assert lhs.leading() == Fraction((-1) ** k, 2**k * math.factorial(k))
 
 
 def test_identity_holds_at_weight_five():
-    lhs = unit_ball_lhs(5)
+    lhs, connected = unit_ball_sums(5)
     assert lhs == unit_ball_rhs(5)
+    assert connected == connected_unit_ball_rhs(5)
     assert lhs.degree == 10
     assert lhs.leading() == Fraction(-1, 3840)
 
