@@ -20,7 +20,6 @@ from .catalog import (
     parse_rational,
     read_catalog,
     stable_records,
-    unit_ball_lhs,
     unit_ball_sums,
     verify,
     weight_records,
@@ -28,7 +27,6 @@ from .catalog import (
 )
 from .enumeration import enumerate_stable
 from .eulerian import (
-    IntPolynomial,
     arborescence_count,
     bernoulli,
     connected_unit_ball_rhs,

@@ -245,7 +245,10 @@ def connected_count(k: int) -> int:
     generating one: the inverse Euler transform of the weight totals
     (Bernstein & Sloane, Linear Algebra Appl. 226-228, 1995), since weights
     add over components.  With c(w) = sum over d | w of d * connected(d),
-    the totals a satisfy w a(w) = sum over i = 1..w of c(i) a(w - i)."""
+    the totals a satisfy w a(w) = sum over i = 1..w of c(i) a(w - i).
+    Zero for k < 1, like `census_count` outside its range."""
+    if k < 1:
+        return 0
     totals = [1] + [sum(census_count(j, j + w) for j in range(1, w + 1)) for w in range(1, k + 1)]
     c, connected = [0] * (k + 1), [0] * (k + 1)
     for w in range(1, k + 1):

@@ -5,6 +5,10 @@ catalog sums they are compared with (`bernoulli_identity_lhs`,
 
 Conventions that matter here:
 
+* A polynomial in N is the tuple of its coefficients, lowest degree first,
+  trailing zeros trimmed, so () is zero: ints for the cycle-decomposition
+  polynomials, Fractions for P_k and -S_k(N)/k.  `_rising` and `_product`
+  are its only arithmetic.
 * Parallel edges and loops are distinguishable everywhere (epsilon([[3]]) is
   2, not 1).
 * epsilon(G) counts Euler tours starting with a fixed first edge; it is 0
@@ -44,13 +48,11 @@ import math
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from typing import NamedTuple
 
 from .graphs import MultiDigraph, connectivity
 from .zeta import det_int
 
 __all__ = [
-    "IntPolynomial",
     "is_balanced",
     "arborescence_count",
     "arborescences_bruteforce",
@@ -63,61 +65,12 @@ __all__ = [
 ]
 
 
-class IntPolynomial(NamedTuple):
-    """Polynomial in one indeterminate N, exact rational coefficients,
-    lowest degree first, trailing zeros trimmed.
-
-    Like the package's other value types it is a tuple (of one field): `+`,
-    `*` and `==` with a polynomial on the left are polynomial operations, but
-    a plain tuple on the left of `+` or `==` meets the tuple protocol, so
-    `(c,) + p` concatenates and `(coeffs,) == p` holds.  `int * p` stays a
-    TypeError, not a repeated tuple."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @staticmethod
-    def of(values) -> "IntPolynomial":
-        cs = [Fraction(v) for v in values]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return IntPolynomial(tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
-    def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def coefficient(self, power: int) -> Fraction:
-        return self.coeffs[power] if 0 <= power < len(self.coeffs) else Fraction(0)
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        size = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial.of(
-            [self.coefficient(t) + other.coefficient(t) for t in range(size)]
-        )
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial.of(out)
-
-    def __rmul__(self, other):
-        return NotImplemented  # not tuple repetition: int * p raises TypeError
-
-    def __call__(self, x) -> Fraction:
-        total = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
-
-
-ZERO_POLY = IntPolynomial(())
+def _trim(coeffs) -> tuple:
+    """The coefficients as a tuple, trailing zeros dropped; () is zero."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def is_balanced(g: MultiDigraph) -> bool:
@@ -234,7 +187,7 @@ def euler_tour_bruteforce(g: MultiDigraph) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cycle_decomposition_poly(g: MultiDigraph) -> IntPolynomial:
+def cycle_decomposition_poly(g: MultiDigraph) -> tuple[int, ...]:
     """sum over cycle decompositions H of N^p(H), as a polynomial in N.
 
     Unbalanced graphs have no decomposition and give the zero polynomial; an
@@ -244,14 +197,14 @@ def cycle_decomposition_poly(g: MultiDigraph) -> IntPolynomial:
     module docstring).
     """
     if not is_balanced(g):
-        return ZERO_POLY
+        return ()
     adj = g.adj
     total = [1]
     for comp, _ in connectivity(g):
         for v in comp:
             total = _rising(total, sum(adj[v]) - adj[v][v], adj[v][v])
         total = _product(total, _transition_counts(adj, comp))
-    return IntPolynomial.of(total)
+    return _trim(total)
 
 
 def _rising(counts: list[int], start: int, length: int) -> list[int]:
@@ -343,7 +296,7 @@ def bernoulli(k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def unit_ball_rhs(k: int) -> IntPolynomial:
+def unit_ball_rhs(k: int) -> tuple[Fraction, ...]:
     """P_k, the degree-2k polynomial with P_k(N) =
     sum over 1 <= i_1 < ... < i_k <= N of (-i_1)...(-i_k), that is
     (-1)^k e_k(1..N), interpolated through its values at N = 0..2k.
@@ -353,6 +306,8 @@ def unit_ball_rhs(k: int) -> IntPolynomial:
     and binomial(N, i) is N(N - 1)...(N - i + 1) / i!, so every coefficient
     is an integer over (2k)!.
     """
+    if k < 0:
+        raise ValueError("P_k needs k >= 0")
     top = 2 * k
     e = [1] + [0] * k  # elementary symmetric polynomials of 1..bound
     values = []
@@ -368,10 +323,10 @@ def unit_ball_rhs(k: int) -> IntPolynomial:
             numerators[p] += scale * c
         values = [b - a for a, b in zip(values, values[1:])]
         falling = _rising(falling, -i, 1)  # times (N - i)
-    return IntPolynomial.of([Fraction(c, math.factorial(top)) for c in numerators])
+    return _trim(Fraction(c, math.factorial(top)) for c in numerators)
 
 
-def connected_unit_ball_rhs(k: int) -> IntPolynomial:
+def connected_unit_ball_rhs(k: int) -> tuple[Fraction, ...]:
     """-S_k(N)/k with S_k(N) = 1^k + ... + N^k: the unit-ball identity over
     the weakly connected graphs alone.  Every factor of a graph's term is
     multiplicative over its weak components (z through the symmetry factor
@@ -381,7 +336,9 @@ def connected_unit_ball_rhs(k: int) -> IntPolynomial:
     -sum S_m(N) t^m / m.  S_k is Faulhaber's polynomial, sum over j = 0..k
     of binomial(k + 1, j) (-1)^j B_j N^(k + 1 - j) / (k + 1), with the B_j
     of `bernoulli`."""
+    if k < 1:
+        raise ValueError("the connected unit-ball polynomial needs k >= 1")
     coeffs = [Fraction(0)] * (k + 2)
     for j in range(k + 1):
         coeffs[k + 1 - j] = -math.comb(k + 1, j) * (-1) ** j * bernoulli(j) / ((k + 1) * k)
-    return IntPolynomial.of(coeffs)
+    return _trim(coeffs)

@@ -155,6 +155,21 @@ def test_connected_count_is_the_inverse_euler_transform_of_the_census():
     assert enumeration.connected_count(0) == 0
 
 
+def test_connected_count_is_zero_below_weight_one():
+    """Like `census_count` outside its range, not an IndexError."""
+    assert enumeration.connected_count(-1) == enumeration.connected_count(-5) == 0
+
+
+def test_weight_six_and_seven_counts_without_enumeration():
+    """Burnside's census totals at weights 6 and 7 and the inverse Euler
+    transform at weight 7, with no enumeration: 5,683 and 66,710 graphs,
+    58,868 of weight 7 weakly connected.  They equal the enumerator's counts
+    at those weights, recorded in ROADMAP.md, so each has two derivations."""
+    totals = [sum(enumeration.census_count(j, j + k) for j in range(1, k + 1)) for k in (6, 7)]
+    assert totals == [5683, 66710]
+    assert enumeration.connected_count(7) == 58868
+
+
 def _type_runs(g):
     """The vertices of g in cells of equal (out, in, loops) type, the cells
     in descending order of type, as the fill and `symmetry` start."""
