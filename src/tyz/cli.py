@@ -276,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--weight", type=int, required=True, metavar="K")
         p.add_argument(
             "--allow-slow", action="store_true",
-            help="permit weight-5 runs",
+            help="permit weights 5–7",
         )
         return p
 
@@ -298,9 +298,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run a named verification suite")
     p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--max-weight", type=int, default=None, metavar="W",
-                   help="cap for the table2, bernoulli and unitball suites")
+                   help="cap for the table2, bernoulli, unitball and oracle suites")
     p.add_argument("--allow-slow", action="store_true",
-                   help="permit weight-5 runs")
+                   help="permit weights 5–7")
 
     p = sub.add_parser("families", parents=[common],
                        help="closed-form z for a parametric graph family")

@@ -57,7 +57,7 @@ __all__ = [
     "raw_stable_matrices",
 ]
 
-MAX_WEIGHT = 5
+MAX_WEIGHT = 7
 SLOW_WEIGHT = 5  # from this weight on, callers must opt in with allow_slow
 
 Type = tuple[int, int, int]  # (out-degree, in-degree, loops) of a vertex

@@ -14,9 +14,16 @@ McKay & Piperno, "Practical graph isomorphism, II" (J. Symbolic Comput.
 symmetry refinement fails to break, not with n!, so family graphs with
 dozens of vertices take milliseconds.  Its refinement, `refine`, is a
 splitter queue that the census fill's leaf test shares; both start from the
-cells of equal (out, in, loops) type in descending order.  The search
-returns the canonical matrix itself (`Symmetry.matrix`), with generators and
-the order of the vertex group: `canonical_form` wraps the matrix,
+cells of equal (out, in, loops) type in descending order.  Twins, vertices
+whose swap is an automorphism, are never separated by refinement, so a node
+whose cells of several vertices each hold twins is a leaf: one matrix, and
+each such cell permuted freely.  A hub joined to hundreds of alike leaves,
+or hundreds of copies of one vertex, takes one refinement and no search.
+The search returns the canonical matrix itself (`Symmetry.matrix`), with
+generators and the order of the vertex group: the matrix is the input tuple
+itself, not a copy, when the leaf keeps the vertex order, as for a census
+leaf the fill already ordered or a stored canonical matrix read back.
+`canonical_form` wraps the matrix,
 `canonical_key` is the vertex count followed by its rows, and the
 enumeration collects it.  The one memo is per graph: `canonical_key`,
 `canonical_form`, `automorphisms` and `aut_order` share the search result of
@@ -307,8 +314,14 @@ def symmetry(adj: Matrix, cells=None) -> Symmetry:
     refined start, is not refined again.  Individualize: the first cell with
     more than one vertex branches into one child per vertex, a cell of its
     own and the only one queued to refine again.  Every discrete partition is
-    a leaf ordering, read off as a matrix; when the first refinement is
-    already discrete, that one leaf is returned with the trivial group.
+    a leaf ordering, read off as a matrix.  So is a partition whose cells of
+    several vertices each hold twins (`_twin_cells`), read in cell order:
+    every ordering of such a node's twins gives the same matrix, and the
+    automorphisms fixing its path permute each cell freely, so the first
+    such leaf adds the swaps of adjacent twins to the generators and the
+    product of its cell factorials to the group order.  When the first
+    refinement is already discrete, that one leaf is returned with the
+    trivial group; when it leaves only twins together, it is the one leaf.
 
     Prune: two leaves with equal matrices give an automorphism, and the
     search jumps back to where their paths part, since the automorphism maps
@@ -333,6 +346,7 @@ def symmetry(adj: Matrix, cells=None) -> Symmetry:
 
     generators: list[tuple[int, ...]] = []
     first = best = None  # (leaf matrix, leaf ordering, path) of the first and least leaves
+    below_first = 1  # the order of the group fixing the first leaf's path
 
     def fixing(path: list[int]) -> list[tuple[int, ...]]:
         return [g for g in generators if all(g[v] == v for v in path)]
@@ -347,11 +361,17 @@ def symmetry(adj: Matrix, cells=None) -> Symmetry:
                     stack.append(g[a])
         return seen
 
-    def leaf(order: list[int], path: list[int]) -> int:
-        nonlocal first, best
+    def leaf(order: list[int], path: list[int], wide: list[list[int]]) -> int:
+        nonlocal first, best, below_first
         matrix = _leaf_matrix(adj, order)
         if first is None:
             first = best = (matrix, order, path)
+            for cell in wide:  # the group fixing the path permutes each twin cell freely
+                below_first *= math.factorial(len(cell))
+                for u, v in zip(cell, cell[1:]):
+                    phi = list(range(n))
+                    phi[u], phi[v] = v, u
+                    generators.append(tuple(phi))
             return len(path)
         for ref_matrix, ref_order, ref_path in (first, best):
             if matrix == ref_matrix:
@@ -371,9 +391,10 @@ def symmetry(adj: Matrix, cells=None) -> Symmetry:
         """Search below a node.  Return its own depth, or the smaller depth of
         the ancestor at which the search resumes after an automorphism."""
         depth = len(path)
-        target = next((t for t, cell in enumerate(cells) if len(cell) > 1), None)
-        if target is None:
-            return leaf([cell[0] for cell in cells], path)
+        wide = _twin_cells(adj, cols, cells)
+        if wide is not None:
+            return leaf([*chain.from_iterable(cells)], path, wide)
+        target = next(t for t, cell in enumerate(cells) if len(cell) > 1)
         tried: list[int] = []
         cell = cells[target]
         for v in cell:
@@ -392,10 +413,41 @@ def symmetry(adj: Matrix, cells=None) -> Symmetry:
     visit(cells, [])
     first_path = first[2]
     order = math.prod(len(orbit([v], fixing(first_path[:d]))) for d, v in enumerate(first_path))
-    return Symmetry(best[0], tuple(generators), order)
+    return Symmetry(best[0], tuple(generators), order * below_first)
+
+
+def _twins(adj: Matrix, cols: Matrix, cell: list[int]) -> bool:
+    """Whether the vertices of cell are twins: swapping any two of them is an
+    automorphism.  Twins of one vertex are twins of each other (the swap of
+    v and w is the swap of u and v conjugated by that of u and w), so cell[0]
+    is compared with the rest: swapping u and v maps the graph to itself when
+    row v and column v, with their entries u and v swapped, are row u and
+    column u."""
+    u = cell[0]
+    row, col = list(adj[u]), list(cols[u])
+    for v in cell[1:]:
+        r, c = list(adj[v]), list(cols[v])
+        r[u], r[v], c[u], c[v] = r[v], r[u], c[v], c[u]
+        if r != row or c != col:
+            return False
+    return True
+
+
+def _twin_cells(adj: Matrix, cols: Matrix, cells) -> list[list[int]] | None:
+    """The cells of more than one vertex of an equitable partition when each
+    holds twins, else None.  Refinement never separates twins, and any order
+    of them gives the same matrix, so such a node has one leaf matrix; the
+    group fixing its individualized vertices permutes each cell freely."""
+    wide = [cell for cell in cells if len(cell) > 1]
+    return wide if all(_twins(adj, cols, cell) for cell in wide) else None
 
 
 def _leaf_matrix(adj: Matrix, order: list[int]) -> Matrix:
+    """adj with its vertices in `order`: adj itself, not a copy, when the
+    order is the identity, as for a leaf the fill already put in canonical
+    order and for a stored canonical matrix read back (adj is a tuple)."""
+    if order == list(range(len(order))):
+        return adj
     pick = itemgetter(*order)  # n > 1, so pick returns a tuple
     return tuple([pick(adj[a]) for a in order])
 

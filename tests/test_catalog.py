@@ -612,7 +612,7 @@ def test_expansion_weight_bounds():
     with pytest.raises(ValueError):
         expansion(0)
     with pytest.raises(ValueError):
-        expansion(6)
+        expansion(8)
 
 
 # --- golden fixtures: the double-entry check ---
@@ -668,6 +668,34 @@ def test_oracle_suite_passes():
     assert len(orbit_cases) == 65
 
 
+def test_oracle_suite_follows_max_weight():
+    """At the cap 5 the oracle suite adds a charpoly case for each of the 589
+    weight-5 graphs and an orbit sum for each of the 373 strongly connected
+    ones, after the rows of weights up to 4, which do not change."""
+    default = verify("oracle").cases
+    report = verify("oracle", max_weight=5, allow_slow=True)
+    assert report.ok and report.cases[: len(default)] == default
+    assert len(report.cases) == len(default) + 589 + 373
+
+
+def test_records_share_equal_rows_and_charpolys(tmp_path, monkeypatch):
+    """Among the records of weight <= 5, built cold and then read back from
+    disk, equal matrix rows and equal charpolys are one object each, and
+    every z = 0 is the same Fraction."""
+    monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
+    seen: dict = {}
+    zeros = []
+    for _ in ("cold", "reread"):
+        monkeypatch.setattr(catalog, "_memo", {})
+        for k in range(1, 6):
+            for r in weight_records(k):
+                for part in (*r.graph.adj, r.charpoly):
+                    assert seen.setdefault(part, part) is part
+                if not r.z:
+                    zeros.append(r.z)
+    assert len(zeros) > 400 and all(z is zeros[0] for z in zeros)
+
+
 def test_verify_all_aggregates_everything():
     report = verify("all")
     assert report.ok and report.suite == "all"
@@ -692,8 +720,10 @@ def test_verify_case_counts_are_pinned():
     for suite, count in VERIFY_CASES.items():
         assert len(verify(suite).cases) == count, suite
     assert len(verify("all").cases) == sum(VERIFY_CASES.values()) == 406
-    # weight 5 adds a case to table2 and bernoulli and three to unitball
-    assert len(verify("all", max_weight=5, allow_slow=True).cases) == 411
+    # weight 5 adds a case to table2 and bernoulli, three to unitball, and to
+    # oracle a charpoly case per graph (589) and an orbit sum per strongly
+    # connected one (373)
+    assert len(verify("all", max_weight=5, allow_slow=True).cases) == 1373
 
 
 def test_verify_reports_are_deterministic():

@@ -192,7 +192,7 @@ def test_malformed_matrix_is_rejected(capsys):
 
 def test_weight_out_of_range(capsys):
     assert run(capsys, "enumerate", "--weight", "0")[0] == 2
-    assert run(capsys, "enumerate", "--weight", "6")[0] == 2
+    assert run(capsys, "enumerate", "--weight", "8")[0] == 2
 
 
 def test_weight_five_needs_allow_slow(capsys):
@@ -208,8 +208,8 @@ def test_verify_slow_gate(capsys):
 @pytest.mark.parametrize(
     "suite, weight, message",
     [
-        ("weight2", "99", "outside the supported range 1..5"),
-        ("oracle", "0", "outside the supported range 1..5"),
+        ("weight2", "99", "outside the supported range 1..7"),
+        ("oracle", "0", "outside the supported range 1..7"),
         ("families", "5", "needs --allow-slow"),
     ],
     ids=["weight2-99", "oracle-0", "families-5"],

@@ -207,7 +207,7 @@ def test_tour_sum_weight_bounds():
     with pytest.raises(ValueError):
         bernoulli_identity_lhs(0)
     with pytest.raises(ValueError):
-        bernoulli_identity_lhs(6)
+        bernoulli_identity_lhs(8)
 
 
 # --- unit-ball polynomials ---
@@ -274,7 +274,7 @@ def test_identity_weight_bounds():
     with pytest.raises(ValueError):
         unit_ball_sums(0)
     with pytest.raises(ValueError):
-        unit_ball_sums(6)
+        unit_ball_sums(8)
 
 
 def test_rhs_domains():

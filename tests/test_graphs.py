@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
+import tyz.graphs as graphs
 from tyz.graphs import (
     EMPTY,
     MultiDigraph,
@@ -275,6 +276,81 @@ def test_automorphisms_form_a_group():
     for p in perms:
         for q in perms:
             assert tuple(p[i] for i in q) in perms
+
+
+def test_leaf_matrix_of_the_identity_order_is_no_copy():
+    adj = parse_graph("0 0 3;2 0 0;0 2 0").adj
+    assert graphs._leaf_matrix(adj, [0, 1, 2]) is adj
+    assert graphs._leaf_matrix(adj, [1, 0, 2]) == relabel(MultiDigraph(adj), (1, 0, 2)).adj
+
+
+def _twin_rich_graph(rng, max_n=6):
+    """A random blow-up: each vertex of a base graph becomes a class of
+    twins (equal loops, one multiplicity between any two of them, and the
+    base graph's multiplicities to and from every other class), relabelled
+    at random.  Half the base graphs are circulants with classes of one
+    size, whose twins refinement alone does not separate from the other
+    classes, so that the search meets them below the root."""
+    if rng.random() < 0.5:
+        b = rng.choice([2, 3])
+        sizes = [rng.randint(1, max_n // b)] * b
+        step = [rng.randint(0, 2) for _ in range(b)]
+        base = [[step[(v - u) % b] for v in range(b)] for u in range(b)]
+        inner = [rng.randint(0, 1)] * b
+    else:
+        sizes = []
+        while sum(sizes) < max_n and (not sizes or rng.random() < 0.7):
+            sizes.append(rng.randint(1, max_n - sum(sizes)))
+        base = [[rng.randint(0, 2) for _ in sizes] for _ in sizes]
+        inner = [rng.randint(0, 1) for _ in sizes]  # between two twins of one class
+    owner = [c for c, size in enumerate(sizes) for _ in range(size)]
+    n = len(owner)
+    rows = [
+        [base[owner[u]][owner[v]] if owner[u] != owner[v] or u == v else inner[owner[u]] for v in range(n)]
+        for u in range(n)
+    ]
+    return relabel(MultiDigraph.from_rows(rows), rng.sample(range(n), n))
+
+
+def test_twin_leaves_match_bruteforce():
+    """Graphs with many twins take the twin-leaf shortcut at the root or
+    below it; their automorphisms, group order and canonical form agree
+    with the n! oracles, and the key is the same for a relabelled copy."""
+    rng = random.Random(6)
+    for _ in range(120):
+        g = _twin_rich_graph(rng)
+        autos = _automorphisms_bruteforce(g)
+        assert set(automorphisms(g)) == set(autos), format_graph(g)
+        assert graphs.symmetry(g.adj).order == len(autos)
+        assert _key_bruteforce(canonical_form(g)) == _key_bruteforce(g)
+        h = relabel(g, rng.sample(range(g.n), g.n))
+        assert canonical_key(h) == canonical_key(g)
+
+
+def _hub(m):
+    """One vertex joined both ways to each of m vertices with one loop."""
+    n = m + 1
+    return MultiDigraph.from_rows(
+        [[0] + [1] * m] + [[1] + [int(u == v) for u in range(1, n)] for v in range(1, n)]
+    )
+
+
+def test_hub_of_twins_takes_one_refinement(monkeypatch):
+    """The m leaves of the hub are twins: after the first refinement the
+    search stops, with order m! and the adjacent swaps as generators."""
+    calls = []
+    real = graphs.refine
+    monkeypatch.setattr(graphs, "refine", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    found = graphs.symmetry(_hub(300).adj)
+    assert found.order == math.factorial(300) and len(calls) <= 1
+    assert len(found.generators) == 299
+    assert found.matrix == _hub(300).adj  # the hub first: it has the larger type
+
+
+def test_copies_of_one_vertex_are_twins():
+    copies = disjoint_union([parse_graph("2")] * 200)
+    assert aut_order(copies) == math.factorial(200) * 2**200
+    assert canonical_form(copies) == copies
 
 
 # --- connectivity ---

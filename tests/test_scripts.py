@@ -32,7 +32,7 @@ def test_script_runs_at_defaults(name):
     "name, args",
     [
         ("catalog_report.py", ["--max-weight", "5"]),
-        ("catalog_report.py", ["--max-weight", "6", "--allow-slow"]),
+        ("catalog_report.py", ["--max-weight", "8", "--allow-slow"]),
         ("family_table.py", ["--max-n", "17"]),
     ],
 )
