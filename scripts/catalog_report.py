@@ -13,13 +13,15 @@ import argparse
 import time
 
 from tyz import class_counts, weight_records
-from tyz.enumeration import check_weight
+from tyz.enumeration import MAX_WEIGHT, SLOW_WEIGHT, check_weight
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-weight", type=int, default=4, metavar="K")
-    ap.add_argument("--allow-slow", action="store_true", help="permit weights 5–7")
+    ap.add_argument(
+        "--allow-slow", action="store_true", help=f"permit weights {SLOW_WEIGHT}–{MAX_WEIGHT}"
+    )
     args = ap.parse_args()
 
     try:

@@ -24,7 +24,7 @@ from .catalog import (
     verify,
     weight_records,
 )
-from .enumeration import check_weight
+from .enumeration import MAX_WEIGHT, SLOW_WEIGHT, check_weight
 from .eulerian import euler_tour_count, is_balanced
 from .graphs import (
     MultiDigraph,
@@ -270,56 +270,43 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact catalogs, coefficients, and identity checks for stable multidigraphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    slow_help = f"permit weights {SLOW_WEIGHT}–{MAX_WEIGHT}"
 
-    def weight_command(name, help_text):
+    def command(name, handler, help_text):
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("--weight", type=int, required=True, metavar="K")
-        p.add_argument(
-            "--allow-slow", action="store_true",
-            help="permit weights 5–7",
-        )
+        p.set_defaults(handler=handler)
         return p
 
-    def graph_command(name, help_text):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    def weight_command(name, handler, help_text):
+        p = command(name, handler, help_text)
+        p.add_argument("--weight", type=int, required=True, metavar="K")
+        p.add_argument("--allow-slow", action="store_true", help=slow_help)
+
+    def graph_command(name, handler, help_text):
+        p = command(name, handler, help_text)
         p.add_argument("--graph", required=True, metavar="MATRIX",
                        help='adjacency matrix, e.g. "0 2;2 0"')
         p.add_argument("--semistable", action="store_true",
                        help="accept semistable input instead of requiring stable")
-        return p
 
-    weight_command("enumerate", "list the stable graphs of one weight")
-    weight_command("classify", "count stable graphs by connectivity class")
-    graph_command("z", "coefficient of one graph in the expansion")
-    graph_command("charpoly", "characteristic polynomial of the adjacency matrix")
-    graph_command("euler", "Euler tour count with a fixed starting edge")
-    weight_command("expansion", "full formal sum for one weight")
+    weight_command("enumerate", _cmd_enumerate, "list the stable graphs of one weight")
+    weight_command("classify", _cmd_classify, "count stable graphs by connectivity class")
+    graph_command("z", _cmd_z, "coefficient of one graph in the expansion")
+    graph_command("charpoly", _cmd_charpoly, "characteristic polynomial of the adjacency matrix")
+    graph_command("euler", _cmd_euler, "Euler tour count with a fixed starting edge")
+    weight_command("expansion", _cmd_expansion, "full formal sum for one weight")
 
-    p = sub.add_parser("verify", parents=[common], help="run a named verification suite")
+    p = command("verify", _cmd_verify, "run a named verification suite")
     p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--max-weight", type=int, default=None, metavar="W",
                    help="cap for the table2, bernoulli, unitball and oracle suites")
-    p.add_argument("--allow-slow", action="store_true",
-                   help="permit weights 5–7")
+    p.add_argument("--allow-slow", action="store_true", help=slow_help)
 
-    p = sub.add_parser("families", parents=[common],
-                       help="closed-form z for a parametric graph family")
+    p = command("families", _cmd_families, "closed-form z for a parametric graph family")
     p.add_argument("--name", required=True, choices=[f for f in FAMILY_NAMES if f != "twovertex"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None, help="second part size for Kmn")
     return parser
-
-
-_HANDLERS = {
-    "enumerate": _cmd_enumerate,
-    "classify": _cmd_classify,
-    "z": _cmd_z,
-    "charpoly": _cmd_charpoly,
-    "euler": _cmd_euler,
-    "expansion": _cmd_expansion,
-    "verify": _cmd_verify,
-    "families": _cmd_families,
-}
 
 
 def main(argv=None) -> int:
@@ -330,7 +317,7 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        rows, extra = _HANDLERS[args.command](args)
+        rows, extra = args.handler(args)
         text = _render(args, rows, extra)
     except ValueError as exc:
         # bad command-line input, an argument outside the library's domain, or

@@ -22,14 +22,15 @@ or hundreds of copies of one vertex, takes one refinement and no search.
 The search returns the canonical matrix itself (`Symmetry.matrix`), with
 generators and the order of the vertex group: the matrix is the input tuple
 itself, not a copy, when the leaf keeps the vertex order, as for a census
-leaf the fill already ordered or a stored canonical matrix read back.
-`canonical_form` wraps the matrix,
-`canonical_key` is the vertex count followed by its rows, and the
-enumeration collects it.  The one memo is per graph: `canonical_key`,
-`canonical_form`, `automorphisms` and `aut_order` share the search result of
-each `MultiDigraph`.  `symmetry` itself keeps nothing, and no census or
-catalog record fills the memo: a cold record reads the search its class kept
-in the fill, and a reread one searches its stored matrix once, directly.
+leaf the fill already ordered or a stored canonical matrix read back; that
+reordering is also `relabel` and `induced_subgraph`.  `canonical_form`
+wraps the matrix, `canonical_key` is the vertex count followed by its rows,
+and the enumeration collects it.  The one memo is per graph:
+`canonical_key`, `canonical_form`, `automorphisms` and `aut_order` share the
+search result of each `MultiDigraph`.  `symmetry` itself keeps nothing, and
+no census or catalog record fills the memo: a cold record reads the search
+its class kept in the fill, and a reread one searches its stored matrix
+once, directly.
 """
 
 from __future__ import annotations
@@ -200,9 +201,7 @@ def _neighbour_masks(adj: Matrix) -> tuple[list[int], list[int]]:
 
 
 def induced_subgraph(g: MultiDigraph, vertices: list[int]) -> MultiDigraph:
-    return MultiDigraph(
-        tuple(tuple(g.adj[u][v] for v in vertices) for u in vertices)
-    )
+    return MultiDigraph(_leaf_matrix(g.adj, vertices))
 
 
 def weak_components(g: MultiDigraph) -> list[MultiDigraph]:
@@ -443,12 +442,15 @@ def _twin_cells(adj: Matrix, cols: Matrix, cells) -> list[list[int]] | None:
 
 
 def _leaf_matrix(adj: Matrix, order: list[int]) -> Matrix:
-    """adj with its vertices in `order`: adj itself, not a copy, when the
-    order is the identity, as for a leaf the fill already put in canonical
-    order and for a stored canonical matrix read back (adj is a tuple)."""
-    if order == list(range(len(order))):
+    """adj on the vertices in `order`, in that order: adj itself, not a copy,
+    when order lists every vertex in place, as for a leaf already in canonical
+    order and the one component of a connected graph (adj is a tuple)."""
+    n = len(order)
+    if n == len(adj) and order == list(range(n)):
         return adj
-    pick = itemgetter(*order)  # n > 1, so pick returns a tuple
+    if n < 2:  # itemgetter of one index returns the entry, not a tuple
+        return tuple((adj[a][a],) for a in order)
+    pick = itemgetter(*order)
     return tuple([pick(adj[a]) for a in order])
 
 
@@ -527,8 +529,7 @@ def disjoint_union(gs: list[MultiDigraph]) -> MultiDigraph:
 
 def relabel(g: MultiDigraph, per) -> MultiDigraph:
     """Graph whose vertex i is vertex per[i] of g."""
-    n = g.n
-    return MultiDigraph(tuple(tuple(g.adj[per[i]][per[j]] for j in range(n)) for i in range(n)))
+    return MultiDigraph(_leaf_matrix(g.adj, list(per)))
 
 
 # ---------------------------------------------------------------------------

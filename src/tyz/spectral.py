@@ -175,18 +175,21 @@ def coefficient_from_linear(g: MultiDigraph) -> tuple[int, ...]:
 
 
 def _full_group(g: MultiDigraph):
-    """All pairs (phi, label bijections); the group of order |Aut(G)|."""
+    """The group of order |Aut(G)| as a sweep: each call yields every element
+    afresh, so that no sweep holds the group.  An element is phi followed by
+    a bijection of the edge labels of each pair (u, v) of adjacent vertices,
+    at the slot that the returned dict gives the pair."""
     pairs = [(u, v) for u in range(g.n) for v in range(g.n) if g.adj[u][v] > 0]
-    label_choices = [list(permutations(range(g.adj[u][v]))) for u, v in pairs]
-    for phi in automorphisms(g):
-        for labels in product(*label_choices):
-            yield phi, dict(zip(pairs, labels))
+    label_choices = [tuple(permutations(range(g.adj[u][v]))) for u, v in pairs]
+    phis = automorphisms(g)
+    return {pair: t for t, pair in enumerate(pairs, 1)}, lambda: product(phis, *label_choices)
 
 
-def _act(phi, labels, sub: LinearSubgraph) -> LinearSubgraph:
+def _act(element, slots, sub: LinearSubgraph) -> LinearSubgraph:
+    phi = element[0]
     moved = []
     for cycle in sub.cycles:
-        arcs = [(phi[u], phi[v], labels[(u, v)][l]) for u, v, l in cycle]
+        arcs = [(phi[u], phi[v], element[slots[u, v]][l]) for u, v, l in cycle]
         moved.append(_canonical_cycle(arcs))
     return LinearSubgraph(tuple(sorted(moved)))
 
@@ -198,18 +201,23 @@ def z_orbit(g: MultiDigraph) -> Fraction:
         raise ValueError("z_orbit requires a semistable graph")
     if g.n == 0 or not is_strongly_connected(g):
         raise ValueError("z_orbit requires a strongly connected graph")
-    group = list(_full_group(g))
+    slots, sweep = _full_group(g)
     order = aut_order(g)
-    if len(group) != order:
-        raise AssertionError("group enumeration disagrees with aut_order")
     subgraphs = [LinearSubgraph(())] + linear_subgraphs(g)
     seen: set[LinearSubgraph] = set()
     total = Fraction(0)
     for sub in subgraphs:
         if sub in seen:
             continue
-        images = [_act(phi, labels, sub) for phi, labels in group]
-        orbit, stabilizer = set(images), images.count(sub)
+        orbit: set[LinearSubgraph] = set()
+        stabilizer = elements = 0
+        for element in sweep():
+            image = _act(element, slots, sub)
+            orbit.add(image)
+            stabilizer += image == sub
+            elements += 1
+        if elements != order:
+            raise AssertionError("group enumeration disagrees with aut_order")
         if len(orbit) * stabilizer != order:
             raise AssertionError("orbit size times stabilizer must equal the group order")
         seen |= orbit

@@ -11,15 +11,16 @@ multiplicity).  `z` reads the components and their strong connectivity off
 one `connectivity` pass; z of the empty graph, with no components, is 1.
 
 Also here: exact integer determinants (fraction-free elimination) and the
-closed forms for the classical families (doubled cycles, bidirected cycles,
-looped cycles, complete and complete bipartite digraphs, de Bruijn graphs,
-one- and two-vertex graphs).
+classical families, each one entry of `_FAMILIES` that holds its parameter
+check, its (vertices, edges), its closed-form z and its graph, the one
+source that `FamilySpec.size`, `z_family` and `build_family` read.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -88,7 +89,7 @@ def z_strong(g: MultiDigraph) -> Fraction:
         raise ValueError("z_strong requires a semistable graph")
     if g.n == 0 or not is_strongly_connected(g):
         raise ValueError("z_strong requires a strongly connected graph")
-    return Fraction(-det_a_minus_i(g), aut_order(g))
+    return z(g)
 
 
 def sym_factor(components: list[MultiDigraph]) -> int:
@@ -116,23 +117,11 @@ def z(g: MultiDigraph) -> Fraction:
 # special families
 # ---------------------------------------------------------------------------
 
-FAMILY_NAMES = ("A", "B", "C", "K", "D", "Kmn", "loops", "twovertex")
-
 
 class FamilySpec(NamedTuple):
-    """A named family instance.
-
-    family      parameters        graph
-    ------      ----------        -----
-    A           n >= 3            directed n-cycle, every edge doubled
-    B           n >= 3            bidirected n-cycle
-    C           n >= 3            directed n-cycle plus one loop per vertex
-    K           n >= 2            complete digraph (all-ones matrix, loops included)
-    D           n >= 2            de Bruijn graph on (n-1)-bit strings
-    Kmn         m, n >= 2         complete bipartite digraph
-    loops       n >= 2            one vertex with n loops
-    twovertex   m, i, j, n        adjacency [[m, i], [j, n]], needs i*j != 0
-    """
+    """A named family instance: `family` is one of FAMILY_NAMES, and its
+    entry in `_FAMILIES` gives its graph, the parameters it reads and their
+    least values."""
 
     family: str
     n: int = 0
@@ -141,121 +130,101 @@ class FamilySpec(NamedTuple):
     j: int = 0
 
     def size(self) -> tuple[int, int]:
-        """(vertices, edges) of build_family(self), without building it, so
-        large de Bruijn instances stay cheap to describe."""
-        f, n, m = self.family, self.n, self.m
-        if f in ("A", "B", "C"):
-            return n, 2 * n
-        if f == "K":
-            return n, n * n
-        if f == "D":
-            return 2 ** (n - 1), 2**n
-        if f == "Kmn":
-            return m + n, 2 * m * n
-        if f == "loops":
-            return 1, n
-        if f == "twovertex":
-            return 2, m + self.i + self.j + n
-        raise ValueError(f"unknown family {f!r}")
+        """(vertices, edges) of build_family(self) without building it, so a large
+        de Bruijn instance stays cheap; an invalid spec raises z_family's ValueError."""
+        return _family(self, "size")
 
 
-def _check(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
+class _Family(NamedTuple):
+    """The least values of the prefix of (n, m, i, j) that a family reads, the error
+    below them, and its (vertices, edges), closed-form z and graph as functions of them."""
+
+    least: tuple[int, ...]
+    needs: str
+    size: Callable[..., tuple[int, int]]
+    z: Callable[..., Fraction]
+    build: Callable[..., MultiDigraph]
+
+
+def _mod_arcs(size: int, scale: int, offsets: tuple[int, ...]) -> MultiDigraph:
+    """One arc v -> (scale*v + d) mod size per vertex v and offset d: a
+    circulant for scale 1, the de Bruijn graph for scale 2 and offsets 0, 1."""
+    arcs = Counter((v, (scale * v + d) % size) for v in range(size) for d in offsets)
+    return MultiDigraph(tuple(tuple(arcs[v, u] for u in range(size)) for v in range(size)))
+
+
+def _cycle(name: str, offsets: tuple[int, ...], z_of_n) -> _Family:
+    """An n-cycle family: vertices 0..n-1 in cyclic order, arcs v -> v + d."""
+    return _Family((3,), f"family {name} needs n >= 3", lambda n: (n, 2 * n), z_of_n,
+                   lambda n: _mod_arcs(n, 1, offsets))
+
+
+_FAMILIES = {
+    # directed n-cycle, every edge doubled
+    "A": _cycle("A", (1, 1), lambda n: Fraction((-1) ** n * (2**n - 1), 2**n * n)),
+    # bidirected n-cycle; the numerator of z over 2n is read off n mod 6
+    "B": _cycle("B", (1, -1), lambda n: Fraction((-1) ** n * (0, 1, 3, 4, 3, 1)[n % 6], 2 * n)),
+    # directed n-cycle plus one loop per vertex
+    "C": _cycle("C", (0, 1), lambda n: Fraction((-1) ** n, n)),
+    # complete digraph: the all-ones matrix, loops included
+    "K": _Family(
+        (2,), "family K needs n >= 2", lambda n: (n, n * n),
+        lambda n: Fraction((-1) ** n * (n - 1), math.factorial(n)),
+        lambda n: MultiDigraph(((1,) * n,) * n),
+    ),
+    # de Bruijn graph on the (n-1)-bit strings as integers: arcs x -> (2x + b) mod 2^(n-1)
+    "D": _Family(
+        (2,), "family D needs n >= 2", lambda n: (2 ** (n - 1), 2**n),
+        lambda n: Fraction(1, 2), lambda n: _mod_arcs(2 ** (n - 1), 2, (0, 1)),
+    ),
+    # complete bipartite digraph, the m-part first; det(A - I) = (-1)^(m+n) (1 - mn),
+    # as the spectrum is +-sqrt(mn) and m+n-2 zeros
+    "Kmn": _Family(
+        (2, 2), "family Kmn needs m, n >= 2", lambda n, m: (m + n, 2 * m * n),
+        lambda n, m: Fraction(
+            (-1) ** (m + n) * (m * n - 1),
+            (2 if m == n else 1) * math.factorial(m) * math.factorial(n),
+        ),
+        lambda n, m: MultiDigraph(((0,) * m + (1,) * n,) * m + ((1,) * m + (0,) * n,) * n),
+    ),
+    # one vertex with n loops
+    "loops": _Family(
+        (2,), "family loops needs n >= 2 loops", lambda n: (1, n),
+        lambda n: Fraction(-(n - 1), math.factorial(n)), lambda n: MultiDigraph(((n,),)),
+    ),
+    # adjacency [[m, i], [j, n]], i*j != 0 and no entry negative; swapping the
+    # vertices is an automorphism when i == j and m == n
+    "twovertex": _Family(
+        (0, 0, 1, 1), "family twovertex needs i*j != 0", lambda n, m, i, j: (2, m + i + j + n),
+        lambda n, m, i, j: Fraction(
+            i * j - (1 - m) * (1 - n),
+            (2 if (i, m) == (j, n) else 1) * math.prod(map(math.factorial, (n, m, i, j))),
+        ),
+        lambda n, m, i, j: MultiDigraph(((m, i), (j, n))),
+    ),
+}
+
+FAMILY_NAMES = tuple(_FAMILIES)
+
+
+def _family(spec: FamilySpec, part: str):
+    """`part` ("size", "z" or "build") of the entry of spec's family at the
+    parameters it reads, once they are checked."""
+    family = _FAMILIES.get(spec.family)
+    if family is None:
+        raise ValueError(f"unknown family {spec.family!r} (expected one of {', '.join(_FAMILIES)})")
+    params = spec[1 : 1 + len(family.least)]
+    if not all(x >= low for x, low in zip(params, family.least)):
+        raise ValueError(family.needs)
+    return getattr(family, part)(*params)
 
 
 def z_family(spec: FamilySpec) -> Fraction:
     """Closed-form z for the families above."""
-    f, n = spec.family, spec.n
-    if f == "A":
-        _check(n >= 3, "family A needs n >= 3")
-        return Fraction((-1) ** n * (2**n - 1), 2**n * n)
-    if f == "B":
-        _check(n >= 3, "family B needs n >= 3")
-        r = n % 6
-        if r == 0:
-            return Fraction(0)
-        if r in (1, 5):
-            return Fraction((-1) ** n, 2 * n)
-        if r in (2, 4):
-            return Fraction(3 * (-1) ** n, 2 * n)
-        return Fraction(2 * (-1) ** n, n)
-    if f == "C":
-        _check(n >= 3, "family C needs n >= 3")
-        return Fraction((-1) ** n, n)
-    if f == "K":
-        _check(n >= 2, "family K needs n >= 2")
-        return Fraction((-1) ** n * (n - 1), math.factorial(n))
-    if f == "D":
-        _check(n >= 2, "family D needs n >= 2")
-        return Fraction(1, 2)
-    if f == "Kmn":
-        m = spec.m
-        _check(m >= 2 and n >= 2, "family Kmn needs m, n >= 2")
-        sym = 2 if m == n else 1
-        # sign from det(A - I) = (-1)^(m+n) (1 - mn): the spectrum is
-        # +-sqrt(mn) with m+n-2 zeros
-        return Fraction((-1) ** (m + n) * (m * n - 1), sym * math.factorial(m) * math.factorial(n))
-    if f == "loops":
-        _check(n >= 2, "family loops needs n >= 2 loops")
-        return Fraction(-(n - 1), math.factorial(n))
-    if f == "twovertex":
-        m, i, j = spec.m, spec.i, spec.j
-        _check(min(m, n, i, j) >= 0 and i * j != 0, "family twovertex needs i*j != 0")
-        sym = 2 if (i == j and m == n) else 1
-        num = i * j - (1 - m) * (1 - n)
-        den = sym * math.factorial(m) * math.factorial(n) * math.factorial(i) * math.factorial(j)
-        return Fraction(num, den)
-    raise ValueError(f"unknown family {f!r} (expected one of {', '.join(FAMILY_NAMES)})")
+    return _family(spec, "z")
 
 
 def build_family(spec: FamilySpec) -> MultiDigraph:
-    """Adjacency matrix realizing the family instance.
-
-    Vertex orderings are fixed so canonical keys are reproducible: cycles use
-    0..n-1 in cyclic order, Kmn lists the m-part first, and D indexes vertices
-    by (n-1)-bit strings read as integers with edges x -> (2x + b) mod 2^(n-1).
-    """
-    f, n = spec.family, spec.n
-    z_family(spec)  # reuse the range validation
-    if f == "A":
-        return _cycle_matrix(n, step=2, loop=0)
-    if f == "B":
-        adj = [[0] * n for _ in range(n)]
-        for v in range(n):
-            adj[v][(v + 1) % n] += 1
-            adj[v][(v - 1) % n] += 1
-        return MultiDigraph(tuple(tuple(row) for row in adj))
-    if f == "C":
-        return _cycle_matrix(n, step=1, loop=1)
-    if f == "K":
-        return MultiDigraph(tuple(tuple(1 for _ in range(n)) for _ in range(n)))
-    if f == "D":
-        size = 2 ** (n - 1)
-        adj = [[0] * size for _ in range(size)]
-        for x in range(size):
-            for b in (0, 1):
-                adj[x][(2 * x + b) % size] += 1
-        return MultiDigraph(tuple(tuple(row) for row in adj))
-    if f == "Kmn":
-        m = spec.m
-        size = m + n
-        adj = [[0] * size for _ in range(size)]
-        for u in range(m):
-            for v in range(m, size):
-                adj[u][v] = 1
-                adj[v][u] = 1
-        return MultiDigraph(tuple(tuple(row) for row in adj))
-    if f == "loops":
-        return MultiDigraph(((n,),))
-    if f == "twovertex":
-        return MultiDigraph(((spec.m, spec.i), (spec.j, spec.n)))
-    raise ValueError(f"unknown family {f!r}")
-
-
-def _cycle_matrix(n: int, step: int, loop: int) -> MultiDigraph:
-    adj = [[0] * n for _ in range(n)]
-    for v in range(n):
-        adj[v][v] += loop
-        adj[v][(v + 1) % n] += step
-    return MultiDigraph(tuple(tuple(row) for row in adj))
+    """Adjacency matrix realizing the family instance, in the vertex order
+    its entry in `_FAMILIES` gives, so canonical keys are reproducible."""
+    return _family(spec, "build")

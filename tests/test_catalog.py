@@ -329,6 +329,40 @@ def test_corrupt_cache_is_rebuilt(tmp_path, monkeypatch):
     _clear_memo()
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"adjacency": [[-3]]}, "field 'adjacency': row 1, column 1: negative entry -3"),
+        ({"adjacency": None}, "missing field 'adjacency'"),
+    ],
+    ids=["negative-entry", "no-adjacency"],
+)
+def test_out_of_range_cache_line_is_rebuilt(tmp_path, monkeypatch, change, message):
+    """A line with a negative matrix entry, or with no matrix, is rebuilt
+    with one warning that names the line and the field."""
+    monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
+    _clear_memo()
+    want = stable_records(1, 3)
+    path = tmp_path / "stable-1-3.jsonl"
+    obj = {**record_to_json(want[0]), **change}
+    path.write_text(json.dumps({k: v for k, v in obj.items() if v is not None}) + "\n")
+    _clear_memo()
+    with pytest.warns(RuntimeWarning) as caught:
+        assert stable_records(1, 3) == want
+    assert len(caught) == 1
+    assert str(caught[0].message).endswith(f"stable-1-3.jsonl: line 1: {message}")
+    assert read_catalog(path, (1, 3)) == list(want)
+    _clear_memo()
+
+
+def test_blank_lines_in_a_catalog_are_skipped(tmp_path):
+    path = tmp_path / "stable-2-4.jsonl"
+    write_catalog(stable_records(2, 4), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n" + "\n  \n".join(lines) + "\n\n")
+    assert read_catalog(path, (2, 4)) == list(stable_records(2, 4))
+
+
 def test_catalog_cut_at_a_line_boundary_is_rebuilt(tmp_path, monkeypatch):
     """A catalog with its last line removed reads as valid line by line,
     but holds one record fewer than census_count: it is rebuilt once, with

@@ -107,6 +107,12 @@ def test_families_large_instance_is_instant(capsys):
     assert code == 0 and row["z"] == "1/2" and row["vertices"] == 2**19
 
 
+def test_families_csv_leaves_m_empty_when_not_given(capsys):
+    code, out, _ = run(capsys, "families", "--name", "C", "--n", "4", "--format", "csv")
+    assert code == 0
+    assert out == "family,n,m,vertices,edges,weight,z\nC,4,,4,8,4,1/4\n"
+
+
 def test_graph_commands_handle_sixteen_vertices(capsys):
     # a relabelled de Bruijn graph D(5), far beyond a search of all 16! orders
     g = build_family(FamilySpec("D", n=5))
@@ -164,6 +170,12 @@ def test_out_writes_file_instead_of_stdout(capsys, tmp_path):
     assert code == 0 and out == ""
     rows = list(csv.DictReader(io.StringIO(target.read_text())))
     assert rows[0]["total"] == "1"
+
+
+def test_out_naming_a_directory_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "classify", "--weight", "1", "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
 
 
 def test_semistable_flag_admits_semistable_input(capsys):

@@ -476,6 +476,31 @@ def test_induced_subgraph():
     assert induced_subgraph(g, [1, 2]) == parse_graph("1 1;1 1")
 
 
+def _picked(g, order):
+    return MultiDigraph(tuple(tuple(g.adj[u][v] for v in order) for u in order))
+
+
+def test_induced_subgraph_and_relabel_pick_every_order():
+    """Both read the matrix through one reordering; it matches the plain
+    comprehension on permutations, proper subsets, one vertex and none, and
+    returns the matrix itself only when every vertex stays in place."""
+    rng = random.Random(20)
+    for n in range(5):
+        g = MultiDigraph(tuple(tuple(rng.randrange(4) for _ in range(n)) for _ in range(n)))
+        per = rng.sample(range(n), n)
+        assert relabel(g, per) == relabel(g, tuple(per)) == _picked(g, per)
+        assert relabel(g, range(n)).adj is induced_subgraph(g, list(range(n))).adj is g.adj
+        for size in range(n + 1):
+            part = rng.sample(range(n), size)
+            assert induced_subgraph(g, part) == _picked(g, part), (g, part)
+            assert induced_subgraph(g, sorted(part)) == _picked(g, sorted(part)), (g, part)
+    g = parse_graph("1 2 0;3 1 1;0 2 1")
+    assert induced_subgraph(g, [0, 1]) == parse_graph("1 2;3 1")
+    assert induced_subgraph(g, [0]) == parse_graph("1")
+    assert induced_subgraph(g, [2]) == parse_graph("1")
+    assert induced_subgraph(g, []) == EMPTY
+
+
 def test_relabel_identity_and_inverse():
     g = parse_graph("0 0 3;2 0 0;0 2 0")
     ident = tuple(range(g.n))

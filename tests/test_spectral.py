@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from tyz import spectral
 from tyz.catalog import weight_records
-from tyz.graphs import MultiDigraph, is_strongly_connected, parse_graph, relabel
+from tyz.graphs import MultiDigraph, aut_order, is_strongly_connected, parse_graph, relabel
 from tyz.spectral import (
     charpoly,
     coefficient_from_linear,
@@ -164,6 +165,20 @@ def test_orbit_formula_one_vertex():
 def test_orbit_formula_two_vertices():
     assert z_orbit(parse_graph("0 4;2 0")) == Fraction(7, 48)
     assert z_orbit(parse_graph("1 1;1 1")) == Fraction(1, 2)
+
+
+def test_orbit_formula_does_not_hold_the_group():
+    """Each orbit sweeps the group afresh: z_orbit of "3 3;3 3", whose group
+    has 2,592 elements, peaks far below the 2.2 MB the group takes as a list."""
+    g = parse_graph("3 3;3 3")
+    aut_order(g)  # the symmetry search is memoised per graph, outside the measure
+    tracemalloc.start()
+    try:
+        assert z_orbit(g) == Fraction(5, 2592)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
 
 
 def test_orbit_formula_rejects_non_strongly_connected():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -206,17 +207,31 @@ def test_two_vertex_closed_form():
     assert z_family(FamilySpec("twovertex", m=2, i=2, j=2, n=0)) == Fraction(5, 8)
 
 
+INVALID_SPECS = (
+    FamilySpec("A", n=2),
+    FamilySpec("K", n=1),
+    FamilySpec("Kmn", m=1, n=2),
+    FamilySpec("loops", n=1),
+    FamilySpec("twovertex", m=1, i=0, j=2, n=1),
+    FamilySpec("nosuch", n=3),
+)
+
+
 def test_family_parameter_validation():
-    for bad in (
-        FamilySpec("A", n=2),
-        FamilySpec("K", n=1),
-        FamilySpec("Kmn", m=1, n=2),
-        FamilySpec("loops", n=1),
-        FamilySpec("twovertex", m=1, i=0, j=2, n=1),
-        FamilySpec("nosuch", n=3),
-    ):
+    for bad in INVALID_SPECS:
         with pytest.raises(ValueError):
             z_family(bad)
+
+
+@pytest.mark.parametrize("bad", [*INVALID_SPECS, FamilySpec("D", n=0)])
+def test_family_size_and_build_raise_like_z_family(bad):
+    """size() and build_family check the parameters as z_family does: with
+    D at n = 0, size() once gave (0.5, 1), and (2, 4) for A at n = 2."""
+    with pytest.raises(ValueError) as caught:
+        z_family(bad)
+    for call in (bad.size, lambda: build_family(bad)):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(caught.value))}$"):
+            call()
 
 
 def test_build_family_shapes():
@@ -259,3 +274,4 @@ def test_family_size_matches_built_graph():
     for spec in _family_instances():
         g = build_family(spec)
         assert spec.size() == (g.n, g.edge_count), spec
+        assert all(type(x) is int for x in spec.size()), spec
