@@ -3,8 +3,7 @@
 For each weight k the row reports how many stable multidigraphs exist, how
 many are weakly connected, how many strongly connected, how many of those
 have det(A - I) != 0, and how many carry a zero expansion coefficient.
-Weights 5 to 7 (589, 5,683 and 66,710 isomorphism classes) sit behind
---allow-slow like the CLI.
+The slow weights sit behind --allow-slow like the CLI; its help names them.
 """
 
 from __future__ import annotations

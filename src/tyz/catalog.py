@@ -41,7 +41,7 @@ from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
-from .enumeration import census_count, check_weight, enumerate_stable
+from .enumeration import _fixed_matrices, census_count, check_weight, enumerate_stable
 from .eulerian import (
     _tour_count,
     _trim,
@@ -615,6 +615,11 @@ def _suite_oracle(top: int) -> list[VerifyCase]:
             cases.append(_case(f"charpoly({name})", rec.charpoly, coefficient_from_linear(g)))
             if rec.cls == CLASS_STRONG:
                 cases.append(_rat_case(f"orbit sum z({name})", rec.z, z_orbit(g)))
+        # a class has j!·∏m!/aut labelled members; a Burnside count needs no search
+        for j in range(1, k + 1):
+            per_label = sum(Fraction(_label_factor(r.graph.adj), r.aut) for r in stable_records(j, j + k))
+            expected, name = _fixed_matrices((1,) * j, j + k), f"labelled matrices ({j},{j + k})"
+            cases.append(_case(name, expected, math.factorial(j) * per_label))
     return cases
 
 

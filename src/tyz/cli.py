@@ -43,6 +43,9 @@ __all__ = ["main", "entrypoint"]
 # digits (the default of sys.set_int_max_str_digits); 2**14_000 < 10**4_300.
 _MAX_RESULT_BITS = 14_000
 
+# A table column pads to its widest cell up to this width; a wider cell prints in full.
+_MAX_PAD = 80
+
 
 def _check_result_size(m: int, what: str) -> None:
     """Reject input whose printed results can be as large as m!, before any
@@ -221,7 +224,7 @@ def _cell(value) -> str:
 
 def _render_table(rows, footer) -> str:
     grid = [list(rows[0]), *([_cell(v) for v in row.values()] for row in rows)]
-    widths = [max(map(len, column)) for column in zip(*grid)]
+    widths = [min(_MAX_PAD, max(map(len, column))) for column in zip(*grid)]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() for line in grid]
     lines.insert(1, "  ".join("-" * w for w in widths))
     if footer:

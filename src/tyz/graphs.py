@@ -20,17 +20,17 @@ whose cells of several vertices each hold twins is a leaf: one matrix, and
 each such cell permuted freely.  A hub joined to hundreds of alike leaves,
 or hundreds of copies of one vertex, takes one refinement and no search.
 The search returns the canonical matrix itself (`Symmetry.matrix`), with
-generators and the order of the vertex group: the matrix is the input tuple
-itself, not a copy, when the leaf keeps the vertex order, as for a census
-leaf the fill already ordered or a stored canonical matrix read back; that
-reordering is also `relabel` and `induced_subgraph`.  `canonical_form`
-wraps the matrix, `canonical_key` is the vertex count followed by its rows,
-and the enumeration collects it.  The one memo is per graph:
-`canonical_key`, `canonical_form`, `automorphisms` and `aut_order` share the
-search result of each `MultiDigraph`.  `symmetry` itself keeps nothing, and
-no census or catalog record fills the memo: a cold record reads the search
-its class kept in the fill, and a reread one searches its stored matrix
-once, directly.
+generators and the order of the vertex group; the matrix is the input tuple,
+not a copy, when the leaf keeps the vertex order, as for a leaf the fill
+ordered or a stored canonical matrix read back (`_leaf_matrix`, also
+`relabel` and `induced_subgraph`).  One closure over generators, `_closure`,
+gives the orbits the search prunes by, the group `automorphisms` lists and
+the orbits of `spectral.z_orbit`.  `canonical_key` is the vertex count and
+the canonical rows.  The one memo is per graph: `canonical_key`,
+`canonical_form`, `automorphisms` and `aut_order` share the search of each
+`MultiDigraph`.  `symmetry` keeps nothing, and no census or catalog record
+fills the memo: a cold record reads the search its class kept in the fill,
+a reread one searches its stored matrix once.
 """
 
 from __future__ import annotations
@@ -347,18 +347,10 @@ def symmetry(adj: Matrix, cells=None) -> Symmetry:
     first = best = None  # (leaf matrix, leaf ordering, path) of the first and least leaves
     below_first = 1  # the order of the group fixing the first leaf's path
 
-    def fixing(path: list[int]) -> list[tuple[int, ...]]:
-        return [g for g in generators if all(g[v] == v for v in path)]
-
-    def orbit(seeds: list[int], gens: list[tuple[int, ...]]) -> set[int]:
-        seen, stack = set(seeds), list(seeds)
-        while stack:
-            a = stack.pop()
-            for g in gens:
-                if g[a] not in seen:
-                    seen.add(g[a])
-                    stack.append(g[a])
-        return seen
+    def moves(path: list[int]):
+        """A vertex's images under the generators found that fix path."""
+        gens = [g for g in generators if all(g[v] == v for v in path)]
+        return lambda a: [g[a] for g in gens]
 
     def leaf(order: list[int], path: list[int], wide: list[list[int]]) -> int:
         nonlocal first, best, below_first
@@ -397,7 +389,7 @@ def symmetry(adj: Matrix, cells=None) -> Symmetry:
         tried: list[int] = []
         cell = cells[target]
         for v in cell:
-            if generators and v in orbit(tried, fixing(path)):
+            if generators and v in _closure(tried, moves(path)):
                 continue
             tried.append(v)
             # v keeps the first position of its cell, and refinement splits
@@ -411,8 +403,20 @@ def symmetry(adj: Matrix, cells=None) -> Symmetry:
 
     visit(cells, [])
     first_path = first[2]
-    order = math.prod(len(orbit([v], fixing(first_path[:d]))) for d, v in enumerate(first_path))
+    order = math.prod(len(_closure([v], moves(first_path[:d]))) for d, v in enumerate(first_path))
     return Symmetry(best[0], tuple(generators), order * below_first)
+
+
+def _closure(seeds, images) -> set:
+    """Everything reachable from seeds, where images(x) lists the image of x
+    under each generator: an orbit, or the group as the identity's closure."""
+    seen, stack = set(seeds), list(seeds)
+    while stack:
+        for y in images(stack.pop()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
 
 
 def _twins(adj: Matrix, cols: Matrix, cell: list[int]) -> bool:
@@ -487,17 +491,8 @@ def are_isomorphic(g: MultiDigraph, h: MultiDigraph) -> bool:
 def automorphisms(g: MultiDigraph) -> tuple[tuple[int, ...], ...]:
     """Vertex permutations phi with adj[phi(i)][phi(j)] = adj[i][j] everywhere,
     sorted: the group generated by the generators `symmetry` finds."""
-    identity = tuple(range(g.n))
-    group = {identity}
-    frontier = [identity]
-    generators = _symmetry_of(g).generators
-    while frontier:
-        phi = frontier.pop()
-        for s in generators:
-            composed = tuple(s[a] for a in phi)
-            if composed not in group:
-                group.add(composed)
-                frontier.append(composed)
+    gens = _symmetry_of(g).generators
+    group = _closure([tuple(range(g.n))], lambda p: [tuple(map(s.__getitem__, p)) for s in gens])
     return tuple(sorted(group))
 
 

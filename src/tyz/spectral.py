@@ -16,19 +16,22 @@ turns det(I - A) into the orbit sum
 
 the empty subgraph included with p = 0.  The acting group pairs a matrix
 automorphism phi with a label bijection per vertex pair, so its order is
-|Aut(G)| including the multiplicity factorials.  One sweep of the group over
-an orbit's representative gives the orbit and the stabilizer, whose sizes
-are asserted to multiply to the group order rather than assumed.
+|Aut(G)| including the multiplicity factorials.  It is never listed: each
+orbit is the closure of its representative under generators of the group,
+and its stabilizer has order |Aut(G)| / |orbit|.  The vertex generators are
+checked to close to a group of the search's order, and each orbit size to
+divide |Aut(G)|.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from operator import mul
 from typing import NamedTuple
 
-from .graphs import MultiDigraph, automorphisms, aut_order, is_semistable, is_strongly_connected
+from .graphs import MultiDigraph, _closure, _symmetry_of, aut_order, automorphisms
+from .graphs import is_semistable, is_strongly_connected
 
 __all__ = [
     "charpoly",
@@ -174,23 +177,9 @@ def coefficient_from_linear(g: MultiDigraph) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _full_group(g: MultiDigraph):
-    """The group of order |Aut(G)| as a sweep: each call yields every element
-    afresh, so that no sweep holds the group.  An element is phi followed by
-    a bijection of the edge labels of each pair (u, v) of adjacent vertices,
-    at the slot that the returned dict gives the pair."""
-    pairs = [(u, v) for u in range(g.n) for v in range(g.n) if g.adj[u][v] > 0]
-    label_choices = [tuple(permutations(range(g.adj[u][v]))) for u, v in pairs]
-    phis = automorphisms(g)
-    return {pair: t for t, pair in enumerate(pairs, 1)}, lambda: product(phis, *label_choices)
-
-
-def _act(element, slots, sub: LinearSubgraph) -> LinearSubgraph:
-    phi = element[0]
-    moved = []
-    for cycle in sub.cycles:
-        arcs = [(phi[u], phi[v], element[slots[u, v]][l]) for u, v, l in cycle]
-        moved.append(_canonical_cycle(arcs))
+def _act(arc_map: dict[Arc, Arc], sub: LinearSubgraph) -> LinearSubgraph:
+    """sub under arc_map, which keeps every arc it does not name."""
+    moved = (_canonical_cycle([arc_map.get(arc, arc) for arc in cycle]) for cycle in sub.cycles)
     return LinearSubgraph(tuple(sorted(moved)))
 
 
@@ -201,25 +190,25 @@ def z_orbit(g: MultiDigraph) -> Fraction:
         raise ValueError("z_orbit requires a semistable graph")
     if g.n == 0 or not is_strongly_connected(g):
         raise ValueError("z_orbit requires a strongly connected graph")
-    slots, sweep = _full_group(g)
+    found = _symmetry_of(g)
+    if len(automorphisms(g)) != found.order:
+        raise AssertionError("the vertex generators' group disagrees with the search's order")
     order = aut_order(g)
-    subgraphs = [LinearSubgraph(())] + linear_subgraphs(g)
-    seen: set[LinearSubgraph] = set()
-    total = Fraction(0)
-    for sub in subgraphs:
+    arcs = g.edges()
+    maps = [{(u, v, l): (phi[u], phi[v], l) for u, v, l in arcs} for phi in found.generators]
+    for u, row in enumerate(g.adj):
+        for v, m in enumerate(row):
+            # a transposition and an m-cycle of the pair's labels generate all m! bijections
+            for perm in {(1, 0, *range(2, m)), (*range(1, m), 0)} if m > 1 else ():
+                maps.append({(u, v, l): (u, v, perm[l]) for l in range(m)})
+    seen, total = set(), Fraction(0)
+    for sub in [LinearSubgraph(()), *linear_subgraphs(g)]:
         if sub in seen:
             continue
-        orbit: set[LinearSubgraph] = set()
-        stabilizer = elements = 0
-        for element in sweep():
-            image = _act(element, slots, sub)
-            orbit.add(image)
-            stabilizer += image == sub
-            elements += 1
-        if elements != order:
-            raise AssertionError("group enumeration disagrees with aut_order")
-        if len(orbit) * stabilizer != order:
-            raise AssertionError("orbit size times stabilizer must equal the group order")
+        orbit = _closure([sub], lambda x: [_act(arc_map, x) for arc_map in maps])
+        stabilizer, rest = divmod(order, len(orbit))
+        if rest:
+            raise AssertionError("an orbit's size must divide the group order")
         seen |= orbit
         total += Fraction((-1) ** (g.n + 1 + sub.p), stabilizer)
     return total

@@ -704,12 +704,30 @@ def test_oracle_suite_passes():
 
 def test_oracle_suite_follows_max_weight():
     """At the cap 5 the oracle suite adds a charpoly case for each of the 589
-    weight-5 graphs and an orbit sum for each of the 373 strongly connected
-    ones, after the rows of weights up to 4, which do not change."""
+    weight-5 graphs, an orbit sum for each of the 373 strongly connected
+    ones and a labelled-matrix count for each of the 5 catalogs, after the
+    rows of weights up to 4, which do not change."""
     default = verify("oracle").cases
     report = verify("oracle", max_weight=5, allow_slow=True)
     assert report.ok and report.cases[: len(default)] == default
-    assert len(report.cases) == len(default) + 589 + 373
+    assert len(report.cases) == len(default) + 589 + 373 + 5
+
+
+def test_oracle_suite_checks_automorphism_orders(monkeypatch):
+    """A record whose aut is doubled fails its catalog's labelled-matrix
+    count, and no other case of the oracle suite: the count of "2" becomes
+    1/2, not an integer, and that of (2,5) loses one of its 12."""
+    real = catalog.stable_records
+
+    def doubled(j, s):
+        records = real(j, s)
+        if (j, s) not in ((1, 2), (2, 5)):
+            return records
+        return (records[0]._replace(aut=2 * records[0].aut), *records[1:])
+
+    monkeypatch.setattr(catalog, "stable_records", doubled)
+    failed = [(c.name, c.expected, c.actual) for c in verify("oracle").cases if not c.ok]
+    assert failed == [("labelled matrices (1,2)", "1", "1/2"), ("labelled matrices (2,5)", "12", "11")]
 
 
 def test_records_share_equal_rows_and_charpolys(tmp_path, monkeypatch):
@@ -743,7 +761,7 @@ VERIFY_CASES = {
     "weight4": 84,
     "bernoulli": 4,
     "unitball": 14,
-    "oracle": 167,
+    "oracle": 177,
     "best": 36,
     "families": 76,
 }
@@ -753,11 +771,11 @@ def test_verify_case_counts_are_pinned():
     """The row count of every suite, which no canonical representative changes."""
     for suite, count in VERIFY_CASES.items():
         assert len(verify(suite).cases) == count, suite
-    assert len(verify("all").cases) == sum(VERIFY_CASES.values()) == 406
+    assert len(verify("all").cases) == sum(VERIFY_CASES.values()) == 416
     # weight 5 adds a case to table2 and bernoulli, three to unitball, and to
-    # oracle a charpoly case per graph (589) and an orbit sum per strongly
-    # connected one (373)
-    assert len(verify("all", max_weight=5, allow_slow=True).cases) == 1373
+    # oracle a charpoly case per graph (589), an orbit sum per strongly
+    # connected one (373) and a labelled-matrix count per catalog (5)
+    assert len(verify("all", max_weight=5, allow_slow=True).cases) == 1388
 
 
 def test_verify_reports_are_deterministic():

@@ -20,7 +20,7 @@ from tyz.zeta import FamilySpec, build_family
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # sha256 of `tyz verify all --format json` standard output
-VERIFY_ALL_SHA256 = "0d385b1aa0a17a7a6d32fab0208b4c973a01256bc73107c1c843cceaab0c4333"
+VERIFY_ALL_SHA256 = "fbe0afcae1d264ed3f8ab54c4e7244c5e6d3301724249a3764046f89ac114984"
 
 
 def run(capsys, *argv):
@@ -143,6 +143,16 @@ def test_verify_unitball_follows_max_weight(capsys):
     rows = {row["case"]: row for row in json.loads(out)["rows"]}
     assert code == 0 and rows["P_5 catalog sum"]["status"] == "pass"
     assert rows["P_5 leading coefficient"]["actual"] == "-1/3840"
+
+
+def test_table_pads_no_row_to_an_over_wide_cell(capsys):
+    """The weight-4 row of fixture keys, about 3,500 characters, prints in
+    full; no other row pads a column past 80 characters to match it."""
+    code, out, _ = run(capsys, "verify", "weight4")
+    wide = [line for line in out.splitlines() if line.startswith("fixture keys match catalog")]
+    rest = [line for line in out.splitlines() if not line.startswith("fixture keys")]
+    assert code == 0 and len(wide) == 1 and len(wide[0]) > 3000
+    assert max(map(len, rest)) <= 3 * (80 + 2) + len("status")
 
 
 def test_verify_all_json_is_pinned(capsys, tmp_path, monkeypatch):

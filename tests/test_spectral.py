@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from tyz import spectral
+from tyz import graphs, spectral
 from tyz.catalog import weight_records
 from tyz.graphs import MultiDigraph, aut_order, is_strongly_connected, parse_graph, relabel
 from tyz.spectral import (
@@ -14,7 +14,7 @@ from tyz.spectral import (
     linear_subgraphs,
     z_orbit,
 )
-from tyz.zeta import FamilySpec, build_family, det_a_minus_i, det_int, z_strong
+from tyz.zeta import FamilySpec, build_family, det_a_minus_i, det_int, z, z_strong
 
 
 @st.composite
@@ -168,8 +168,9 @@ def test_orbit_formula_two_vertices():
 
 
 def test_orbit_formula_does_not_hold_the_group():
-    """Each orbit sweeps the group afresh: z_orbit of "3 3;3 3", whose group
-    has 2,592 elements, peaks far below the 2.2 MB the group takes as a list."""
+    """Orbits are closures over generators, so the group is never listed:
+    z_orbit of "3 3;3 3", whose group has 2,592 elements, peaks far below
+    the 2.2 MB the group takes as a list."""
     g = parse_graph("3 3;3 3")
     aut_order(g)  # the symmetry search is memoised per graph, outside the measure
     tracemalloc.start()
@@ -179,6 +180,51 @@ def test_orbit_formula_does_not_hold_the_group():
     finally:
         tracemalloc.stop()
     assert peak < 200_000
+
+
+def test_orbit_formula_does_not_list_the_label_bijections():
+    """The nine-loop vertex has 9! = 362,880 label bijections; generated by
+    a transposition and a 9-cycle, its orbit sum peaks under 1 MB."""
+    g = parse_graph("9")
+    aut_order(g)
+    tracemalloc.start()
+    try:
+        assert z_orbit(g) == Fraction(-1, 45360)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("text", ["9", "0 4;4 0", "3 3;3 3", "2 2 0;0 2 2;2 0 2"])
+def test_orbit_formula_matches_z_with_many_label_bijections(text):
+    g = parse_graph(text)
+    assert z_orbit(g) == z(g)
+
+
+def test_orbit_formula_checks_the_group_order(monkeypatch):
+    """A search whose vertex group order disagrees with the group its
+    generators close to is caught, not trusted."""
+    real = graphs.symmetry
+    monkeypatch.setattr(graphs, "_searched", {})
+    monkeypatch.setattr(
+        graphs, "symmetry", lambda adj, cells=None: real(adj)._replace(order=2 * real(adj).order)
+    )
+    for text in ("9", "3 3;3 3"):
+        with pytest.raises(AssertionError):
+            z_orbit(parse_graph(text))
+
+
+def test_orbit_formula_matches_records_under_relabelling():
+    """Every strongly connected record of weight <= 5, its vertices shuffled
+    by a seeded permutation, has the orbit sum of its record's z."""
+    rng = random.Random(21)
+    strong = [r for k in range(1, 6) for r in weight_records(k) if is_strongly_connected(r.graph)]
+    for r in strong:
+        per = list(range(r.graph.n))
+        rng.shuffle(per)
+        assert z_orbit(relabel(r.graph, per)) == r.z, r.graph
+    assert len(strong) == 438
 
 
 def test_orbit_formula_rejects_non_strongly_connected():
