@@ -510,14 +510,9 @@ class VerifyReport(NamedTuple):
         return self.failed == 0
 
 
-def _case(name, expected, actual) -> VerifyCase:
-    return VerifyCase(name, str(expected), str(actual), expected == actual)
-
-
-def _rat_case(name, expected: Fraction, actual: Fraction) -> VerifyCase:
-    return VerifyCase(
-        name, format_rational(expected), format_rational(actual), expected == actual
-    )
+def _case(name, expected, actual, show=str) -> VerifyCase:
+    """The one constructor of a case: both values shown by `show`, ok if equal."""
+    return VerifyCase(name, show(expected), show(actual), expected == actual)
 
 
 def _suite_table2(top: int) -> list[VerifyCase]:
@@ -537,9 +532,9 @@ def _suite_weight(k: int) -> list[VerifyCase]:
             key = canonical_key(rec.graph)
             name = f"z({format_graph(rec.graph)})"
             if key not in fixture:
-                cases.append(VerifyCase(name, "pinned value", "missing from fixture", False))
+                cases.append(_case(name, "pinned value", "missing from fixture"))
             else:
-                cases.append(_rat_case(name, fixture[key], rec.z))
+                cases.append(_case(name, fixture[key], rec.z, format_rational))
         return cases
     # weight 4: the fixture pins the strongly connected graphs; connected but
     # not strongly connected graphs must vanish; disconnected ones must equal
@@ -555,16 +550,16 @@ def _suite_weight(k: int) -> list[VerifyCase]:
             expected = fixture.get(key)
             if expected is None:
                 continue  # already reported by the key-set case
-            cases.append(_rat_case(name, expected, rec.z))
+            cases.append(_case(name, expected, rec.z, format_rational))
         elif rec.cls == CLASS_CONNECTED:
-            cases.append(_rat_case(name + " vanishes", Fraction(0), rec.z))
+            cases.append(_case(name + " vanishes", Fraction(0), rec.z, format_rational))
         else:
             comps = weak_components(rec.graph)
             expected = Fraction(1)
             for c in comps:
                 expected *= component_fixtures[c.weight][canonical_key(c)]
             expected /= sym_factor(comps)
-            cases.append(_rat_case(name + " from components", expected, rec.z))
+            cases.append(_case(name + " from components", expected, rec.z, format_rational))
     return cases
 
 
@@ -572,7 +567,8 @@ def _suite_bernoulli(top: int) -> list[VerifyCase]:
     cases = []
     for k in range(1, top + 1):
         target = (-1) ** (k + 1) * bernoulli(k) / k
-        cases.append(_rat_case(f"tour sum weight {k}", target, bernoulli_identity_lhs(k)))
+        lhs = bernoulli_identity_lhs(k)
+        cases.append(_case(f"tour sum weight {k}", target, lhs, format_rational))
     return cases
 
 
@@ -585,24 +581,13 @@ def _suite_unitball(top: int) -> list[VerifyCase]:
     printed = {1: _P1_PRINTED, 2: _P2_PRINTED}
     for k in range(1, top + 1):
         (lhs, connected), rhs = unit_ball_sums(k), unit_ball_rhs(k)
-        cases.append(VerifyCase(f"P_{k} catalog sum", format_poly(rhs), format_poly(lhs), lhs == rhs))
+        cases.append(_case(f"P_{k} catalog sum", rhs, lhs, format_poly))
         target = connected_unit_ball_rhs(k)
-        cases.append(
-            VerifyCase(
-                f"P_{k} connected sum", format_poly(target), format_poly(connected), connected == target
-            )
-        )
+        cases.append(_case(f"P_{k} connected sum", target, connected, format_poly))
         leading = Fraction((-1) ** k, 2**k * math.factorial(k))
-        cases.append(_rat_case(f"P_{k} leading coefficient", leading, lhs[-1]))
+        cases.append(_case(f"P_{k} leading coefficient", leading, lhs[-1], format_rational))
         if k in printed:
-            cases.append(
-                VerifyCase(
-                    f"P_{k} printed form",
-                    format_poly(printed[k]),
-                    format_poly(lhs),
-                    printed[k] == lhs,
-                )
-            )
+            cases.append(_case(f"P_{k} printed form", printed[k], lhs, format_poly))
     return cases
 
 
@@ -614,12 +599,16 @@ def _suite_oracle(top: int) -> list[VerifyCase]:
             name = format_graph(g)
             cases.append(_case(f"charpoly({name})", rec.charpoly, coefficient_from_linear(g)))
             if rec.cls == CLASS_STRONG:
-                cases.append(_rat_case(f"orbit sum z({name})", rec.z, z_orbit(g)))
+                cases.append(_case(f"orbit sum z({name})", rec.z, z_orbit(g), format_rational))
         # a class has j!·∏m!/aut labelled members; a Burnside count needs no search
         for j in range(1, k + 1):
             per_label = sum(Fraction(_label_factor(r.graph.adj), r.aut) for r in stable_records(j, j + k))
             expected, name = _fixed_matrices((1,) * j, j + k), f"labelled matrices ({j},{j + k})"
             cases.append(_case(name, expected, math.factorial(j) * per_label))
+        # each z again by `zeta.z`, the union rule over the components
+        for j in range(1, k + 1):
+            wrong = [format_graph(r.graph) for r in stable_records(j, j + k) if r.z != z(r.graph)]
+            cases.append(_case(f"z by components ({j},{j + k})", [], wrong))
     return cases
 
 
@@ -667,11 +656,10 @@ def _spec_label(spec: FamilySpec) -> str:
 
 
 def _suite_families() -> list[VerifyCase]:
-    cases = []
-    for spec in _family_instances():
-        built = build_family(spec)
-        cases.append(_rat_case(_spec_label(spec), z_family(spec), z(built)))
-    return cases
+    return [
+        _case(_spec_label(spec), z_family(spec), z(build_family(spec)), format_rational)
+        for spec in _family_instances()
+    ]
 
 
 def _fixed(suite, *args):

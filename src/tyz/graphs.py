@@ -28,9 +28,10 @@ gives the orbits the search prunes by, the group `automorphisms` lists and
 the orbits of `spectral.z_orbit`.  `canonical_key` is the vertex count and
 the canonical rows.  The one memo is per graph: `canonical_key`,
 `canonical_form`, `automorphisms` and `aut_order` share the search of each
-`MultiDigraph`.  `symmetry` keeps nothing, and no census or catalog record
-fills the memo: a cold record reads the search its class kept in the fill,
-a reread one searches its stored matrix once.
+`MultiDigraph`.  `symmetry` keeps nothing, and building a census or catalog
+record fills no memo: a cold record reads the search its class kept in the
+fill, a reread one searches its stored matrix once.  `verify`'s oracle suite
+does fill it, through `spectral.z_orbit` and `zeta.z` on each record.
 """
 
 from __future__ import annotations

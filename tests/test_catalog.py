@@ -705,12 +705,13 @@ def test_oracle_suite_passes():
 def test_oracle_suite_follows_max_weight():
     """At the cap 5 the oracle suite adds a charpoly case for each of the 589
     weight-5 graphs, an orbit sum for each of the 373 strongly connected
-    ones and a labelled-matrix count for each of the 5 catalogs, after the
-    rows of weights up to 4, which do not change."""
+    ones, and a labelled-matrix count and a z-by-components case for each
+    of the 5 catalogs, after the rows of weights up to 4, which do not
+    change."""
     default = verify("oracle").cases
     report = verify("oracle", max_weight=5, allow_slow=True)
     assert report.ok and report.cases[: len(default)] == default
-    assert len(report.cases) == len(default) + 589 + 373 + 5
+    assert len(report.cases) == len(default) + 589 + 373 + 5 + 5
 
 
 def test_oracle_suite_checks_automorphism_orders(monkeypatch):
@@ -728,6 +729,23 @@ def test_oracle_suite_checks_automorphism_orders(monkeypatch):
     monkeypatch.setattr(catalog, "stable_records", doubled)
     failed = [(c.name, c.expected, c.actual) for c in verify("oracle").cases if not c.ok]
     assert failed == [("labelled matrices (1,2)", "1", "1/2"), ("labelled matrices (2,5)", "12", "11")]
+
+
+def test_oracle_suite_checks_record_z(monkeypatch):
+    """A record whose z is doubled fails its catalog's z-by-components case,
+    which names the graph, and no other case of the oracle suite: "2 0;0 2"
+    is disconnected, so no orbit sum reads its z."""
+    real = catalog.stable_records
+
+    def doubled(j, s):
+        records = real(j, s)
+        return tuple(
+            r._replace(z=2 * r.z) if format_graph(r.graph) == "2 0;0 2" else r for r in records
+        )
+
+    monkeypatch.setattr(catalog, "stable_records", doubled)
+    failed = [(c.name, c.expected, c.actual) for c in verify("oracle").cases if not c.ok]
+    assert failed == [("z by components (2,4)", "[]", "['2 0;0 2']")]
 
 
 def test_records_share_equal_rows_and_charpolys(tmp_path, monkeypatch):
@@ -761,7 +779,7 @@ VERIFY_CASES = {
     "weight4": 84,
     "bernoulli": 4,
     "unitball": 14,
-    "oracle": 177,
+    "oracle": 187,
     "best": 36,
     "families": 76,
 }
@@ -771,11 +789,12 @@ def test_verify_case_counts_are_pinned():
     """The row count of every suite, which no canonical representative changes."""
     for suite, count in VERIFY_CASES.items():
         assert len(verify(suite).cases) == count, suite
-    assert len(verify("all").cases) == sum(VERIFY_CASES.values()) == 416
+    assert len(verify("all").cases) == sum(VERIFY_CASES.values()) == 426
     # weight 5 adds a case to table2 and bernoulli, three to unitball, and to
     # oracle a charpoly case per graph (589), an orbit sum per strongly
-    # connected one (373) and a labelled-matrix count per catalog (5)
-    assert len(verify("all", max_weight=5, allow_slow=True).cases) == 1388
+    # connected one (373), and a labelled-matrix count and a z-by-components
+    # case per catalog (5 + 5)
+    assert len(verify("all", max_weight=5, allow_slow=True).cases) == 1403
 
 
 def test_verify_reports_are_deterministic():
@@ -810,7 +829,7 @@ def test_catalog_lines_are_pinned(tmp_path, monkeypatch):
     """Every catalog of weight k <= 5, built cold in catalog order (k, then j),
     hashes line by line to a pinned value: a refactor must not move a record,
     a field or a canonical representative.  A deliberate change of canonical
-    representative updates this pin and the `verify all` pin in
+    representative updates this pin and the `verify all` pins in
     tests/test_cli.py together."""
     monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(catalog, "_memo", {})

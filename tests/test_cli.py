@@ -19,8 +19,10 @@ from tyz.zeta import FamilySpec, build_family
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# sha256 of `tyz verify all --format json` standard output
-VERIFY_ALL_SHA256 = "fbe0afcae1d264ed3f8ab54c4e7244c5e6d3301724249a3764046f89ac114984"
+# sha256 of `tyz verify all --format json` standard output, and with
+# `--max-weight 5 --allow-slow`
+VERIFY_ALL_SHA256 = "5b765674fddc45a6ca8e233bc656f1ba7f86751c8bd5c92b88e8daee1e3a40e0"
+VERIFY_ALL_5_SHA256 = "033c3182841848453e00c3aef70917e2ba207baad6e74afd15626f548139aa8a"
 
 
 def run(capsys, *argv):
@@ -158,12 +160,23 @@ def test_table_pads_no_row_to_an_over_wide_cell(capsys):
 def test_verify_all_json_is_pinned(capsys, tmp_path, monkeypatch):
     """The whole `verify all` report, from a cold cache, is byte-identical
     to a pinned one; a deliberate change of canonical representative updates
-    this pin and the catalog pin in tests/test_catalog.py together."""
+    both `verify all` pins and the catalog pin in tests/test_catalog.py
+    together."""
     monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(catalog, "_memo", {})
     code, out, err = run(capsys, "verify", "all", "--format", "json")
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
+
+
+def test_verify_all_to_weight_5_json_is_pinned(capsys):
+    """The `verify all` report at the cap 5 is byte-identical to a pinned
+    one, so the weight-5 rows, such as P_5 and the orbit sums, cannot move
+    or change unseen."""
+    argv = ["verify", "all", "--max-weight", "5", "--allow-slow", "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_5_SHA256
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
