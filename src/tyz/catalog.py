@@ -312,14 +312,16 @@ def stable_records(j: int, s: int) -> tuple[CatalogRecord, ...]:
     """Catalog records for the j-vertex, s-edge stable graphs, cached in
     memory per cache directory and, when one is configured, on disk.
 
-    The number of records must equal `census_count(j, s)`: a catalog read
-    with another count is rebuilt like a corrupt one, and an enumeration
-    that gives another count raises RuntimeError."""
+    The records must number `census_count(j, s)`: 0 gives () and touches no
+    file, a catalog read with another count is rebuilt like a corrupt one,
+    and an enumeration giving another count raises RuntimeError."""
     cache_root = catalog_cache_dir()
     memo_key = (cache_root, j, s)
     if memo_key in _memo:
         return _memo[memo_key]
     expected = census_count(j, s)
+    if expected == 0:
+        return ()
     path = None if cache_root is None else cache_root / f"stable-{j}-{s}.jsonl"
     if path is not None and path.exists():
         try:
@@ -350,8 +352,7 @@ def stable_records(j: int, s: int) -> tuple[CatalogRecord, ...]:
 
 def weight_records(k: int) -> tuple[CatalogRecord, ...]:
     """Records of every stable graph of weight k, sorted by canonical key."""
-    if k < 1:
-        raise ValueError("weight_records needs k >= 1")
+    check_weight(k)
     # each catalog is in key order, and every key starts with its vertex count
     return tuple(r for j in range(1, k + 1) for r in stable_records(j, j + k))
 
@@ -368,7 +369,7 @@ class GraphClassCounts(NamedTuple):
 
 def class_counts(k: int) -> GraphClassCounts:
     """The census of weight k (one TABLE2 row), served from the record cache."""
-    recs = weight_records(check_weight(k))
+    recs = weight_records(k)
     return GraphClassCounts(
         total=len(recs),
         connected=sum(r.cls != CLASS_DISCONNECTED for r in recs),
@@ -398,7 +399,7 @@ class FormalSum(NamedTuple):
 
 
 def expansion(k: int) -> FormalSum:
-    return FormalSum(k, tuple((r.graph, r.z) for r in weight_records(check_weight(k))))
+    return FormalSum(k, tuple((r.graph, r.z) for r in weight_records(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +411,7 @@ def bernoulli_identity_lhs(k: int) -> Fraction:
     """sum of z(G) * epsilon(G) * prod((deg+(v) - 1)!) over stable weight-k
     graphs; the identity says this equals (-1)^(k+1) B_k / k."""
     total = Fraction(0)
-    for r in weight_records(check_weight(k)):
+    for r in weight_records(k):
         if r.euler_tours:
             degrees = r.graph.out_degrees()
             total += r.z * r.euler_tours * math.prod(math.factorial(d - 1) for d in degrees)
@@ -424,8 +425,9 @@ def unit_ball_sums(k: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     says equals `unit_ball_rhs(k)`, and the same sum over the weakly
     connected ones, which equals `connected_unit_ball_rhs(k)`.  A graph
     with z = 0 or without a decomposition adds nothing."""
+    records = weight_records(k)  # checks k before the sums are sized by it
     full, connected = [Fraction(0)] * (2 * k + 1), [Fraction(0)] * (2 * k + 1)
-    for r in weight_records(check_weight(k)):
+    for r in records:
         if not r.z:
             continue
         factor = r.z * math.prod(math.factorial(d - 1) for d in r.graph.out_degrees())

@@ -7,7 +7,10 @@ L on exactly i vertices, where a linear subgraph is a set of vertex-disjoint
 simple directed cycles (loops are 1-cycles) with every parallel edge choice
 distinguished, and p(L) is the number of cycles.  `charpoly` computes them
 by Berkowitz's division-free recurrence, `coefficient_from_linear` by that
-count, all coefficients from one enumeration.
+count, all coefficients from one enumeration.  A linear subgraph is its
+arc set with its number of cycles: every vertex on it has one arc out and
+one arc in, so equal subgraphs have equal arc sets whatever order their
+cycles were found in.
 
 Grouping the labeled linear subgraphs into orbits of the automorphism group
 turns det(I - A) into the orbit sum
@@ -42,7 +45,6 @@ __all__ = [
 ]
 
 Arc = tuple[int, int, int]  # (tail, head, parallel edge label)
-Cycle = tuple[Arc, ...]
 
 
 def charpoly(g: MultiDigraph) -> tuple[int, ...]:
@@ -80,32 +82,20 @@ def charpoly(g: MultiDigraph) -> tuple[int, ...]:
 
 
 class LinearSubgraph(NamedTuple):
-    """Vertex-disjoint simple directed cycles with labeled edge choices.
+    """Vertex-disjoint simple directed cycles with labeled edge choices: the
+    set of their arcs and the number p of cycles."""
 
-    Each cycle is stored rotated so its smallest vertex comes first, and the
-    cycles are sorted, so equal subgraphs compare equal.
-    """
-
-    cycles: tuple[Cycle, ...]
-
-    @property
-    def p(self) -> int:
-        return len(self.cycles)
+    arcs: frozenset[Arc]
+    p: int
 
     def vertex_count(self) -> int:
-        return sum(len(c) for c in self.cycles)
-
-
-def _canonical_cycle(arcs: list[Arc]) -> Cycle:
-    start = min(range(len(arcs)), key=lambda t: arcs[t][0])
-    return tuple(arcs[start:] + arcs[:start])
+        return len(self.arcs)
 
 
 def _simple_vertex_cycles(g: MultiDigraph) -> list[tuple[int, ...]]:
     """All simple directed cycles of the support, as vertex tuples starting
     at their smallest vertex."""
-    n = g.n
-    adj = g.adj
+    n, adj = g.n, g.adj
     found: list[tuple[int, ...]] = []
 
     def extend(start: int, path: list[int], onpath: set[int]) -> None:
@@ -125,42 +115,30 @@ def _simple_vertex_cycles(g: MultiDigraph) -> list[tuple[int, ...]]:
     for s in range(n):
         extend(s, [s], {s})
     # each cycle appears once: rooted at its smallest vertex, in cycle order
-    return sorted(found, key=lambda c: (len(c), c))
-
-
-def _labeled_cycles(g: MultiDigraph) -> list[Cycle]:
-    out: list[Cycle] = []
-    for verts in _simple_vertex_cycles(g):
-        arcs = [(verts[t], verts[(t + 1) % len(verts)]) for t in range(len(verts))]
-        for labels in product(*(range(g.adj[u][v]) for u, v in arcs)):
-            out.append(_canonical_cycle([(u, v, l) for (u, v), l in zip(arcs, labels)]))
-    return out
+    return found
 
 
 def linear_subgraphs(g: MultiDigraph) -> list[LinearSubgraph]:
     """Every nonempty linear subgraph, distinct parallel-edge choices distinct."""
-    cycles = _labeled_cycles(g)
-    masks = [_vertex_mask(c) for c in cycles]
+    cycles: list[tuple[frozenset[Arc], int]] = []  # each labeled cycle's arcs and vertex mask
+    for verts in _simple_vertex_cycles(g):
+        pairs = list(zip(verts, verts[1:] + verts[:1]))
+        mask = sum(1 << u for u in verts)
+        for labels in product(*(range(g.adj[u][v]) for u, v in pairs)):
+            cycles.append((frozenset((u, v, l) for (u, v), l in zip(pairs, labels)), mask))
     out: list[LinearSubgraph] = []
 
-    def rec(i: int, used: int, chosen: list[Cycle]) -> None:
+    def rec(i: int, used: int, sub: LinearSubgraph) -> None:
         for t in range(i, len(cycles)):
-            if masks[t] & used:
+            arcs, mask = cycles[t]
+            if mask & used:
                 continue
-            chosen.append(cycles[t])
-            out.append(LinearSubgraph(tuple(sorted(chosen))))
-            rec(t + 1, used | masks[t], chosen)
-            chosen.pop()
+            grown = LinearSubgraph(sub.arcs | arcs, sub.p + 1)
+            out.append(grown)
+            rec(t + 1, used | mask, grown)
 
-    rec(0, 0, [])
+    rec(0, 0, LinearSubgraph(frozenset(), 0))
     return out
-
-
-def _vertex_mask(cycle: Cycle) -> int:
-    mask = 0
-    for u, _, _ in cycle:
-        mask |= 1 << u
-    return mask
 
 
 def coefficient_from_linear(g: MultiDigraph) -> tuple[int, ...]:
@@ -177,12 +155,6 @@ def coefficient_from_linear(g: MultiDigraph) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _act(arc_map: dict[Arc, Arc], sub: LinearSubgraph) -> LinearSubgraph:
-    """sub under arc_map, which keeps every arc it does not name."""
-    moved = (_canonical_cycle([arc_map.get(arc, arc) for arc in cycle]) for cycle in sub.cycles)
-    return LinearSubgraph(tuple(sorted(moved)))
-
-
 def z_orbit(g: MultiDigraph) -> Fraction:
     """z of a strongly connected semistable graph as an orbit sum over
     equivalence classes of linear subgraphs."""
@@ -194,18 +166,21 @@ def z_orbit(g: MultiDigraph) -> Fraction:
     if len(automorphisms(g)) != found.order:
         raise AssertionError("the vertex generators' group disagrees with the search's order")
     order = aut_order(g)
-    arcs = g.edges()
-    maps = [{(u, v, l): (phi[u], phi[v], l) for u, v, l in arcs} for phi in found.generators]
+    maps = [{(u, v, l): (phi[u], phi[v], l) for u, v, l in g.edges()} for phi in found.generators]
     for u, row in enumerate(g.adj):
         for v, m in enumerate(row):
             # a transposition and an m-cycle of the pair's labels generate all m! bijections
             for perm in {(1, 0, *range(2, m)), (*range(1, m), 0)} if m > 1 else ():
                 maps.append({(u, v, l): (u, v, perm[l]) for l in range(m)})
     seen, total = set(), Fraction(0)
-    for sub in [LinearSubgraph(()), *linear_subgraphs(g)]:
+    for sub in [LinearSubgraph(frozenset(), 0), *linear_subgraphs(g)]:
         if sub in seen:
             continue
-        orbit = _closure([sub], lambda x: [_act(arc_map, x) for arc_map in maps])
+        # a map keeps every arc it does not name, and the cycle count
+        orbit = _closure(
+            [sub],
+            lambda x: [LinearSubgraph(frozenset(m.get(a, a) for a in x.arcs), x.p) for m in maps],
+        )
         stabilizer, rest = divmod(order, len(orbit))
         if rest:
             raise AssertionError("an orbit's size must divide the group order")

@@ -296,6 +296,17 @@ def test_cache_files_appear_and_are_reused(tmp_path, monkeypatch):
     _clear_memo()
 
 
+def test_empty_parameter_ranges_write_no_catalog(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("TYZ_CACHE_DIR", str(cache))
+    _clear_memo()
+    for j, s in ((1, 1), (0, 0), (-2, 7)):
+        assert stable_records(j, s) == ()
+    assert list(cache.iterdir()) == []
+    _clear_memo()
+
+
 def test_corrupt_cache_is_rebuilt(tmp_path, monkeypatch):
     monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path / "cache"))
     _clear_memo()

@@ -6,7 +6,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from tyz import enumeration
+from tyz import catalog, enumeration
 from tyz.catalog import TABLE2, class_counts, weight_records
 from tyz.enumeration import enumerate_stable, raw_stable_matrices
 from tyz.graphs import (
@@ -50,6 +50,17 @@ def test_empty_parameter_ranges():
 def test_weight_records_rejects_nonpositive():
     with pytest.raises(ValueError):
         weight_records(0)
+
+
+def test_weight_records_rejects_weights_above_the_maximum(monkeypatch):
+    """A weight above MAX_WEIGHT is refused before any catalog is built."""
+
+    def refuse(j, s):
+        raise AssertionError(f"stable_records({j}, {s}) was called")
+
+    monkeypatch.setattr(catalog, "stable_records", refuse)
+    with pytest.raises(ValueError):
+        weight_records(enumeration.MAX_WEIGHT + 1)
 
 
 def test_weight_catalog_sizes():

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -111,13 +112,44 @@ def test_linear_subgraph_counts():
     assert len(linear_subgraphs(parse_graph("1 1;1 1"))) == 4
 
 
+def _assert_disjoint_cycles(sub):
+    """Arcs form vertex-disjoint cycles exactly when every vertex they touch
+    has one arc out and one arc in."""
+    tails = [u for u, _, _ in sub.arcs]
+    heads = [v for _, v, _ in sub.arcs]
+    assert len(set(tails)) == len(tails)
+    assert len(set(heads)) == len(heads)
+    assert set(tails) == set(heads)
+
+
 def test_linear_subgraphs_have_disjoint_cycles():
     for sub in linear_subgraphs(parse_graph("1 1;1 1")):
-        seen = set()
-        for cyc in sub.cycles:
-            verts = {u for u, _, _ in cyc}
-            assert not (verts & seen)
-            seen |= verts
+        _assert_disjoint_cycles(sub)
+
+
+@given(small_graphs())
+def test_linear_subgraphs_are_distinct_arc_sets_of_edges(g):
+    subs = linear_subgraphs(g)
+    assert len({sub.arcs for sub in subs}) == len(subs)
+    for sub in subs:
+        _assert_disjoint_cycles(sub)
+        assert all(label < g.adj[u][v] for u, v, label in sub.arcs)
+        assert 1 <= sub.p <= sub.vertex_count()
+
+
+@pytest.mark.parametrize(
+    "text, counts",
+    [
+        ("3 3;3 3", {(1, 1): 6, (1, 2): 9, (2, 2): 9}),
+        ("1 1 1;1 1 1;1 1 1", {(1, 1): 3, (1, 2): 3, (1, 3): 2, (2, 2): 3, (2, 3): 3, (3, 3): 1}),
+        ("2 1;1 2", {(1, 1): 4, (1, 2): 1, (2, 2): 4}),
+        ("0 2 0;0 0 2;2 0 0", {(1, 3): 8}),
+    ],
+)
+def test_linear_subgraphs_by_cycles_and_vertices(text, counts):
+    """The number of linear subgraphs with p cycles on i vertices."""
+    subs = linear_subgraphs(parse_graph(text))
+    assert Counter((sub.p, sub.vertex_count()) for sub in subs) == counts
 
 
 def test_cycle_structure_stats():
