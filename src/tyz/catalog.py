@@ -59,6 +59,7 @@ from .graphs import (
     Symmetry,
     _label_factor,
     _semistable,
+    canonical_form,
     canonical_key,
     connectivity,
     format_graph,
@@ -385,17 +386,14 @@ def class_counts(k: int) -> GraphClassCounts:
 
 class FormalSum(NamedTuple):
     """The weight-k expansion coefficient as a formal rational combination of
-    stable graphs; zero coefficients are retained."""
+    stable graphs, each term's graph in canonical form; zero coefficients
+    are retained."""
 
     weight: int
     terms: tuple[tuple[MultiDigraph, Fraction], ...]
 
     def coefficient(self, g: MultiDigraph) -> Fraction:
-        key = canonical_key(g)
-        for graph, value in self.terms:
-            if canonical_key(graph) == key:
-                return value
-        return Fraction(0)
+        return dict(self.terms).get(canonical_form(g), Fraction(0))
 
 
 def expansion(k: int) -> FormalSum:

@@ -17,19 +17,21 @@ turns det(I - A) into the orbit sum
 
     z(G) = sum over orbit classes [L] of (-1)^(n + 1 + p(L)) / |stab(L)|,
 
-the empty subgraph included with p = 0.  The acting group pairs a matrix
-automorphism phi with a label bijection per vertex pair, so its order is
-|Aut(G)| including the multiplicity factorials.  It is never listed: each
-orbit is the closure of its representative under generators of the group,
-and its stabilizer has order |Aut(G)| / |orbit|.  The vertex generators are
-checked to close to a group of the search's order, and each orbit size to
-divide |Aut(G)|.
+the empty subgraph included with p = 0, over the group of matrix
+automorphisms with a label bijection per vertex pair, of order |Aut(G)|.
+A linear subgraph uses each pair (u, v) once at most, so its orbit is every
+labelling of the vertex orbit of its label-free support.  So the vertex
+generators close the support's linear subgraphs into orbits, each member
+standing for its prod m(u, v) labellings, with stabilizer order |Aut(G)| /
+(|orbit| prod m(u, v)).  They are checked to close to a group of the
+search's order, and each labelled orbit size to divide |Aut(G)|.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 from operator import mul
 from typing import NamedTuple
 
@@ -157,7 +159,7 @@ def coefficient_from_linear(g: MultiDigraph) -> tuple[int, ...]:
 
 def z_orbit(g: MultiDigraph) -> Fraction:
     """z of a strongly connected semistable graph as an orbit sum over
-    equivalence classes of linear subgraphs."""
+    vertex orbits of the support's linear subgraphs."""
     if not is_semistable(g):
         raise ValueError("z_orbit requires a semistable graph")
     if g.n == 0 or not is_strongly_connected(g):
@@ -165,23 +167,16 @@ def z_orbit(g: MultiDigraph) -> Fraction:
     found = _symmetry_of(g)
     if len(automorphisms(g)) != found.order:
         raise AssertionError("the vertex generators' group disagrees with the search's order")
-    order = aut_order(g)
-    maps = [{(u, v, l): (phi[u], phi[v], l) for u, v, l in g.edges()} for phi in found.generators]
-    for u, row in enumerate(g.adj):
-        for v, m in enumerate(row):
-            # a transposition and an m-cycle of the pair's labels generate all m! bijections
-            for perm in {(1, 0, *range(2, m)), (*range(1, m), 0)} if m > 1 else ():
-                maps.append({(u, v, l): (u, v, perm[l]) for l in range(m)})
+    order, support = aut_order(g), MultiDigraph(tuple(tuple(min(m, 1) for m in row) for row in g.adj))
     seen, total = set(), Fraction(0)
-    for sub in [LinearSubgraph(frozenset(), 0), *linear_subgraphs(g)]:
+    for sub in [LinearSubgraph(frozenset(), 0), *linear_subgraphs(support)]:
         if sub in seen:
             continue
-        # a map keeps every arc it does not name, and the cycle count
-        orbit = _closure(
-            [sub],
-            lambda x: [LinearSubgraph(frozenset(m.get(a, a) for a in x.arcs), x.p) for m in maps],
-        )
-        stabilizer, rest = divmod(order, len(orbit))
+        # every arc has label 0 and stands for its pair's m(u, v) labels
+        orbit = _closure([sub], lambda x: [
+            LinearSubgraph(frozenset((f[u], f[v], 0) for u, v, _ in x.arcs), x.p)
+            for f in found.generators])
+        stabilizer, rest = divmod(order, len(orbit) * prod(g.adj[u][v] for u, v, _ in sub.arcs))
         if rest:
             raise AssertionError("an orbit's size must divide the group order")
         seen |= orbit

@@ -653,6 +653,19 @@ def test_expansion_coefficient_lookup():
     assert f.coefficient(parse_graph("2")) == 0
 
 
+def test_expansion_coefficient_searches_its_argument_alone(monkeypatch):
+    """The terms are canonical forms, so a lookup makes at most the one
+    symmetry search of its argument, whatever the size of the sum."""
+    f = expansion(3)
+    real, calls = graphs.symmetry, []
+    monkeypatch.setattr(graphs, "symmetry", lambda adj, cells=None: calls.append(adj) or real(adj, cells))
+    for g, value in f.terms:
+        monkeypatch.setattr(graphs, "_searched", {})
+        calls.clear()
+        assert f.coefficient(relabel(g, range(g.n - 1, -1, -1))) == value
+        assert len(calls) <= 1
+
+
 def test_expansion_weight_bounds():
     with pytest.raises(ValueError):
         expansion(0)

@@ -4,11 +4,18 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from tyz import graphs, spectral
 from tyz.catalog import weight_records
-from tyz.graphs import MultiDigraph, aut_order, is_strongly_connected, parse_graph, relabel
+from tyz.graphs import (
+    MultiDigraph,
+    aut_order,
+    is_semistable,
+    is_strongly_connected,
+    parse_graph,
+    relabel,
+)
 from tyz.spectral import (
     charpoly,
     coefficient_from_linear,
@@ -215,8 +222,9 @@ def test_orbit_formula_does_not_hold_the_group():
 
 
 def test_orbit_formula_does_not_list_the_label_bijections():
-    """The nine-loop vertex has 9! = 362,880 label bijections; generated by
-    a transposition and a 9-cycle, its orbit sum peaks under 1 MB."""
+    """The nine-loop vertex has 9! = 362,880 label bijections; they enter
+    as a factor of 9 on the one-element orbit of its loop, so its orbit sum
+    peaks under 1 MB."""
     g = parse_graph("9")
     aut_order(g)
     tracemalloc.start()
@@ -232,6 +240,15 @@ def test_orbit_formula_does_not_list_the_label_bijections():
 def test_orbit_formula_matches_z_with_many_label_bijections(text):
     g = parse_graph(text)
     assert z_orbit(g) == z(g)
+
+
+@given(small_graphs(max_n=3, max_entry=3))
+def test_orbit_formula_matches_z_on_small_multigraphs(g):
+    """Multiplicities up to 3 enter as labelling factors of vertex orbits;
+    the sum is the same in either vertex order."""
+    assume(is_semistable(g) and is_strongly_connected(g))
+    assert z_orbit(g) == z(g)
+    assert z_orbit(relabel(g, range(g.n - 1, -1, -1))) == z(g)
 
 
 def test_orbit_formula_checks_the_group_order(monkeypatch):
