@@ -100,7 +100,7 @@ __all__ = [
 # exact serialization
 # ---------------------------------------------------------------------------
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)/(\d+)$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 def format_rational(q: Fraction) -> str:
@@ -109,7 +109,7 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    m = _RATIONAL_RE.match(text.strip())
+    m = _RATIONAL_RE.fullmatch(text.strip())
     if not m or int(m.group(2)) == 0:
         raise ValueError(f"not a rational in p/q form: {text!r}")
     return Fraction(int(m.group(1)), int(m.group(2)))

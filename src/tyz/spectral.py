@@ -2,35 +2,34 @@
 subgraphs, and orbit sums.
 
 The characteristic polynomial of a digraph is det(lambda*I - A); its
-coefficient c_i equals the signed count sum((-1)^p(L)) over linear subgraphs
-L on exactly i vertices, where a linear subgraph is a set of vertex-disjoint
-simple directed cycles (loops are 1-cycles) with every parallel edge choice
-distinguished, and p(L) is the number of cycles.  `charpoly` computes them
-by Berkowitz's division-free recurrence, `coefficient_from_linear` by that
-count, all coefficients from one enumeration.  A linear subgraph is its
-arc set with its number of cycles: every vertex on it has one arc out and
-one arc in, so equal subgraphs have equal arc sets whatever order their
-cycles were found in.
+coefficient c_i equals the signed count sum((-1)^p(L)) over labelled linear
+subgraphs L on exactly i vertices: vertex-disjoint simple directed cycles
+(loops are 1-cycles), each arc one of the m(u, v) parallel edges u -> v,
+and p(L) the number of cycles.  A `LinearSubgraph` is one of the support:
+its set of (tail, head) arcs, the same whatever order its cycles were found
+in, its p, and its labellings, the prod m(u, v) labelled ones it stands
+for.  `charpoly` computes the coefficients by Berkowitz's division-free
+recurrence, `coefficient_from_linear` by that count, all coefficients from
+one enumeration.
 
-Grouping the labeled linear subgraphs into orbits of the automorphism group
+Grouping the labelled linear subgraphs into orbits of the automorphism group
 turns det(I - A) into the orbit sum
 
     z(G) = sum over orbit classes [L] of (-1)^(n + 1 + p(L)) / |stab(L)|,
 
 the empty subgraph included with p = 0, over the group of matrix
 automorphisms with a label bijection per vertex pair, of order |Aut(G)|.
-A linear subgraph uses each pair (u, v) once at most, so its orbit is every
-labelling of the vertex orbit of its label-free support.  So the vertex
+A labelled linear subgraph uses each pair (u, v) once at most, so its orbit
+is every labelling of the vertex orbit of its support.  So the vertex
 generators close the support's linear subgraphs into orbits, each member
-standing for its prod m(u, v) labellings, with stabilizer order |Aut(G)| /
-(|orbit| prod m(u, v)).  They are checked to close to a group of the
-search's order, and each labelled orbit size to divide |Aut(G)|.
+standing for its labellings, with stabilizer order |Aut(G)| / (|orbit|
+labellings).  They are checked to close to a group of the search's order,
+and each labelled orbit size to divide |Aut(G)|.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import prod
 from operator import mul
 from typing import NamedTuple
@@ -46,7 +45,7 @@ __all__ = [
     "z_orbit",
 ]
 
-Arc = tuple[int, int, int]  # (tail, head, parallel edge label)
+Arc = tuple[int, int]  # (tail, head)
 
 
 def charpoly(g: MultiDigraph) -> tuple[int, ...]:
@@ -84,11 +83,12 @@ def charpoly(g: MultiDigraph) -> tuple[int, ...]:
 
 
 class LinearSubgraph(NamedTuple):
-    """Vertex-disjoint simple directed cycles with labeled edge choices: the
-    set of their arcs and the number p of cycles."""
+    """Vertex-disjoint simple directed cycles of the support: their arcs, the
+    number p of cycles, and the labelled ones they stand for, prod m(u, v)."""
 
     arcs: frozenset[Arc]
     p: int
+    labellings: int
 
     def vertex_count(self) -> int:
         return len(self.arcs)
@@ -121,34 +121,32 @@ def _simple_vertex_cycles(g: MultiDigraph) -> list[tuple[int, ...]]:
 
 
 def linear_subgraphs(g: MultiDigraph) -> list[LinearSubgraph]:
-    """Every nonempty linear subgraph, distinct parallel-edge choices distinct."""
-    cycles: list[tuple[frozenset[Arc], int]] = []  # each labeled cycle's arcs and vertex mask
+    """Every nonempty linear subgraph of the support, with its labellings."""
+    cycles = []  # each cycle's arcs, vertex mask and labellings
     for verts in _simple_vertex_cycles(g):
-        pairs = list(zip(verts, verts[1:] + verts[:1]))
-        mask = sum(1 << u for u in verts)
-        for labels in product(*(range(g.adj[u][v]) for u, v in pairs)):
-            cycles.append((frozenset((u, v, l) for (u, v), l in zip(pairs, labels)), mask))
+        arcs = frozenset(zip(verts, verts[1:] + verts[:1]))
+        cycles.append((arcs, sum(1 << u for u in verts), prod(g.adj[u][v] for u, v in arcs)))
     out: list[LinearSubgraph] = []
 
     def rec(i: int, used: int, sub: LinearSubgraph) -> None:
         for t in range(i, len(cycles)):
-            arcs, mask = cycles[t]
+            arcs, mask, labellings = cycles[t]
             if mask & used:
                 continue
-            grown = LinearSubgraph(sub.arcs | arcs, sub.p + 1)
+            grown = LinearSubgraph(sub.arcs | arcs, sub.p + 1, sub.labellings * labellings)
             out.append(grown)
             rec(t + 1, used | mask, grown)
 
-    rec(0, 0, LinearSubgraph(frozenset(), 0))
+    rec(0, 0, LinearSubgraph(frozenset(), 0, 1))
     return out
 
 
 def coefficient_from_linear(g: MultiDigraph) -> tuple[int, ...]:
     """Every coefficient (c_0, ..., c_n) of the characteristic polynomial:
-    c_0 = 1, c_i the signed count of linear subgraphs on i vertices."""
+    c_0 = 1, c_i the signed count of labelled linear subgraphs on i vertices."""
     coeffs = [1] + [0] * g.n
     for s in linear_subgraphs(g):
-        coeffs[s.vertex_count()] += (-1) ** s.p
+        coeffs[s.vertex_count()] += (-1) ** s.p * s.labellings
     return tuple(coeffs)
 
 
@@ -167,16 +165,14 @@ def z_orbit(g: MultiDigraph) -> Fraction:
     found = _symmetry_of(g)
     if len(automorphisms(g)) != found.order:
         raise AssertionError("the vertex generators' group disagrees with the search's order")
-    order, support = aut_order(g), MultiDigraph(tuple(tuple(min(m, 1) for m in row) for row in g.adj))
-    seen, total = set(), Fraction(0)
-    for sub in [LinearSubgraph(frozenset(), 0), *linear_subgraphs(support)]:
+    order, seen, total = aut_order(g), set(), Fraction(0)
+    for sub in [LinearSubgraph(frozenset(), 0, 1), *linear_subgraphs(g)]:
         if sub in seen:
             continue
-        # every arc has label 0 and stands for its pair's m(u, v) labels
+        # an automorphism keeps p and m(u, v), so only the arcs move
         orbit = _closure([sub], lambda x: [
-            LinearSubgraph(frozenset((f[u], f[v], 0) for u, v, _ in x.arcs), x.p)
-            for f in found.generators])
-        stabilizer, rest = divmod(order, len(orbit) * prod(g.adj[u][v] for u, v, _ in sub.arcs))
+            x._replace(arcs=frozenset((f[u], f[v]) for u, v in x.arcs)) for f in found.generators])
+        stabilizer, rest = divmod(order, len(orbit) * sub.labellings)
         if rest:
             raise AssertionError("an orbit's size must divide the group order")
         seen |= orbit

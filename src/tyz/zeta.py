@@ -22,6 +22,7 @@ import math
 from collections import Counter
 from collections.abc import Callable
 from fractions import Fraction
+from operator import index
 from typing import NamedTuple
 
 from .graphs import (
@@ -53,7 +54,7 @@ def det_int(m) -> int:
     Every division in the Bareiss recurrence is exact over the integers, so
     there is no rational blowup and no rounding.  det of the 0 x 0 matrix is 1.
     """
-    a = [list(map(int, row)) for row in m]
+    a = [list(map(index, row)) for row in m]
     n = len(a)
     for row in a:
         if len(row) != n:

@@ -57,7 +57,7 @@ def test_rational_round_trip():
 
 
 def test_rational_parse_rejects_other_shapes():
-    for bad in ("0.5", "1", "1/0", "1/-2", "a/b", "1 / 2"):
+    for bad in ("0.5", "1", "1/0", "1/-2", "a/b", "1 / 2", "١/٢", "1/٢"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 

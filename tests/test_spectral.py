@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -114,16 +115,17 @@ def test_charpoly_of_the_all_ones_48_matrix():
 
 
 def test_linear_subgraph_counts():
-    assert len(linear_subgraphs(parse_graph("2"))) == 2
-    assert len(linear_subgraphs(parse_graph("0 2;2 0"))) == 4
-    assert len(linear_subgraphs(parse_graph("1 1;1 1"))) == 4
+    # labelled counts: each subgraph of the support stands for its labellings
+    assert sum(s.labellings for s in linear_subgraphs(parse_graph("2"))) == 2
+    assert sum(s.labellings for s in linear_subgraphs(parse_graph("0 2;2 0"))) == 4
+    assert sum(s.labellings for s in linear_subgraphs(parse_graph("1 1;1 1"))) == 4
 
 
 def _assert_disjoint_cycles(sub):
     """Arcs form vertex-disjoint cycles exactly when every vertex they touch
     has one arc out and one arc in."""
-    tails = [u for u, _, _ in sub.arcs]
-    heads = [v for _, v, _ in sub.arcs]
+    tails = [u for u, _ in sub.arcs]
+    heads = [v for _, v in sub.arcs]
     assert len(set(tails)) == len(tails)
     assert len(set(heads)) == len(heads)
     assert set(tails) == set(heads)
@@ -140,8 +142,16 @@ def test_linear_subgraphs_are_distinct_arc_sets_of_edges(g):
     assert len({sub.arcs for sub in subs}) == len(subs)
     for sub in subs:
         _assert_disjoint_cycles(sub)
-        assert all(label < g.adj[u][v] for u, v, label in sub.arcs)
+        assert all(g.adj[u][v] > 0 for u, v in sub.arcs)
+        assert sub.labellings == prod(g.adj[u][v] for u, v in sub.arcs)
         assert 1 <= sub.p <= sub.vertex_count()
+
+
+@given(small_graphs(max_entry=3))
+def test_linear_subgraphs_are_those_of_the_support(g):
+    """Parallel edges change only the labellings, not which subgraphs there are."""
+    support = MultiDigraph(tuple(tuple(min(m, 1) for m in row) for row in g.adj))
+    assert {sub[:2] for sub in linear_subgraphs(g)} == {sub[:2] for sub in linear_subgraphs(support)}
 
 
 @pytest.mark.parametrize(
@@ -154,9 +164,11 @@ def test_linear_subgraphs_are_distinct_arc_sets_of_edges(g):
     ],
 )
 def test_linear_subgraphs_by_cycles_and_vertices(text, counts):
-    """The number of linear subgraphs with p cycles on i vertices."""
-    subs = linear_subgraphs(parse_graph(text))
-    assert Counter((sub.p, sub.vertex_count()) for sub in subs) == counts
+    """The number of labelled linear subgraphs with p cycles on i vertices."""
+    weighted = Counter()
+    for sub in linear_subgraphs(parse_graph(text)):
+        weighted[sub.p, sub.vertex_count()] += sub.labellings
+    assert weighted == counts
 
 
 def test_cycle_structure_stats():

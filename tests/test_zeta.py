@@ -27,6 +27,12 @@ def test_det_base_cases():
     assert det_int([[1, 2], [3, 4]]) == -2
 
 
+@pytest.mark.parametrize("entry", [0.5, Fraction(1, 2), "2"], ids=["float", "fraction", "string"])
+def test_det_rejects_entries_that_are_not_integers(entry):
+    with pytest.raises(TypeError):
+        det_int([[entry]])
+
+
 def test_det_needs_pivoting():
     assert det_int([[0, 1], [1, 0]]) == -1
     assert det_int([[0, 2, 1], [1, 0, 0], [0, 1, 1]]) == -1
