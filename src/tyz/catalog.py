@@ -17,10 +17,12 @@ census: `weight_records` serves every weight-k sum here, the census
 (`class_counts`, one TABLE2 row), the formal sum (`expansion`), the
 Bernoulli and unit-ball identity sums, and the verify suites.  A census
 repeats few values in many records: weight 7 has 66,710 records, each
-with its own matrix, but their rows and charpolys take far fewer values.
-`build_record` keeps one object per distinct row and charpoly (`_shared`),
-and one Fraction for every z = 0, so a cold weight-7 census peaks at about
-half the memory it would with a copy in each record.
+with its own matrix, but their rows, charpolys and z take far fewer values
+(the 46,796 nonzero z of weights <= 7 are 643 distinct values).
+`build_record` keeps one object per distinct row, charpoly and z
+(`_shared`), and a record stores its canonical matrix, not a graph object,
+and no det(A - I), which its charpoly gives; so a cold weight-7 census
+peaks at less than half the memory it would with a copy in each record.
 
 The golden z-values for weights 1..4 live in data/golden_z.json.  They are
 pinned independently of the closed formula, which is exactly what makes the
@@ -55,6 +57,7 @@ from .eulerian import (
     unit_ball_rhs,
 )
 from .graphs import (
+    Matrix,
     MultiDigraph,
     Symmetry,
     _label_factor,
@@ -141,23 +144,32 @@ def _class_of(parts: list[tuple[list[int], bool]]) -> str:
 
 
 class CatalogRecord(NamedTuple):
-    graph: MultiDigraph  # canonical form
+    adj: Matrix  # canonical matrix
     weight: int
     edges: int
     cls: str
-    det_a_minus_i: int
     aut: int
     z: Fraction
     euler_tours: int
     charpoly: tuple[int, ...]
 
+    @property
+    def graph(self) -> MultiDigraph:
+        """The canonical form, built on each read: records store the matrix."""
+        return MultiDigraph(self.adj)
+
+    @property
+    def det_a_minus_i(self) -> int:
+        """det(A - I) = (-1)^n chi(1)."""
+        return (-1) ** len(self.adj) * sum(self.charpoly)
+
 
 # One copy of each value that many records repeat: `_shared.setdefault(t,
 # t)` gives the stored tuple equal to a canonical matrix row or charpoly t,
-# and every z = 0 is `_ZERO`.  Other Fractions are not shared, since their
-# hash is computed in Python.
-_shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-_ZERO = Fraction(0)
+# and `_shared[(Fraction, p, q)]` the one Fraction p/q of every z in lowest
+# terms.  No row or charpoly holds the class Fraction, so no key of one kind
+# equals a key of another: a bare (p, q) would, since (1, 2) is also a row.
+_shared: dict[tuple, tuple | Fraction] = {}
 
 
 def build_record(g: MultiDigraph | Symmetry) -> CatalogRecord:
@@ -167,14 +179,15 @@ def build_record(g: MultiDigraph | Symmetry) -> CatalogRecord:
     such as the one a cold catalog's fill kept for its class; the canonical
     matrix and vertex group order come from it, and aut is that order times
     the multiplicity factorials.  det(A - I) is read off charpoly as (-1)^n
-    chi(1); the class comes from one connectivity pass; Euler tours from the
-    matrix-tree minor.  z is (-1)^c det(A - I)/|Aut(G)| when all c weak
-    components are strongly connected, else 0: `zeta.z`'s rule for unions,
-    since the components' determinants and orders multiply and |Aut(G)|
-    adds `sym_factor`.
+    chi(1), here for z and later by the `det_a_minus_i` property; the class
+    comes from one connectivity pass; Euler tours from the matrix-tree
+    minor.  z is (-1)^c det(A - I)/|Aut(G)| when all c weak components are
+    strongly connected, else 0: `zeta.z`'s rule for unions, since the
+    components' determinants and orders multiply and |Aut(G)| adds
+    `sym_factor`.
 
-    The matrix rows and the charpoly are the shared copies (`_shared`), and
-    z = 0 is `_ZERO`, so a census holds each repeated value once.
+    The matrix rows, the charpoly and z are the shared copies (`_shared`),
+    so a census holds each repeated value once.
     """
     found = g if isinstance(g, Symmetry) else symmetry(g.adj)
     g = MultiDigraph(tuple(map(_shared.setdefault, found.matrix, found.matrix)))
@@ -186,14 +199,19 @@ def build_record(g: MultiDigraph | Symmetry) -> CatalogRecord:
     poly = _shared.setdefault(poly, poly)
     det, aut, edges = (-1) ** g.n * sum(poly), _label_factor(g.adj) * found.order, sum(outs)
     strong = all(is_strong for _, is_strong in parts)
+    # keyed by ints: a Fraction's own hash and equality run in Python
+    num = (-1) ** len(parts) * det if strong else 0
+    d = math.gcd(num, aut)
+    key = (Fraction, num // d, aut // d)
+    if key not in _shared:
+        _shared[key] = Fraction(num, aut)
     return CatalogRecord(
-        graph=g,
+        adj=g.adj,
         weight=edges - g.n,
         edges=edges,
         cls=_class_of(parts),
-        det_a_minus_i=det,
         aut=aut,
-        z=Fraction((-1) ** len(parts) * det, aut) if strong and det else _ZERO,
+        z=_shared[key],
         euler_tours=_tour_count(g, outs, ins),
         charpoly=poly,
     )
@@ -201,8 +219,8 @@ def build_record(g: MultiDigraph | Symmetry) -> CatalogRecord:
 
 def record_to_json(rec: CatalogRecord) -> dict:
     return {
-        "vertices": rec.graph.n,
-        "adjacency": [list(row) for row in rec.graph.adj],
+        "vertices": len(rec.adj),
+        "adjacency": [list(row) for row in rec.adj],
         "weight": rec.weight,
         "edges": rec.edges,
         "class": rec.cls,
@@ -255,8 +273,8 @@ def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
 
 
 def write_catalog(records, path) -> None:
-    # records hold canonical graphs, so (n, rows) order is canonical-key order
-    records = sorted(records, key=lambda r: (r.graph.n, r.graph.adj))
+    # records hold canonical matrices, so (n, rows) order is canonical-key order
+    records = sorted(records, key=lambda r: (len(r.adj), r.adj))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # the rename is atomic, so readers see the old catalog or the whole new one
@@ -287,9 +305,9 @@ def read_catalog(path, size: tuple[int, int]) -> list[CatalogRecord]:
                 raise ValueError(f"line {line_no}: invalid JSON: {exc}") from None
             rec = _record_from_json(obj, f"line {line_no}", size)
             # every matrix here is j x j, so row-tuple order is canonical-key order
-            if last is not None and rec.graph.adj <= last:
+            if last is not None and rec.adj <= last:
                 raise ValueError(f"line {line_no}: duplicate or out-of-order record")
-            last = rec.graph.adj
+            last = rec.adj
             out.append(rec)
     return out
 
@@ -602,7 +620,7 @@ def _suite_oracle(top: int) -> list[VerifyCase]:
                 cases.append(_case(f"orbit sum z({name})", rec.z, z_orbit(g), format_rational))
         # a class has j!·∏m!/aut labelled members; a Burnside count needs no search
         for j in range(1, k + 1):
-            per_label = sum(Fraction(_label_factor(r.graph.adj), r.aut) for r in stable_records(j, j + k))
+            per_label = sum(Fraction(_label_factor(r.adj), r.aut) for r in stable_records(j, j + k))
             expected, name = _fixed_matrices((1,) * j, j + k), f"labelled matrices ({j},{j + k})"
             cases.append(_case(name, expected, math.factorial(j) * per_label))
         # each z again by `zeta.z`, the union rule over the components
@@ -640,7 +658,7 @@ def _family_instances() -> list[FamilySpec]:
     specs += [FamilySpec("loops", n=n) for n in range(2, 7)]
     for k in range(1, 5):
         for rec in weight_records(k):
-            adj = rec.graph.adj
+            adj = rec.adj
             if len(adj) == 2 and adj[0][1] * adj[1][0] != 0:
                 (m, i), (j, n) = adj
                 specs.append(FamilySpec("twovertex", m=m, i=i, j=j, n=n))

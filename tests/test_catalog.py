@@ -67,6 +67,7 @@ def test_rational_parse_rejects_other_shapes():
 
 def test_record_fields_for_double_loop():
     rec = build_record(parse_graph("2"))
+    assert rec.graph == parse_graph("2")
     assert rec.weight == 1 and rec.edges == 2
     assert rec.cls == "strongly_connected"
     assert rec.det_a_minus_i == 1
@@ -774,20 +775,21 @@ def test_oracle_suite_checks_record_z(monkeypatch):
 
 def test_records_share_equal_rows_and_charpolys(tmp_path, monkeypatch):
     """Among the records of weight <= 5, built cold and then read back from
-    disk, equal matrix rows and equal charpolys are one object each, and
-    every z = 0 is the same Fraction."""
+    disk, equal matrix rows, equal charpolys and equal z values are one
+    object each, and no field holds a graph object."""
     monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
     seen: dict = {}
-    zeros = []
+    zeros = nonzero = 0
     for _ in ("cold", "reread"):
         monkeypatch.setattr(catalog, "_memo", {})
         for k in range(1, 6):
             for r in weight_records(k):
-                for part in (*r.graph.adj, r.charpoly):
+                assert not any(isinstance(field, MultiDigraph) for field in r)
+                for part in (*r.adj, r.charpoly, r.z):
                     assert seen.setdefault(part, part) is part
-                if not r.z:
-                    zeros.append(r.z)
-    assert len(zeros) > 400 and all(z is zeros[0] for z in zeros)
+                zeros += not r.z
+                nonzero += bool(r.z)
+    assert zeros > 400 and nonzero > 400
 
 
 def test_verify_all_aggregates_everything():
