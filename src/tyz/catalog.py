@@ -237,7 +237,8 @@ def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
     field of `record_to_json` to be stored and match, the first missing or
     differing one in its order reported; a matrix not in canonical form
     fails on 'adjacency'.  A matrix that is not j x j with entry sum s, for
-    size = (j, s), fails before anything is computed from it."""
+    size = (j, s), or that has a row or column sum below 2, and so is no
+    stable graph, fails before anything is computed from it."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: not a JSON object")
     if "adjacency" not in obj:
@@ -254,10 +255,17 @@ def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
         g = MultiDigraph.from_int_rows(rows)
     except ValueError as exc:
         raise ValueError(f"{where}: field 'adjacency': {exc}") from None
-    if (g.n, g.edge_count) != size:
+    outs, ins = g.out_degrees(), g.in_degrees()
+    if (g.n, sum(outs)) != size:
         raise ValueError(
-            f"{where}: adjacency has {g.n} vertices and {g.edge_count} edges, "
+            f"{where}: adjacency has {g.n} vertices and {sum(outs)} edges, "
             f"not {size[0]} and {size[1]}"
+        )
+    if min(*outs, *ins) < 2:
+        v = next(v for v in range(g.n) if min(outs[v], ins[v]) < 2)
+        raise ValueError(
+            f"{where}: field 'adjacency': vertex {v + 1} has out-degree {outs[v]} "
+            f"and in-degree {ins[v]}, not both at least 2"
         )
     fresh = build_record(g)
     expected = record_to_json(fresh)

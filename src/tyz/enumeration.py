@@ -25,7 +25,11 @@ refined partition to `symmetry`, which does not refine it again: when the
 partition is discrete, the leaf is its class's canonical matrix with the
 trivial group and there is no search.  The first `Symmetry` of each
 canonical matrix is kept, so the record of the class searches nothing
-again.  The canonical dedup owns correctness regardless.
+again.  The canonical dedup owns correctness regardless.  It runs within one
+type sequence at a time: a class's sorted (out, in, loops) multiset is an
+isomorphism invariant, so two sequences never share a class.  Every row
+tuple the fill keeps, in its row choices and in the kept matrices, is one
+object per distinct value for the whole call.
 
 `census_count` counts the same classes without generating a graph, by
 Burnside's lemma, and `catalog.stable_records` checks every catalog's
@@ -118,13 +122,17 @@ def _type_sequences(j: int, s: int):
     yield from rec(s, s, j)
 
 
-def _row_choices(v: int, kind: Type, caps: tuple[int, ...]) -> list:
+def _row_choices(v: int, kind: Type, caps: tuple[int, ...], pool: dict) -> list:
     """Each row v of type `kind` placed under column capacities `caps`, as
     (row, capacities after): its loops on the diagonal, its out - loops
-    other edges split under the capacities of the other columns."""
+    other edges split under the capacities of the other columns.  Both
+    tuples are the ones `pool` keeps, each value added on first sight."""
     out, _, loops = kind
-    offs = _bounded_compositions(out - loops, caps[:v] + (0,) + caps[v + 1 :])
-    return [(off[:v] + (loops,) + off[v + 1 :], tuple(map(sub, caps, off))) for off in offs]
+    choices = []
+    for off in _bounded_compositions(out - loops, caps[:v] + (0,) + caps[v + 1 :]):
+        row, after = off[:v] + (loops,) + off[v + 1 :], tuple(map(sub, caps, off))
+        choices.append((pool.setdefault(row, row), pool.setdefault(after, after)))
+    return choices
 
 
 def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
@@ -133,30 +141,43 @@ def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
     matrix (for a fixed j, the canonical-key order).  Empty when s < 2j.  A
     catalog record reads the canonical matrix and vertex group order of its
     class from it, so it searches nothing again; `MultiDigraph` of the
-    matrix is the class's canonical representative.  The module docstring
-    describes the fill and its leaf test."""
+    matrix is the class's canonical representative.  Classes are
+    deduplicated within their type sequence, which no other sequence
+    shares, and the kept matrices share their rows: one tuple per distinct
+    row for the whole call.  The module docstring describes the fill and its
+    leaf test."""
     if j < 1 or s < 2 * j:
         return ()
     last = j - 1
+    pool: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct value
     choices: dict[tuple, list] = {}  # (vertex, type, capacities) -> _row_choices
     rows: list[tuple[int, ...]] = []
     found: dict[Matrix, Symmetry] = {}  # canonical matrix -> what its class keeps
+    kept: list[Symmetry] = []  # the classes of the sequences already filled
     types: tuple[Type, ...] = ()  # the sequence being filled
 
     def rec(v: int, caps: tuple[int, ...]) -> None:
         """Place row v; column u can still take caps[u] off-diagonal edges."""
         if v == last:
             if caps[last] == 0:  # the forced last row adds nothing to its own column
-                leaf = (*rows, caps[:last] + (types[last][2],))
+                row = caps[:last] + (types[last][2],)
+                leaf = (*rows, row)
                 cells = refine(leaf, tuple(zip(*leaf)), runs, ordered=True)
                 if cells is not None:  # symmetry, not canonical_form: its memo would keep every leaf
+                    # a discrete leaf is its own canonical matrix, kept as it is
+                    leaf = (*rows, pool.setdefault(row, row))
                     searched = symmetry(leaf, cells)
-                    found.setdefault(searched.matrix, searched)
+                    matrix = searched.matrix
+                    if matrix not in found:
+                        if matrix is not leaf:  # reordered by the search: share its rows
+                            matrix = tuple(map(pool.setdefault, matrix, matrix))
+                            searched = searched._replace(matrix=matrix)
+                        found[matrix] = searched
             return
         key = (v, types[v], caps)
         entry = choices.get(key)
         if entry is None:
-            entry = choices[key] = _row_choices(v, types[v], caps)
+            entry = choices[key] = _row_choices(v, types[v], caps, pool)
         for row, after in entry:
             rows.append(row)
             rec(v + 1, after)
@@ -164,12 +185,17 @@ def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
 
     for types in _type_sequences(j, s):
         runs = [list(run) for _, run in groupby(range(j), types.__getitem__)]  # equal types
-        rec(0, tuple(in_ - loops for _, in_, loops in types))
+        caps = tuple(in_ - loops for _, in_, loops in types)
+        rec(0, pool.setdefault(caps, caps))
+        kept.extend(found.values())
+        found.clear()
     # rec refers to itself; dropping it frees the row choices now rather
     # than at the next full garbage collection
     del rec
-    # for a fixed j, row-tuple order is canonical-key order
-    return tuple(found[matrix] for matrix in sorted(found))
+    # by matrix, the first field, since no two classes share one; for a
+    # fixed j, row-tuple order is canonical-key order
+    kept.sort()
+    return tuple(kept)
 
 
 def _cycle_types(j: int, largest: int):

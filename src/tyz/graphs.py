@@ -125,7 +125,7 @@ class MultiDigraph(NamedTuple):
         return self.edge_count - self.n
 
     def out_degrees(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.adj)
+        return tuple(map(sum, self.adj))
 
     def in_degrees(self) -> tuple[int, ...]:
         return tuple(map(sum, zip(*self.adj)))

@@ -367,6 +367,29 @@ def test_out_of_range_cache_line_is_rebuilt(tmp_path, monkeypatch, change, messa
     _clear_memo()
 
 
+def test_cache_line_that_is_not_a_stable_graph_is_rebuilt(tmp_path, monkeypatch):
+    """A record of `0 3;1 0`, semistable, canonical and of the right size but
+    with a vertex of in-degree 1, put in place of `2 0;0 2`, is no class of
+    the census: the catalog is rebuilt with one warning naming its line."""
+    monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
+    _clear_memo()
+    want = stable_records(2, 4)
+    path = tmp_path / "stable-2-4.jsonl"
+    swapped = build_record(parse_graph("0 3;1 0"))
+    write_catalog([swapped if r.adj == ((2, 0), (0, 2)) else r for r in want], path)
+    assert path.read_text().splitlines()[1] == json.dumps(record_to_json(swapped))
+    _clear_memo()
+    with pytest.warns(RuntimeWarning) as caught:
+        assert stable_records(2, 4) == want
+    assert len(caught) == 1
+    assert str(caught[0].message).endswith(
+        "stable-2-4.jsonl: line 2: field 'adjacency': vertex 1 has out-degree 3 "
+        "and in-degree 1, not both at least 2"
+    )
+    assert read_catalog(path, (2, 4)) == list(want)
+    _clear_memo()
+
+
 def test_blank_lines_in_a_catalog_are_skipped(tmp_path):
     path = tmp_path / "stable-2-4.jsonl"
     write_catalog(stable_records(2, 4), path)

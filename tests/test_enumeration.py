@@ -301,6 +301,14 @@ def test_enumerated_graphs_are_canonical_and_strictly_sorted():
         assert all(a < b for a, b in zip(keys, keys[1:])), k
 
 
+@pytest.mark.parametrize("j, s", [(3, 9), (4, 10), (5, 10), (5, 11)])
+def test_returned_matrices_share_their_rows(j, s):
+    """Each distinct row of the returned canonical matrices is one object,
+    whether the leaf was kept as it is or reordered by a search."""
+    rows = [row for found in enumerate_stable(j, s) for row in found.matrix]
+    assert len({id(row) for row in rows}) == len(set(rows))
+
+
 def test_against_unpruned_bruteforce():
     """The pruned, symmetry-reduced search must see exactly the isomorphism
     classes of the raw matrix scan, with orbit sizes n!/|stabilizer|."""
