@@ -39,12 +39,10 @@ from .eulerian import (
 from .graphs import (
     EMPTY,
     MultiDigraph,
-    are_isomorphic,
     aut_order,
     automorphisms,
     canonical_form,
     canonical_key,
-    disjoint_union,
     format_graph,
     is_semistable,
     is_stable,
@@ -61,7 +59,6 @@ from .zeta import (
     det_int,
     z,
     z_family,
-    z_strong,
 )
 
 __version__ = "0.1.0"

@@ -62,7 +62,6 @@ from .graphs import (
     Symmetry,
     _label_factor,
     _semistable,
-    canonical_form,
     canonical_key,
     connectivity,
     format_graph,
@@ -417,9 +416,6 @@ class FormalSum(NamedTuple):
 
     weight: int
     terms: tuple[tuple[MultiDigraph, Fraction], ...]
-
-    def coefficient(self, g: MultiDigraph) -> Fraction:
-        return dict(self.terms).get(canonical_form(g), Fraction(0))
 
 
 def expansion(k: int) -> FormalSum:

@@ -34,12 +34,11 @@ object per distinct value for the whole call.
 `census_count` counts the same classes without generating a graph, by
 Burnside's lemma, and `catalog.stable_records` checks every catalog's
 record count against it.  `connected_count` counts the weakly connected
-ones among them, and `raw_stable_matrices` lists every labelled matrix;
-both are oracles for the tests.  `check_weight` is the one supported-weight
-policy; the CLI, the scripts and `catalog` call it.  Nothing here is
-memoized: `catalog.stable_records` keeps the records of each (j, s), and
-every per-weight consumer (census, expansion, identities, verify suites)
-reads them through `catalog.weight_records`.
+ones among them, an oracle for the tests.  `check_weight` is the one
+supported-weight policy; the CLI, the scripts and `catalog` call it.
+Nothing here is memoized: `catalog.stable_records` keeps the records of
+each (j, s), and every per-weight consumer (census, expansion, identities,
+verify suites) reads them through `catalog.weight_records`.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from itertools import groupby
 from math import comb, factorial, gcd
 from operator import sub
 
-from .graphs import Matrix, MultiDigraph, Symmetry, is_stable, refine, symmetry
+from .graphs import Matrix, Symmetry, refine, symmetry
 
 __all__ = [
     "MAX_WEIGHT",
@@ -58,7 +57,6 @@ __all__ = [
     "census_count",
     "connected_count",
     "enumerate_stable",
-    "raw_stable_matrices",
 ]
 
 MAX_WEIGHT = 7
@@ -281,16 +279,3 @@ def connected_count(k: int) -> int:
         c[w] = w * totals[w] - sum(c[i] * totals[w - i] for i in range(1, w))
         connected[w] = (c[w] - sum(d * connected[d] for d in range(1, w) if w % d == 0)) // w
     return connected[k]
-
-
-def raw_stable_matrices(j: int, s: int):
-    """Brute force over all j x j matrices with entry sum s, no dedup.
-
-    Test oracle for enumerate_stable: every matrix yielded here must be
-    isomorphic to exactly one returned representative.  Exponential in j*j,
-    usable only for tiny sizes.
-    """
-    for flat in _bounded_compositions(s, (s,) * (j * j)):
-        g = MultiDigraph(tuple(flat[i * j : (i + 1) * j] for i in range(j)))
-        if is_stable(g):
-            yield g

@@ -154,7 +154,7 @@ def _tour_count(g: MultiDigraph, outs: tuple[int, ...], ins: tuple[int, ...]) ->
 def euler_tour_bruteforce(g: MultiDigraph) -> int:
     """Backtracking count of closed trails covering every labeled edge once,
     starting with the lexicographically first edge."""
-    edges = g.edges()
+    edges = [(i, j) for i, row in enumerate(g.adj) for j, m in enumerate(row) for _ in range(m)]
     if len(edges) > 12:
         raise ValueError("brute-force Euler tour count is capped at 12 edges")
     if not edges:
@@ -162,10 +162,10 @@ def euler_tour_bruteforce(g: MultiDigraph) -> int:
     if not is_balanced(g):
         return 0
     by_tail: dict[int, list[int]] = {}
-    for idx, (u, _, _) in enumerate(edges):
+    for idx, (u, _) in enumerate(edges):
         by_tail.setdefault(u, []).append(idx)
     used = [False] * len(edges)
-    start_tail, start_head, _ = edges[0]
+    start_tail, start_head = edges[0]
     used[0] = True
 
     def walk(at: int, left: int) -> int:

@@ -60,10 +60,8 @@ __all__ = [
     "symmetry",
     "canonical_key",
     "canonical_form",
-    "are_isomorphic",
     "automorphisms",
     "aut_order",
-    "disjoint_union",
     "relabel",
     "parse_graph",
     "format_graph",
@@ -129,15 +127,6 @@ class MultiDigraph(NamedTuple):
 
     def in_degrees(self) -> tuple[int, ...]:
         return tuple(map(sum, zip(*self.adj)))
-
-    def edges(self) -> list[tuple[int, int, int]]:
-        """All edges as (tail, head, label) with labels 0..adj[i][j]-1."""
-        return [
-            (i, j, t)
-            for i, row in enumerate(self.adj)
-            for j, mult in enumerate(row)
-            for t in range(mult)
-        ]
 
     def __repr__(self) -> str:
         return f"MultiDigraph({format_graph(self)!r})"
@@ -485,10 +474,6 @@ def canonical_form(g: MultiDigraph) -> MultiDigraph:
     return MultiDigraph(_symmetry_of(g).matrix)
 
 
-def are_isomorphic(g: MultiDigraph, h: MultiDigraph) -> bool:
-    return canonical_key(g) == canonical_key(h)
-
-
 def automorphisms(g: MultiDigraph) -> tuple[tuple[int, ...], ...]:
     """Vertex permutations phi with adj[phi(i)][phi(j)] = adj[i][j] everywhere,
     sorted: the group generated by the generators `symmetry` finds."""
@@ -509,18 +494,6 @@ def aut_order(g: MultiDigraph) -> int:
 def _label_factor(adj: Matrix) -> int:
     """The product of the factorials of all multiplicities (parallel edges)."""
     return math.prod(math.factorial(x) for row in adj for x in row if x > 1)
-
-
-def disjoint_union(gs: list[MultiDigraph]) -> MultiDigraph:
-    total = sum(g.n for g in gs)
-    out = [[0] * total for _ in range(total)]
-    offset = 0
-    for g in gs:
-        for i in range(g.n):
-            for j in range(g.n):
-                out[offset + i][offset + j] = g.adj[i][j]
-        offset += g.n
-    return MultiDigraph(tuple(tuple(row) for row in out))
 
 
 def relabel(g: MultiDigraph, per) -> MultiDigraph:

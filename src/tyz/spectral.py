@@ -64,10 +64,8 @@ def charpoly(g: MultiDigraph) -> tuple[int, ...]:
     length-k vector.
     """
     n, adj = g.n, g.adj
-    if n == 0:
-        raise ValueError("charpoly needs at least one vertex")
     cols = tuple(zip(*adj))
-    coeffs = [1, -adj[0][0]]
+    coeffs = [1, -adj[0][0]] if n else [1]
     for k in range(1, n):
         row, v, block = adj[k], cols[k][:k], adj[:k]
         walks = [sum(map(mul, row, v))]  # walks[m] = r M^m c

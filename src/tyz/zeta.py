@@ -32,13 +32,11 @@ from .graphs import (
     connectivity,
     induced_subgraph,
     is_semistable,
-    is_strongly_connected,
 )
 
 __all__ = [
     "det_int",
     "det_a_minus_i",
-    "z_strong",
     "z",
     "sym_factor",
     "FamilySpec",
@@ -82,15 +80,6 @@ def det_int(m) -> int:
 def det_a_minus_i(g: MultiDigraph) -> int:
     n = g.n
     return det_int([[g.adj[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)])
-
-
-def z_strong(g: MultiDigraph) -> Fraction:
-    """z of a strongly connected semistable graph: -det(A - I)/|Aut(G)|."""
-    if not is_semistable(g):
-        raise ValueError("z_strong requires a semistable graph")
-    if g.n == 0 or not is_strongly_connected(g):
-        raise ValueError("z_strong requires a strongly connected graph")
-    return z(g)
 
 
 def sym_factor(components: list[MultiDigraph]) -> int:

@@ -31,7 +31,7 @@ from tyz.eulerian import (
 )
 from tyz.graphs import canonical_key, is_strongly_connected, weak_components
 from tyz.spectral import charpoly, coefficient_from_linear, z_orbit
-from tyz.zeta import FamilySpec, build_family, z, z_family, z_strong
+from tyz.zeta import FamilySpec, build_family, z, z_family
 
 
 def _announce(capsys, num: int, title: str, ok: bool, detail: str) -> None:
@@ -118,7 +118,7 @@ def test_criterion_3_oracle_equivalence(capsys):
     strong = [
         r.graph for k in (1, 2, 3, 4) for r in weight_records(k) if is_strongly_connected(r.graph)
     ]
-    orbit_bad = [g for g in strong if z_orbit(g) != z_strong(g)]
+    orbit_bad = [g for g in strong if z_orbit(g) != z(g)]
     char_bad = [g for g in strong if charpoly(g) != coefficient_from_linear(g)]
     ok = not orbit_bad and not char_bad and len(strong) == 65
     _announce(
@@ -126,7 +126,7 @@ def test_criterion_3_oracle_equivalence(capsys):
         3,
         "oracle equivalence",
         ok,
-        f"z_strong = z_orbit and charpoly = signed cycle sums on all {len(strong)} "
+        f"z = z_orbit and charpoly = signed cycle sums on all {len(strong)} "
         "strongly connected graphs of weight <= 4 (1 + 3 + 10 + 51 per weight)",
     )
     assert not orbit_bad and not char_bad

@@ -81,6 +81,13 @@ def test_charpoly_output(capsys):
     assert row["charpoly"] == [1, -2, 0] and row["det_A_minus_I"] == -1
 
 
+def test_charpoly_of_empty_graph(capsys):
+    code, out, _ = run(capsys, "charpoly", "--graph", "", "--format", "json")
+    row = json.loads(out)["rows"][0]
+    assert code == 0
+    assert row["charpoly"] == [1] and row["det_A_minus_I"] == 1
+
+
 def test_euler_output(capsys):
     code, out, _ = run(capsys, "euler", "--graph", "3", "--format", "json")
     row = json.loads(out)["rows"][0]

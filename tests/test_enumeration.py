@@ -1,6 +1,7 @@
 import math
 import random
 from functools import cache
+from itertools import combinations
 
 import pytest
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from tyz import catalog, enumeration
 from tyz.catalog import TABLE2, class_counts, weight_records
-from tyz.enumeration import enumerate_stable, raw_stable_matrices
+from tyz.enumeration import enumerate_stable
 from tyz.graphs import (
     MultiDigraph,
     automorphisms,
@@ -307,6 +308,23 @@ def test_returned_matrices_share_their_rows(j, s):
     whether the leaf was kept as it is or reordered by a search."""
     rows = [row for found in enumerate_stable(j, s) for row in found.matrix]
     assert len({id(row) for row in rows}) == len(set(rows))
+
+
+def raw_stable_matrices(j: int, s: int):
+    """Brute force over all j x j matrices with entry sum s, no dedup: each
+    choice of j*j - 1 bars among s + j*j - 1 places (stars and bars).
+
+    Test oracle for enumerate_stable: every matrix yielded here must be
+    isomorphic to exactly one returned representative.  Exponential in j*j,
+    usable only for tiny sizes.
+    """
+    cells = j * j
+    end = s + cells - 1
+    for bars in combinations(range(end), cells - 1):
+        flat = tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, end)))
+        g = MultiDigraph(tuple(flat[i * j : (i + 1) * j] for i in range(j)))
+        if is_stable(g):
+            yield g
 
 
 def test_against_unpruned_bruteforce():

@@ -20,7 +20,9 @@ from tyz.eulerian import (
     is_balanced,
     unit_ball_rhs,
 )
-from tyz.graphs import EMPTY, disjoint_union, parse_graph, weak_components
+from tyz.graphs import EMPTY, parse_graph, weak_components
+
+from assembly import disjoint_union
 
 
 def _at(poly, x):
@@ -127,9 +129,9 @@ def _transition_systems_poly(g):
     cycles of the successor permutation on the edges."""
     if not is_balanced(g):
         return ()
-    edges = g.edges()
+    edges = [(u, v) for u, row in enumerate(g.adj) for v, m in enumerate(row) for _ in range(m)]
     ins, outs = {}, {}
-    for idx, (u, v, _) in enumerate(edges):
+    for idx, (u, v) in enumerate(edges):
         outs.setdefault(u, []).append(idx)
         ins.setdefault(v, []).append(idx)
     verts = sorted(ins)

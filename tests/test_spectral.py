@@ -23,7 +23,7 @@ from tyz.spectral import (
     linear_subgraphs,
     z_orbit,
 )
-from tyz.zeta import FamilySpec, build_family, det_a_minus_i, det_int, z, z_strong
+from tyz.zeta import FamilySpec, build_family, det_a_minus_i, det_int, z
 
 
 @st.composite
@@ -78,6 +78,7 @@ def _assert_charpoly_is_det_of_t_minus_adjacency(adj):
 
 
 @given(small_graphs())
+@example(MultiDigraph(()))
 @example(MultiDigraph.from_rows([[3]]))
 @example(_random_matrix(9, seed=9))
 @example(_shuffled(build_family(FamilySpec("D", n=5))))
@@ -199,6 +200,7 @@ def test_coefficients_come_from_one_enumeration(monkeypatch):
 
 
 @given(small_graphs())
+@example(MultiDigraph(()))
 def test_charpoly_equals_signed_cycle_sums(g):
     """Two independent routes to the same coefficients: Berkowitz's
     recurrence vs inclusion of vertex-disjoint cycle collections."""
@@ -297,4 +299,4 @@ def test_orbit_formula_matches_determinant_formula_small_weights():
     for k in (1, 2, 3):
         for g in (r.graph for r in weight_records(k)):
             if is_strongly_connected(g):
-                assert z_orbit(g) == z_strong(g), g
+                assert z_orbit(g) == z(g), g

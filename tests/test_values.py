@@ -79,15 +79,15 @@ def test_import_loads_no_dataclasses_or_inspect():
 PUBLIC_NAMES = """
 CatalogRecord EMPTY FAMILY_NAMES FamilySpec FormalSum GoldenFixture
 GraphClassCounts LinearSubgraph MultiDigraph TABLE2 VerifyCase VerifyReport
-arborescence_count are_isomorphic aut_order automorphisms bernoulli
+arborescence_count aut_order automorphisms bernoulli
 bernoulli_identity_lhs build_family build_record canonical_form canonical_key
 charpoly class_counts coefficient_from_linear connected_unit_ball_rhs
 connectivity_class cycle_decomposition_poly det_a_minus_i det_int
-disjoint_union enumerate_stable euler_tour_bruteforce euler_tour_count
+enumerate_stable euler_tour_bruteforce euler_tour_count
 expansion format_graph format_rational golden_fixture is_balanced
 is_semistable is_stable is_strongly_connected linear_subgraphs parse_graph
 parse_rational read_catalog stable_records unit_ball_rhs unit_ball_sums verify
-weak_components weight_records write_catalog z z_family z_orbit z_strong
+weak_components weight_records write_catalog z z_family z_orbit
 """.split()
 
 

@@ -5,17 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tyz import graphs, zeta
-from tyz.graphs import EMPTY, disjoint_union, parse_graph, weak_components
-from tyz.zeta import (
-    FamilySpec,
-    build_family,
-    det_a_minus_i,
-    det_int,
-    sym_factor,
-    z,
-    z_family,
-    z_strong,
-)
+from tyz.graphs import EMPTY, parse_graph, weak_components
+from tyz.zeta import FamilySpec, build_family, det_a_minus_i, det_int, sym_factor, z, z_family
+
+from assembly import disjoint_union
 
 
 # --- exact determinants ---
@@ -81,16 +74,11 @@ def test_det_a_minus_i_sign_relation():
 
 
 def test_z_strong_examples():
-    assert z_strong(parse_graph("2")) == Fraction(-1, 2)
-    assert z_strong(parse_graph("3")) == Fraction(-1, 3)
-    assert z_strong(parse_graph("1 1;1 1")) == Fraction(1, 2)
-    assert z_strong(parse_graph("0 2;2 0")) == Fraction(3, 8)
-    assert z_strong(parse_graph("5")) == Fraction(-1, 30)
-
-
-def test_z_strong_rejects_non_strongly_connected():
-    with pytest.raises(ValueError):
-        z_strong(parse_graph("2 0;0 2"))
+    assert z(parse_graph("2")) == Fraction(-1, 2)
+    assert z(parse_graph("3")) == Fraction(-1, 3)
+    assert z(parse_graph("1 1;1 1")) == Fraction(1, 2)
+    assert z(parse_graph("0 2;2 0")) == Fraction(3, 8)
+    assert z(parse_graph("5")) == Fraction(-1, 30)
 
 
 # --- the full piecewise formula ---
@@ -110,7 +98,7 @@ def test_z_vanishes_when_connected_but_not_strongly():
 
 def test_z_reads_one_connectivity_pass(monkeypatch):
     g = disjoint_union([parse_graph("2"), parse_graph("0 2;2 0"), parse_graph("2")])
-    want = z_strong(parse_graph("2")) ** 2 * z_strong(parse_graph("0 2;2 0")) / 2
+    want = z(parse_graph("2")) ** 2 * z(parse_graph("0 2;2 0")) / 2
     calls = []
     real = zeta.connectivity
 
@@ -123,8 +111,6 @@ def test_z_reads_one_connectivity_pass(monkeypatch):
 
     monkeypatch.setattr(zeta, "connectivity", counting)
     for module, name in [
-        (zeta, "is_strongly_connected"),
-        (zeta, "z_strong"),
         (graphs, "is_strongly_connected"),
         (graphs, "weak_components"),
     ]:
