@@ -65,8 +65,8 @@ from .graphs import (
     canonical_key,
     connectivity,
     format_graph,
+    induced_subgraph,
     symmetry,
-    weak_components,
 )
 from .spectral import charpoly, coefficient_from_linear, z_orbit
 from .zeta import FamilySpec, build_family, sym_factor, z, z_family
@@ -174,16 +174,15 @@ _shared: dict[tuple, tuple | Fraction] = {}
 def build_record(g: MultiDigraph | Symmetry) -> CatalogRecord:
     """The record of g, each field computed once from its canonical matrix.
 
-    g is a graph, searched once directly (no memo), or a `symmetry` result,
-    such as the one a cold catalog's fill kept for its class; the canonical
-    matrix and vertex group order come from it, and aut is that order times
-    the multiplicity factorials.  det(A - I) is read off charpoly as (-1)^n
-    chi(1), here for z and later by the `det_a_minus_i` property; the class
-    comes from one connectivity pass; Euler tours from the matrix-tree
-    minor.  z is (-1)^c det(A - I)/|Aut(G)| when all c weak components are
-    strongly connected, else 0: `zeta.z`'s rule for unions, since the
-    components' determinants and orders multiply and |Aut(G)| adds
-    `sym_factor`.
+    g is a graph, searched once, or a `symmetry` result, such as the one a
+    cold catalog's fill kept for its class; the canonical matrix and vertex
+    group order come from it, and aut is that order times the multiplicity
+    factorials.  det(A - I) is read off charpoly as (-1)^n chi(1), here for
+    z and later by the `det_a_minus_i` property; the class comes from one
+    connectivity pass; Euler tours from the matrix-tree minor.  z is (-1)^c
+    det(A - I)/|Aut(G)| when all c weak components are strongly connected,
+    else 0: `zeta.z`'s rule for unions, since the components' determinants
+    and orders multiply and |Aut(G)| adds `sym_factor`.
 
     The matrix rows, the charpoly and z are the shared copies (`_shared`),
     so a census holds each repeated value once.
@@ -576,11 +575,12 @@ def _suite_weight(k: int) -> list[VerifyCase]:
         elif rec.cls == CLASS_CONNECTED:
             cases.append(_case(name + " vanishes", Fraction(0), rec.z, format_rational))
         else:
-            comps = weak_components(rec.graph)
+            comps = [induced_subgraph(rec.graph, part) for part, _ in connectivity(rec.graph)]
+            keys = [canonical_key(c) for c in comps]  # one search per component
             expected = Fraction(1)
-            for c in comps:
-                expected *= component_fixtures[c.weight][canonical_key(c)]
-            expected /= sym_factor(comps)
+            for c, key in zip(comps, keys):
+                expected *= component_fixtures[c.weight][key]
+            expected /= sym_factor(keys)
             cases.append(_case(name + " from components", expected, rec.z, format_rational))
     return cases
 

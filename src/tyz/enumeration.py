@@ -161,7 +161,7 @@ def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
                 row = caps[:last] + (types[last][2],)
                 leaf = (*rows, row)
                 cells = refine(leaf, tuple(zip(*leaf)), runs, ordered=True)
-                if cells is not None:  # symmetry, not canonical_form: its memo would keep every leaf
+                if cells is not None:  # searched from the refined cells, not refined again
                     # a discrete leaf is its own canonical matrix, kept as it is
                     leaf = (*rows, pool.setdefault(row, row))
                     searched = symmetry(leaf, cells)

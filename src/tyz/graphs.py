@@ -24,14 +24,12 @@ generators and the order of the vertex group; the matrix is the input tuple,
 not a copy, when the leaf keeps the vertex order, as for a leaf the fill
 ordered or a stored canonical matrix read back (`_leaf_matrix`, also
 `relabel` and `induced_subgraph`).  One closure over generators, `_closure`,
-gives the orbits the search prunes by, the group `automorphisms` lists and
-the orbits of `spectral.z_orbit`.  `canonical_key` is the vertex count and
-the canonical rows.  The one memo is per graph: `canonical_key`,
-`canonical_form`, `automorphisms` and `aut_order` share the search of each
-`MultiDigraph`.  `symmetry` keeps nothing, and building a census or catalog
-record fills no memo: a cold record reads the search its class kept in the
-fill, a reread one searches its stored matrix once.  `verify`'s oracle suite
-does fill it, through `spectral.z_orbit` and `zeta.z` on each record.
+gives the orbits the search prunes by, the group (`_group`) that
+`automorphisms` lists and `spectral.z_orbit` checks, and that sum's orbits.
+`canonical_key` is the vertex count and the canonical rows.  Nothing here
+keeps state: `canonical_key`, `canonical_form`, `automorphisms` and
+`aut_order` each search their argument, so a caller that needs more than
+one of them calls `symmetry` once and reads its result.
 """
 
 from __future__ import annotations
@@ -448,18 +446,6 @@ def _leaf_matrix(adj: Matrix, order: list[int]) -> Matrix:
     return tuple([pick(adj[a]) for a in order])
 
 
-_searched: dict[MultiDigraph, Symmetry] = {}
-
-
-def _symmetry_of(g: MultiDigraph) -> Symmetry:
-    """`symmetry` of g, searched once per graph; `canonical_key`,
-    `canonical_form`, `automorphisms` and `aut_order` all read it."""
-    found = _searched.get(g)
-    if found is None:
-        found = _searched[g] = symmetry(g.adj)
-    return found
-
-
 def canonical_key(g: MultiDigraph) -> tuple[int, ...]:
     """Vertex count followed by the rows of the canonical matrix from `symmetry`.
 
@@ -467,19 +453,22 @@ def canonical_key(g: MultiDigraph) -> tuple[int, ...]:
     (parallel edges unlabeled).  The key is the least matrix among the leaves
     of the refinement search, not the least over all vertex permutations.
     """
-    return (g.n, *chain.from_iterable(_symmetry_of(g).matrix))
+    return (g.n, *chain.from_iterable(symmetry(g.adj).matrix))
 
 
 def canonical_form(g: MultiDigraph) -> MultiDigraph:
-    return MultiDigraph(_symmetry_of(g).matrix)
+    return MultiDigraph(symmetry(g.adj).matrix)
 
 
 def automorphisms(g: MultiDigraph) -> tuple[tuple[int, ...], ...]:
     """Vertex permutations phi with adj[phi(i)][phi(j)] = adj[i][j] everywhere,
     sorted: the group generated by the generators `symmetry` finds."""
-    gens = _symmetry_of(g).generators
-    group = _closure([tuple(range(g.n))], lambda p: [tuple(map(s.__getitem__, p)) for s in gens])
-    return tuple(sorted(group))
+    return tuple(sorted(_group(g.n, symmetry(g.adj).generators)))
+
+
+def _group(n: int, generators) -> set[tuple[int, ...]]:
+    """The group of permutations of range(n) that the generators generate."""
+    return _closure([tuple(range(n))], lambda p: [tuple(map(s.__getitem__, p)) for s in generators])
 
 
 def aut_order(g: MultiDigraph) -> int:
@@ -488,7 +477,7 @@ def aut_order(g: MultiDigraph) -> int:
     Product of the factorials of all multiplicities times the number of
     vertex permutations stabilizing the matrix.
     """
-    return _label_factor(g.adj) * _symmetry_of(g).order
+    return _label_factor(g.adj) * symmetry(g.adj).order
 
 
 def _label_factor(adj: Matrix) -> int:

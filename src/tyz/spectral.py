@@ -34,8 +34,8 @@ from math import prod
 from operator import mul
 from typing import NamedTuple
 
-from .graphs import MultiDigraph, _closure, _symmetry_of, aut_order, automorphisms
-from .graphs import is_semistable, is_strongly_connected
+from .graphs import MultiDigraph, _closure, _group, _label_factor, is_semistable
+from .graphs import is_strongly_connected, symmetry
 
 __all__ = [
     "charpoly",
@@ -160,10 +160,10 @@ def z_orbit(g: MultiDigraph) -> Fraction:
         raise ValueError("z_orbit requires a semistable graph")
     if g.n == 0 or not is_strongly_connected(g):
         raise ValueError("z_orbit requires a strongly connected graph")
-    found = _symmetry_of(g)
-    if len(automorphisms(g)) != found.order:
+    found = symmetry(g.adj)
+    if len(_group(g.n, found.generators)) != found.order:
         raise AssertionError("the vertex generators' group disagrees with the search's order")
-    order, seen, total = aut_order(g), set(), Fraction(0)
+    order, seen, total = _label_factor(g.adj) * found.order, set(), Fraction(0)
     for sub in [LinearSubgraph(frozenset(), 0, 1), *linear_subgraphs(g)]:
         if sub in seen:
             continue

@@ -8,7 +8,9 @@ for a connected graph that is not strongly connected z(G) = 0, and for a
 disjoint union z is the product over components divided by the order of the
 permutation group of the components (the factorial of each isomorphism-class
 multiplicity).  `z` reads the components and their strong connectivity off
-one `connectivity` pass; z of the empty graph, with no components, is 1.
+one `connectivity` pass, and each component's group order and canonical
+matrix, its key for `sym_factor`, off one `symmetry` search; z of the empty
+graph, with no components, is 1.
 
 Also here: exact integer determinants (fraction-free elimination) and the
 classical families, each one entry of `_FAMILIES` that holds its parameter
@@ -20,18 +22,18 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Hashable, Iterable
 from fractions import Fraction
 from operator import index
 from typing import NamedTuple
 
 from .graphs import (
     MultiDigraph,
-    aut_order,
-    canonical_key,
+    _label_factor,
     connectivity,
     induced_subgraph,
     is_semistable,
+    symmetry,
 )
 
 __all__ = [
@@ -82,14 +84,14 @@ def det_a_minus_i(g: MultiDigraph) -> int:
     return det_int([[g.adj[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)])
 
 
-def sym_factor(components: list[MultiDigraph]) -> int:
-    """Order of the permutation group of the components.
+def sym_factor(keys: Iterable[Hashable]) -> int:
+    """Order of the permutation group of the components, given their
+    canonical keys: any hashables, equal exactly for isomorphic components.
 
     Product of multiplicity! over the isomorphism classes occurring in the
     list.  The empty list gives 1.
     """
-    counts = Counter(canonical_key(c) for c in components)
-    return math.prod(math.factorial(m) for m in counts.values())
+    return math.prod(math.factorial(m) for m in Counter(keys).values())
 
 
 def z(g: MultiDigraph) -> Fraction:
@@ -98,9 +100,9 @@ def z(g: MultiDigraph) -> Fraction:
     parts = connectivity(g)
     if not all(strong for _, strong in parts):
         return Fraction(0)
-    comps = [induced_subgraph(g, part) for part, _ in parts]
-    terms = (Fraction(-det_a_minus_i(c), aut_order(c)) for c in comps)
-    return math.prod(terms, start=Fraction(1)) / sym_factor(comps)
+    comps = [(c, symmetry(c.adj)) for c in (induced_subgraph(g, part) for part, _ in parts)]
+    terms = (Fraction(-det_a_minus_i(c), _label_factor(c.adj) * found.order) for c, found in comps)
+    return math.prod(terms, start=Fraction(1)) / sym_factor(found.matrix for _, found in comps)
 
 
 # ---------------------------------------------------------------------------

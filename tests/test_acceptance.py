@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 
 import tyz.catalog as catalog
-import tyz.graphs as graphs
 from tyz.catalog import (
     bernoulli_identity_lhs,
     class_counts,
@@ -45,7 +44,6 @@ def _announce(capsys, num: int, title: str, ok: bool, detail: str) -> None:
 def test_criterion_1_enumeration_counts(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path / "cold-cache"))
     catalog._memo.clear()
-    graphs._searched.clear()
 
     t0 = time.perf_counter()
     got = {k: class_counts(k) for k in (1, 2, 3, 4)}

@@ -569,7 +569,6 @@ def test_reread_searches_each_graph_once(tmp_path, monkeypatch):
     _fill_disk_cache(tmp_path, [3])
     monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(catalog, "_memo", {})
-    monkeypatch.setattr(graphs, "_searched", {})
     searched = Counter()
     search = graphs.symmetry
 
@@ -582,17 +581,14 @@ def test_reread_searches_each_graph_once(tmp_path, monkeypatch):
     # one search per record: a record's z needs no search of its components
     assert searched == Counter(r.graph.adj for r in records)
     assert any(r.cls == "disconnected" for r in records)
-    assert graphs._searched == {}
 
 
 def test_cold_records_search_only_inside_the_fill(tmp_path, monkeypatch):
     """A cold catalog searches each kept fill leaf whose refinement is not
     discrete once, and nothing more: each record is built from the search or
-    the refined leaf its class kept in the fill, and nothing is left in the
-    per-graph memo."""
+    the refined leaf its class kept in the fill."""
     monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(catalog, "_memo", {})
-    monkeypatch.setattr(graphs, "_searched", {})
     searched = Counter()
     search = graphs.symmetry
 
@@ -611,7 +607,6 @@ def test_cold_records_search_only_inside_the_fill(tmp_path, monkeypatch):
     assert len(records) == 85
     assert (tmp_path / "stable-5-10.jsonl").exists()
     assert searched == Counter(fill=169)
-    assert graphs._searched == {}
 
 
 def test_identity_suites_read_the_catalogs(tmp_path, monkeypatch):
@@ -685,7 +680,6 @@ def test_expansion_coefficient_searches_its_argument_alone(monkeypatch):
     real, calls = graphs.symmetry, []
     monkeypatch.setattr(graphs, "symmetry", lambda adj, cells=None: calls.append(adj) or real(adj, cells))
     for g, value in f.terms:
-        monkeypatch.setattr(graphs, "_searched", {})
         calls.clear()
         assert by_key[canonical_key(relabel(g, range(g.n - 1, -1, -1)))] == value
         assert len(calls) <= 1
@@ -883,7 +877,6 @@ def test_catalog_lines_are_pinned(tmp_path, monkeypatch):
     tests/test_cli.py together."""
     monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(catalog, "_memo", {})
-    monkeypatch.setattr(graphs, "_searched", {})
     records = [r for k in range(1, 6) for j in range(1, k + 1) for r in stable_records(j, j + k)]
     digest = hashlib.sha256()
     for r in records:

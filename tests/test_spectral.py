@@ -11,7 +11,6 @@ from tyz import graphs, spectral
 from tyz.catalog import weight_records
 from tyz.graphs import (
     MultiDigraph,
-    aut_order,
     is_semistable,
     is_strongly_connected,
     parse_graph,
@@ -225,7 +224,6 @@ def test_orbit_formula_does_not_hold_the_group():
     z_orbit of "3 3;3 3", whose group has 2,592 elements, peaks far below
     the 2.2 MB the group takes as a list."""
     g = parse_graph("3 3;3 3")
-    aut_order(g)  # the symmetry search is memoised per graph, outside the measure
     tracemalloc.start()
     try:
         assert z_orbit(g) == Fraction(5, 2592)
@@ -240,7 +238,6 @@ def test_orbit_formula_does_not_list_the_label_bijections():
     as a factor of 9 on the one-element orbit of its loop, so its orbit sum
     peaks under 1 MB."""
     g = parse_graph("9")
-    aut_order(g)
     tracemalloc.start()
     try:
         assert z_orbit(g) == Fraction(-1, 45360)
@@ -268,14 +265,29 @@ def test_orbit_formula_matches_z_on_small_multigraphs(g):
 def test_orbit_formula_checks_the_group_order(monkeypatch):
     """A search whose vertex group order disagrees with the group its
     generators close to is caught, not trusted."""
-    real = graphs.symmetry
-    monkeypatch.setattr(graphs, "_searched", {})
+    real = spectral.symmetry
     monkeypatch.setattr(
-        graphs, "symmetry", lambda adj, cells=None: real(adj)._replace(order=2 * real(adj).order)
+        spectral, "symmetry", lambda adj, cells=None: real(adj)._replace(order=2 * real(adj).order)
     )
     for text in ("9", "3 3;3 3"):
         with pytest.raises(AssertionError):
             z_orbit(parse_graph(text))
+
+
+def test_orbit_formula_searches_once(monkeypatch):
+    """z_orbit reads its group order check, |Aut(G)| and its orbit
+    generators off one search of its argument."""
+    calls = []
+    real = spectral.symmetry
+
+    def forbidden(*args):
+        raise AssertionError("z_orbit searches outside its one search")
+
+    monkeypatch.setattr(spectral, "symmetry", lambda adj, cells=None: calls.append(adj) or real(adj, cells))
+    monkeypatch.setattr(graphs, "symmetry", forbidden)
+    g = parse_graph("0 4;2 0")
+    assert z_orbit(g) == Fraction(7, 48)
+    assert calls == [g.adj]
 
 
 def test_orbit_formula_matches_records_under_relabelling():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tyz import graphs, zeta
-from tyz.graphs import EMPTY, parse_graph, weak_components
+from tyz.graphs import EMPTY, canonical_key, parse_graph, weak_components
 from tyz.zeta import FamilySpec, build_family, det_a_minus_i, det_int, sym_factor, z, z_family
 
 from assembly import disjoint_union
@@ -128,11 +128,29 @@ def test_z_on_disjoint_unions():
 
 def test_sym_factor_counts_repeated_components():
     comps = weak_components(parse_graph("2 0;0 2"))
-    assert sym_factor(comps) == 2
+    assert sym_factor(map(canonical_key, comps)) == 2
     comps = weak_components(parse_graph("2 0;0 3"))
-    assert sym_factor(comps) == 1
+    assert sym_factor(map(canonical_key, comps)) == 1
     comps = weak_components(parse_graph("2 0 0;0 2 0;0 0 2"))
-    assert sym_factor(comps) == 6
+    assert sym_factor(map(canonical_key, comps)) == 6
+
+
+def test_z_searches_each_component_once(monkeypatch):
+    """One search per weak component gives its group order and its key for
+    the symmetry factor: the two components isomorphic by a swap give the
+    factor 2 from their own two searches, and nothing else is searched."""
+    g = disjoint_union([parse_graph("0 4;2 0"), parse_graph("2"), parse_graph("0 2;4 0")])
+    want = z(parse_graph("0 4;2 0")) ** 2 * z(parse_graph("2")) / 2
+    calls = []
+    real = zeta.symmetry
+
+    def forbidden(*args):
+        raise AssertionError("z searches outside its one search per component")
+
+    monkeypatch.setattr(zeta, "symmetry", lambda adj, cells=None: calls.append(adj) or real(adj, cells))
+    monkeypatch.setattr(graphs, "symmetry", forbidden)
+    assert z(g) == want == Fraction(-49, 9216)
+    assert calls == [((0, 4), (2, 0)), ((2,),), ((0, 2), (4, 0))]
 
 
 def test_z_rejects_non_semistable():
