@@ -48,7 +48,6 @@ from .graphs import (
     is_stable,
     is_strongly_connected,
     parse_graph,
-    weak_components,
 )
 from .spectral import LinearSubgraph, charpoly, coefficient_from_linear, linear_subgraphs, z_orbit
 from .zeta import (

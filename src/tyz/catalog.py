@@ -5,17 +5,22 @@ increasing canonical-key order.  Every stored field is recomputable from the
 adjacency matrix alone, each by one computation in `build_record`
 (det(A - I) is read off the characteristic polynomial as (-1)^n chi(1)), and
 reading a catalog recomputes and compares all of them, so a corrupt or
-tampered file fails loudly with the line number and field name.  A catalog
-is written to a temporary file renamed into place, so no reader sees a
-partial one; the on-disk cache (`stable_records`) checks each line's vertex
-and edge count before rebuilding its record, rebuilds a file that fails to
-read or holds another number of records than `census_count`, and warns
-(RuntimeWarning) of that and of a failed write, which loses only the disk
-copy.  The records of each (cache directory, j, s) are kept in
-memory too (`_memo`), and with the disk cache that is the only memo of the
-census: `weight_records` serves every weight-k sum here, the census
-(`class_counts`, one TABLE2 row), the formal sum (`expansion`), the
-Bernoulli and unit-ball identity sums, and the verify suites.  A census
+tampered file fails loudly with the line number and field name.  The
+reader transposes each stored matrix and sums its degrees once, for its
+size and stability checks, and searches it with them; a matrix that its
+search returns unchanged is canonical, so its record is built from those
+columns and sums (`_record`, which `build_record` also calls), with no
+second semistability test.  A catalog is written to a temporary file
+renamed into place, so no reader sees a partial one; the on-disk cache
+(`stable_records`) checks each line's vertex and edge count before
+rebuilding its record, rebuilds a file that fails to read or holds another
+number of records than `census_count`, and warns (RuntimeWarning) of that
+and of a failed write, which loses only the disk copy.  The records of
+each (cache directory, j, s) are kept in memory too (`_memo`), and with the
+disk cache that is the only memo of the census: `weight_records` serves
+every weight-k sum here, the census (`class_counts`, one TABLE2 row), the
+formal sum (`expansion`), the Bernoulli and unit-ball identity sums, and the
+verify suites.  A census
 repeats few values in many records: weight 7 has 66,710 records, each
 with its own matrix, but their rows, charpolys and z take far fewer values
 (the 46,796 nonzero z of weights <= 7 are 643 distinct values).
@@ -60,15 +65,19 @@ from .graphs import (
     Matrix,
     MultiDigraph,
     Symmetry,
+    _connectivity,
+    _degrees,
     _label_factor,
+    _matrix_key,
     _semistable,
+    _symmetry,
     canonical_key,
     connectivity,
     format_graph,
     induced_subgraph,
     symmetry,
 )
-from .spectral import charpoly, coefficient_from_linear, z_orbit
+from .spectral import _charpoly, coefficient_from_linear, z_orbit
 from .zeta import FamilySpec, build_family, sym_factor, z, z_family
 
 __all__ = [
@@ -188,12 +197,22 @@ def build_record(g: MultiDigraph | Symmetry) -> CatalogRecord:
     so a census holds each repeated value once.
     """
     found = g if isinstance(g, Symmetry) else symmetry(g.adj)
-    g = MultiDigraph(tuple(map(_shared.setdefault, found.matrix, found.matrix)))
-    outs, ins = g.out_degrees(), g.in_degrees()
+    cols = tuple(zip(*found.matrix))
+    outs, ins = _degrees(found.matrix, cols)
     if not _semistable(outs, ins):
         raise ValueError("z is defined for semistable graphs only")
-    parts = connectivity(g)
-    poly = charpoly(g)
+    return _record(found, cols, outs, ins)
+
+
+def _record(
+    found: Symmetry, cols: Matrix, outs: tuple[int, ...], ins: tuple[int, ...]
+) -> CatalogRecord:
+    """`build_record` of a semistable graph's search, given the columns and
+    the out- and in-degrees of its canonical matrix, which the connectivity
+    pass, the charpoly, the edge count and the Euler tours all read."""
+    g = MultiDigraph(tuple(map(_shared.setdefault, found.matrix, found.matrix)))
+    parts = _connectivity(g.adj, cols)
+    poly = _charpoly(g.adj, cols)
     poly = _shared.setdefault(poly, poly)
     det, aut, edges = (-1) ** g.n * sum(poly), _label_factor(g.adj) * found.order, sum(outs)
     strong = all(is_strong for _, is_strong in parts)
@@ -236,7 +255,8 @@ def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
     differing one in its order reported; a matrix not in canonical form
     fails on 'adjacency'.  A matrix that is not j x j with entry sum s, for
     size = (j, s), or that has a row or column sum below 2, and so is no
-    stable graph, fails before anything is computed from it."""
+    stable graph, fails before anything is computed from it.  The columns
+    and degrees those checks read build the record of a canonical matrix."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: not a JSON object")
     if "adjacency" not in obj:
@@ -253,7 +273,8 @@ def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
         g = MultiDigraph.from_int_rows(rows)
     except ValueError as exc:
         raise ValueError(f"{where}: field 'adjacency': {exc}") from None
-    outs, ins = g.out_degrees(), g.in_degrees()
+    cols = tuple(zip(*g.adj))
+    outs, ins = _degrees(g.adj, cols)
     if (g.n, sum(outs)) != size:
         raise ValueError(
             f"{where}: adjacency has {g.n} vertices and {sum(outs)} edges, "
@@ -265,7 +286,10 @@ def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
             f"{where}: field 'adjacency': vertex {v + 1} has out-degree {outs[v]} "
             f"and in-degree {ins[v]}, not both at least 2"
         )
-    fresh = build_record(g)
+    found = _symmetry(g.adj, cols, outs, ins)
+    # a canonical matrix is its own search's result, and a stable graph is
+    # semistable; any other matrix is rebuilt and fails on 'adjacency' below
+    fresh = _record(found, cols, outs, ins) if found.matrix == g.adj else build_record(found)
     expected = record_to_json(fresh)
     if expected.items() <= obj.items():
         return fresh
@@ -498,7 +522,10 @@ def golden_fixture(weight: int) -> GoldenFixture:
     return GoldenFixture(weight, entries)
 
 
+@cache
 def _fixture_by_key(weight: int) -> dict[tuple[int, ...], Fraction]:
+    """The golden fixture keyed by `canonical_key`, each graph searched once
+    per process; callers only read it."""
     return {canonical_key(g): value for g, value in golden_fixture(weight).entries}
 
 
@@ -550,7 +577,7 @@ def _suite_weight(k: int) -> list[VerifyCase]:
     if k in (2, 3):
         cases.append(_case(f"graph count weight {k}", len(fixture), len(records)))
         for rec in records:
-            key = canonical_key(rec.graph)
+            key = _matrix_key(rec.adj)  # a record stores its canonical matrix
             name = f"z({format_graph(rec.graph)})"
             if key not in fixture:
                 cases.append(_case(name, "pinned value", "missing from fixture"))
@@ -560,7 +587,7 @@ def _suite_weight(k: int) -> list[VerifyCase]:
     # weight 4: the fixture pins the strongly connected graphs; connected but
     # not strongly connected graphs must vanish; disconnected ones must equal
     # the product of the pinned component values over the component symmetry.
-    keys = [canonical_key(r.graph) if r.cls == CLASS_STRONG else None for r in records]
+    keys = [_matrix_key(r.adj) if r.cls == CLASS_STRONG else None for r in records]
     strong_in_catalog = set(keys) - {None}
     cases.append(_case("strongly connected count", len(fixture), len(strong_in_catalog)))
     cases.append(_case("fixture keys match catalog", sorted(fixture), sorted(strong_in_catalog)))

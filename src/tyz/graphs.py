@@ -30,6 +30,11 @@ gives the orbits the search prunes by, the group (`_group`) that
 keeps state: `canonical_key`, `canonical_form`, `automorphisms` and
 `aut_order` each search their argument, so a caller that needs more than
 one of them calls `symmetry` once and reads its result.
+
+`connectivity` takes two reachability sweeps for a strongly connected
+component and three for any other.  A caller that has transposed a matrix
+already, as the catalog reader does once per record, passes the columns to
+`_connectivity`, `_symmetry` and `spectral._charpoly`.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 import math
 import re
 from itertools import chain, compress, groupby
-from operator import index, itemgetter
+from operator import getitem, index, itemgetter
 from typing import NamedTuple
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -50,7 +55,6 @@ __all__ = [
     "EMPTY",
     "is_semistable",
     "is_stable",
-    "weak_components",
     "connectivity",
     "is_strongly_connected",
     "Symmetry",
@@ -150,6 +154,11 @@ def is_semistable(g: MultiDigraph) -> bool:
     return _semistable(g.out_degrees(), g.in_degrees())
 
 
+def _degrees(adj: Matrix, cols: Matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The out- and in-degrees of adj, given its columns."""
+    return tuple(map(sum, adj)), tuple(map(sum, cols))
+
+
 def _semistable(outs: tuple[int, ...], ins: tuple[int, ...]) -> bool:
     """`is_semistable` of a graph with these out- and in-degrees."""
     return all(o >= 1 and i >= 1 and o + i >= 3 for o, i in zip(outs, ins))
@@ -181,37 +190,42 @@ def _reach(masks: list[int], start: int) -> int:
     return seen
 
 
-def _neighbour_masks(adj: Matrix) -> tuple[list[int], list[int]]:
-    """Per vertex, the bit masks of its out- and in-neighbours."""
+def _neighbour_masks(adj: Matrix, cols: Matrix) -> tuple[list[int], list[int]]:
+    """Per vertex, the bit masks of its out- and in-neighbours, from the
+    rows and the columns of adj."""
     bits = [1 << u for u in range(len(adj))]
-    outs = [sum(compress(bits, row)) for row in adj]
-    return outs, [sum(compress(bits, col)) for col in zip(*adj)]
+    return [sum(compress(bits, row)) for row in adj], [sum(compress(bits, col)) for col in cols]
 
 
 def induced_subgraph(g: MultiDigraph, vertices: list[int]) -> MultiDigraph:
     return MultiDigraph(_leaf_matrix(g.adj, vertices))
 
 
-def weak_components(g: MultiDigraph) -> list[MultiDigraph]:
-    """Induced subgraphs on the undirected components, in canonical-key order."""
-    return sorted((induced_subgraph(g, comp) for comp, _ in connectivity(g)), key=canonical_key)
-
-
 def connectivity(g: MultiDigraph) -> list[tuple[list[int], bool]]:
     """The weak components of g as increasing vertex lists, by least vertex,
     each with whether it is strongly connected.  Reachability runs on one int
     bit mask per vertex for its out-, in- and either-direction neighbours.
-    Unlike `weak_components` it computes no canonical form, so it never runs
-    `symmetry`."""
-    outs, ins = _neighbour_masks(g.adj)
-    either = [o | i for o, i in zip(outs, ins)]
-    remaining = (1 << g.n) - 1
+    It computes no canonical form, so it never runs `symmetry`."""
+    return _connectivity(g.adj, tuple(zip(*g.adj)))
+
+
+def _connectivity(adj: Matrix, cols: Matrix) -> list[tuple[list[int], bool]]:
+    """`connectivity` of adj, given its columns.  When the forward and the
+    backward reach of a component's least vertex are equal, that set is
+    closed under arcs either way, so it is the whole weak component and
+    strongly connected: a strongly connected graph takes two sweeps, and
+    only a component that is not strongly connected takes a third."""
+    n = len(adj)
+    outs, ins = _neighbour_masks(adj, cols)
+    remaining = (1 << n) - 1
     parts = []
     while remaining:
         start = (remaining & -remaining).bit_length() - 1
-        comp = _reach(either, start)
-        strong = _reach(outs, start) == comp == _reach(ins, start)
-        parts.append(([v for v in range(start, g.n) if comp >> v & 1], strong))
+        comp = _reach(outs, start)
+        strong = comp == _reach(ins, start)
+        if not strong:
+            comp = _reach([o | i for o, i in zip(outs, ins)], start)
+        parts.append(([v for v in range(start, n) if comp >> v & 1], strong))
         remaining &= ~comp
     return parts
 
@@ -219,7 +233,7 @@ def connectivity(g: MultiDigraph) -> list[tuple[list[int], bool]]:
 def is_strongly_connected(g: MultiDigraph) -> bool:
     if g.n == 0:
         raise ValueError("strong connectivity is undefined for the empty graph")
-    outs, ins = _neighbour_masks(g.adj)
+    outs, ins = _neighbour_masks(g.adj, tuple(zip(*g.adj)))
     full = (1 << g.n) - 1
     return _reach(outs, 0) == full == _reach(ins, 0)
 
@@ -248,6 +262,8 @@ def refine(adj: Matrix, cols: Matrix, cells, queue=None, ordered: bool = False):
     Only positions are read, never labels.  With `ordered`, returns None at
     the first vertex whose signature is below its predecessor's in its cell."""
     n = len(adj)
+    if len(cells) == n:  # already discrete: nothing to split or compare
+        return cells
     order: list[int] = []
     ends = {}  # start -> end of each cell, as positions in order
     for cell in cells:
@@ -320,14 +336,26 @@ def symmetry(adj: Matrix, cells=None) -> Symmetry:
     the first path, of each chosen vertex's orbit under the automorphisms
     found that fix the vertices chosen before it.
     """
-    n = len(adj)
-    if n <= 1:
+    if len(adj) <= 1:
         return Symmetry(adj, (), 1)  # its own canonical form, no other ordering
     cols = tuple(zip(*adj))
     if cells is None:
-        types = [(sum(adj[v]), sum(cols[v]), adj[v][v]) for v in range(n)]
-        start = sorted(range(n), key=types.__getitem__, reverse=True)  # stable: ties by label
-        cells = refine(adj, cols, [list(run) for _, run in groupby(start, types.__getitem__)])
+        return _symmetry(adj, cols, *_degrees(adj, cols))
+    return _search(adj, cols, cells)
+
+
+def _symmetry(adj: Matrix, cols: Matrix, outs: tuple[int, ...], ins: tuple[int, ...]) -> Symmetry:
+    """`symmetry(adj)` given the columns and the out- and in-degrees of adj,
+    which a caller that has checked them already holds."""
+    types = list(zip(outs, ins, map(getitem, adj, range(len(adj)))))  # (out, in, loops)
+    start = sorted(range(len(adj)), key=types.__getitem__, reverse=True)  # stable: ties by label
+    cells = refine(adj, cols, [list(run) for _, run in groupby(start, types.__getitem__)])
+    return _search(adj, cols, cells)
+
+
+def _search(adj: Matrix, cols: Matrix, cells) -> Symmetry:
+    """The search of `symmetry` from the refined start `cells`."""
+    n = len(adj)
     if len(cells) == n:  # already discrete: one leaf, so the group is trivial
         return Symmetry(_leaf_matrix(adj, [cell[0] for cell in cells]), (), 1)
 
@@ -453,7 +481,13 @@ def canonical_key(g: MultiDigraph) -> tuple[int, ...]:
     (parallel edges unlabeled).  The key is the least matrix among the leaves
     of the refinement search, not the least over all vertex permutations.
     """
-    return (g.n, *chain.from_iterable(symmetry(g.adj).matrix))
+    return _matrix_key(symmetry(g.adj).matrix)
+
+
+def _matrix_key(matrix: Matrix) -> tuple[int, ...]:
+    """The `canonical_key` of a graph whose canonical matrix is `matrix`,
+    such as a catalog record's: no search."""
+    return (len(matrix), *chain.from_iterable(matrix))
 
 
 def canonical_form(g: MultiDigraph) -> MultiDigraph:

@@ -34,7 +34,7 @@ from math import prod
 from operator import mul
 from typing import NamedTuple
 
-from .graphs import MultiDigraph, _closure, _group, _label_factor, is_semistable
+from .graphs import Matrix, MultiDigraph, _closure, _group, _label_factor, is_semistable
 from .graphs import is_strongly_connected, symmetry
 
 __all__ = [
@@ -63,8 +63,12 @@ def charpoly(g: MultiDigraph) -> tuple[int, ...]:
     rows and columns stand in for their leading blocks: `map` stops at the
     length-k vector.
     """
-    n, adj = g.n, g.adj
-    cols = tuple(zip(*adj))
+    return _charpoly(g.adj, tuple(zip(*g.adj)))
+
+
+def _charpoly(adj: Matrix, cols: Matrix) -> tuple[int, ...]:
+    """`charpoly` of the graph of adj, given its columns."""
+    n = len(adj)
     coeffs = [1, -adj[0][0]] if n else [1]
     for k in range(1, n):
         row, v, block = adj[k], cols[k][:k], adj[:k]

@@ -28,7 +28,7 @@ from tyz.eulerian import (
     is_balanced,
     unit_ball_rhs,
 )
-from tyz.graphs import canonical_key, is_strongly_connected, weak_components
+from tyz.graphs import canonical_key, connectivity, is_strongly_connected
 from tyz.spectral import charpoly, coefficient_from_linear, z_orbit
 from tyz.zeta import FamilySpec, build_family, z, z_family
 
@@ -135,7 +135,7 @@ def test_criterion_4_best_consistency(capsys):
     checked = 0
     for k in (1, 2, 3):
         for g in (r.graph for r in weight_records(k)):
-            if not is_balanced(g) or len(weak_components(g)) != 1:
+            if not is_balanced(g) or len(connectivity(g)) != 1:
                 continue
             checked += 1
             assert euler_tour_count(g) == euler_tour_bruteforce(g), g
@@ -243,7 +243,7 @@ def test_criterion_8_vanishing_off_strong(capsys):
         middle = [
             g
             for g in (r.graph for r in weight_records(k))
-            if len(weak_components(g)) == 1 and not is_strongly_connected(g)
+            if len(connectivity(g)) == 1 and not is_strongly_connected(g)
         ]
         per_weight[k] = len(middle)
         assert all(z(g) == 0 for g in middle), k

@@ -92,15 +92,14 @@ def test_record_uses_canonical_matrix():
 def test_record_z_and_class_have_two_derivations():
     # z from the record's own det and aut against zeta.z's rule for unions,
     # det (read off the characteristic polynomial) against Bareiss
-    # elimination, and the class against weak_components and the
+    # elimination, and the class against the component count and the
     # whole-graph strong check
     for k in range(1, 6):
         for r in weight_records(k):
             assert r.z == z(r.graph), r.graph
             assert r.det_a_minus_i == zeta.det_a_minus_i(r.graph), r.graph
             assert r.det_a_minus_i == (-1) ** r.graph.n * sum(r.charpoly), r.graph
-            comps = graphs.weak_components(r.graph)
-            if len(comps) != 1:
+            if len(graphs.connectivity(r.graph)) != 1:
                 assert r.cls == "disconnected", r.graph
             elif graphs.is_strongly_connected(r.graph):
                 assert r.cls == "strongly_connected", r.graph
@@ -129,9 +128,12 @@ def test_record_does_each_computation_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    counting(catalog, "charpoly")
-    counting(catalog, "connectivity")
-    counting(catalog, "symmetry")  # build_record searches directly, not through the memo
+    # build_record reads the columns it transposes through the private
+    # helpers behind charpoly and connectivity, and searches directly
+    counting(catalog, "_charpoly")
+    counting(catalog, "_connectivity")
+    counting(catalog, "symmetry")
+    counting(catalog, "_symmetry")
     counting(zeta, "det_int")  # what zeta.det_a_minus_i eliminates with
     det_int = eulerian.det_int
 
@@ -147,8 +149,8 @@ def test_record_does_each_computation_once(monkeypatch):
             calls.clear()
             minors.clear()
             rec = build_record(g)
-            assert calls["charpoly"] == 1 and calls["connectivity"] == 1, g
-            assert calls["symmetry"] <= 1 and calls["det_int"] == 0, g
+            assert calls["_charpoly"] == 1 and calls["_connectivity"] == 1, g
+            assert calls["symmetry"] + calls["_symmetry"] <= 1 and calls["det_int"] == 0, g
             if eulerian.is_balanced(g):
                 outs = g.out_degrees()
                 laplacian = [
@@ -570,17 +572,46 @@ def test_reread_searches_each_graph_once(tmp_path, monkeypatch):
     monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(catalog, "_memo", {})
     searched = Counter()
-    search = graphs.symmetry
+    search = graphs._symmetry
 
-    def counting(adj):
+    def counting(adj, *args):
         searched[adj] += 1
-        return search(adj)
+        return search(adj, *args)
 
+    # the reader searches with the columns and degrees its checks computed
+    monkeypatch.setattr(catalog, "_symmetry", counting)
     monkeypatch.setattr(catalog, "symmetry", counting)
     records = weight_records(3)
     # one search per record: a record's z needs no search of its components
     assert searched == Counter(r.graph.adj for r in records)
     assert any(r.cls == "disconnected" for r in records)
+
+
+def test_reread_sums_each_records_degrees_once(tmp_path, monkeypatch):
+    """Rereading a catalog sums each record's degrees once, for the reader's
+    size and stability checks, and the record is built from those sums: no
+    semistability test, since a stable graph is semistable, and no
+    `out_degrees` or `in_degrees`."""
+    path = tmp_path / "stable-4-9.jsonl"
+    write_catalog(stable_records(4, 9), path)
+    summed = []
+    degrees = graphs._degrees
+
+    def counting(adj, cols):
+        summed.append(adj)
+        return degrees(adj, cols)
+
+    def forbidden(*args):
+        raise AssertionError("the degrees are tested or summed again")
+
+    monkeypatch.setattr(catalog, "_degrees", counting)
+    monkeypatch.setattr(catalog, "_semistable", forbidden)
+    monkeypatch.setattr(MultiDigraph, "out_degrees", forbidden)
+    monkeypatch.setattr(MultiDigraph, "in_degrees", forbidden)
+    records = read_catalog(path, (4, 9))
+    assert len(records) == enumeration.census_count(4, 9)
+    assert any(r.cls == "disconnected" for r in records)
+    assert summed == [r.adj for r in records]
 
 
 def test_cold_records_search_only_inside_the_fill(tmp_path, monkeypatch):
@@ -736,6 +767,27 @@ def test_fast_suites_pass(suite):
     report = verify(suite)
     assert report.ok, [c for c in report.cases if not c.ok]
     assert report.passed == len(report.cases) > 0
+
+
+def test_weight_suites_search_only_components(monkeypatch):
+    """The weight suites key each record by its stored canonical matrix and
+    each golden fixture once per process, so once the fixtures are keyed the
+    only searches left are of the components of weight-4 disconnected
+    records."""
+    for suite in ("weight2", "weight3", "weight4"):
+        verify(suite)
+    keyed = []
+    canonical_key = catalog.canonical_key
+
+    def counting(g):
+        keyed.append(g)
+        return canonical_key(g)
+
+    monkeypatch.setattr(catalog, "canonical_key", counting)
+    assert verify("weight2").ok and verify("weight3").ok and keyed == []
+    assert verify("weight4").ok
+    disconnected = [r.graph for r in weight_records(4) if r.cls == "disconnected"]
+    assert len(keyed) == sum(len(graphs.connectivity(g)) for g in disconnected) == 47
 
 
 def test_oracle_suite_passes():

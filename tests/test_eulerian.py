@@ -20,7 +20,7 @@ from tyz.eulerian import (
     is_balanced,
     unit_ball_rhs,
 )
-from tyz.graphs import EMPTY, parse_graph, weak_components
+from tyz.graphs import EMPTY, connectivity, parse_graph
 
 from assembly import disjoint_union
 
@@ -62,7 +62,7 @@ def test_arborescence_bruteforce_agrees():
 def test_arborescence_root_independent_when_balanced_connected():
     for k in (1, 2, 3):
         for g in (r.graph for r in weight_records(k)):
-            if is_balanced(g) and len(weak_components(g)) == 1:
+            if is_balanced(g) and len(connectivity(g)) == 1:
                 counts = {arborescence_count(g, r) for r in range(g.n)}
                 assert len(counts) == 1, g
 
@@ -179,7 +179,7 @@ def test_decomposition_linear_coefficient_is_tour_count():
     """A decomposition with exactly one trail is an Euler tour up to rotation."""
     for k in (1, 2, 3):
         for g in (r.graph for r in weight_records(k)):
-            if is_balanced(g) and len(weak_components(g)) == 1:
+            if is_balanced(g) and len(connectivity(g)) == 1:
                 poly = cycle_decomposition_poly(g)
                 assert poly[1] == euler_tour_count(g), g
 

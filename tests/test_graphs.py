@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tyz.graphs as graphs
+from tyz.catalog import weight_records
 from tyz.graphs import (
     EMPTY,
     MultiDigraph,
@@ -22,7 +23,6 @@ from tyz.graphs import (
     is_strongly_connected,
     parse_graph,
     relabel,
-    weak_components,
 )
 from tyz.zeta import FamilySpec, build_family, det_a_minus_i, z_family
 
@@ -419,6 +419,50 @@ def test_connectivity_matches_set_oracle(g):
         assert is_strongly_connected(g) == _strongly_connected_oracle(g)
 
 
+def test_connectivity_matches_oracle_on_the_census(monkeypatch):
+    """Every stable graph of weight <= 5 as its catalog stores it and under a
+    seeded relabelling: the strongly connected ones end after two sweeps,
+    the others run the loop over components."""
+    sweeps = []
+    reach = graphs._reach
+
+    def counting(masks, start):
+        sweeps.append(start)
+        return reach(masks, start)
+
+    monkeypatch.setattr(graphs, "_reach", counting)
+    rng = random.Random(30)
+    for k in range(1, 6):
+        for r in weight_records(k):
+            order = list(range(r.graph.n))
+            rng.shuffle(order)
+            for g in (r.graph, relabel(r.graph, order)):
+                sweeps.clear()
+                assert connectivity(g) == _connectivity_oracle(g), g
+                if r.cls == "strongly_connected":
+                    assert sweeps == [0, 0], g
+    assert connectivity(EMPTY) == _connectivity_oracle(EMPTY) == []
+
+
+@pytest.mark.parametrize(
+    "text, parts",
+    [
+        # vertex 0 reaches every vertex forward, none reaches it back
+        ("0 1 0;0 0 1;0 0 0", [([0, 1, 2], False)]),
+        ("1 1 0;1 1 1;0 0 1", [([0, 1, 2], False)]),
+        # every vertex reaches vertex 0, which reaches none of them
+        ("0 0 0;1 0 0;0 1 0", [([0, 1, 2], False)]),
+        ("1 1 0;1 1 0;0 1 1", [([0, 1, 2], False)]),
+        # a strongly connected part at vertex 0 beside one that is not
+        ("0 1 0 0;1 0 0 0;0 0 0 1;0 0 0 0", [([0, 1], True), ([2, 3], False)]),
+        ("0 0 1 0;0 0 0 0;1 0 0 0;0 1 0 0", [([0, 2], True), ([1, 3], False)]),
+    ],
+)
+def test_connectivity_when_vertex_zero_reaches_one_way(text, parts):
+    g = parse_graph(text)
+    assert connectivity(g) == _connectivity_oracle(g) == parts
+
+
 def _cycle_rows(k):
     return [[int(j == (i + 1) % k) for j in range(k)] for i in range(k)]
 
@@ -446,16 +490,16 @@ def test_connectivity_beyond_64_vertices():
     assert connectivity(ring) == [(list(range(70)), True)]
 
 
-def test_weak_components_of_block_diagonal():
+def test_connectivity_of_block_diagonal():
     g = parse_graph("2 0 0;0 1 1;0 1 1")
-    comps = weak_components(g)
+    comps = [induced_subgraph(g, part) for part, _ in connectivity(g)]
     assert sorted(c.n for c in comps) == [1, 2]
     keys = {canonical_key(c) for c in comps}
     assert keys == {canonical_key(parse_graph("2")), canonical_key(parse_graph("1 1;1 1"))}
 
 
-def test_weak_components_of_connected_graph():
-    assert len(weak_components(parse_graph("0 2;2 0"))) == 1
+def test_connectivity_of_connected_graph():
+    assert len(connectivity(parse_graph("0 2;2 0"))) == 1
 
 
 # --- assembly ---
@@ -466,7 +510,7 @@ def test_disjoint_union_blocks():
     u = disjoint_union([a, b])
     assert u.n == 3 and u.edge_count == 6
     assert u.weight == a.weight + b.weight
-    assert len(weak_components(u)) == 2
+    assert len(connectivity(u)) == 2
 
 
 def test_induced_subgraph():

@@ -87,7 +87,7 @@ enumerate_stable euler_tour_bruteforce euler_tour_count
 expansion format_graph format_rational golden_fixture is_balanced
 is_semistable is_stable is_strongly_connected linear_subgraphs parse_graph
 parse_rational read_catalog stable_records unit_ball_rhs unit_ball_sums verify
-weak_components weight_records write_catalog z z_family z_orbit
+weight_records write_catalog z z_family z_orbit
 """.split()
 
 

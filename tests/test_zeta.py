@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tyz import graphs, zeta
-from tyz.graphs import EMPTY, canonical_key, parse_graph, weak_components
+from tyz.graphs import EMPTY, canonical_key, connectivity, induced_subgraph, parse_graph
 from tyz.zeta import FamilySpec, build_family, det_a_minus_i, det_int, sym_factor, z, z_family
 
 from assembly import disjoint_union
@@ -110,11 +110,7 @@ def test_z_reads_one_connectivity_pass(monkeypatch):
         raise AssertionError("z repeats the connectivity work")
 
     monkeypatch.setattr(zeta, "connectivity", counting)
-    for module, name in [
-        (graphs, "is_strongly_connected"),
-        (graphs, "weak_components"),
-    ]:
-        monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(graphs, "is_strongly_connected", forbidden)
     assert z(g) == want == Fraction(3, 64)
     assert calls == [g]
 
@@ -126,12 +122,16 @@ def test_z_on_disjoint_unions():
     assert z(three) == Fraction(-1, 48)
 
 
+def _components(g):
+    return [induced_subgraph(g, part) for part, _ in connectivity(g)]
+
+
 def test_sym_factor_counts_repeated_components():
-    comps = weak_components(parse_graph("2 0;0 2"))
+    comps = _components(parse_graph("2 0;0 2"))
     assert sym_factor(map(canonical_key, comps)) == 2
-    comps = weak_components(parse_graph("2 0;0 3"))
+    comps = _components(parse_graph("2 0;0 3"))
     assert sym_factor(map(canonical_key, comps)) == 1
-    comps = weak_components(parse_graph("2 0 0;0 2 0;0 0 2"))
+    comps = _components(parse_graph("2 0 0;0 2 0;0 0 2"))
     assert sym_factor(map(canonical_key, comps)) == 6
 
 
