@@ -10,12 +10,14 @@ reader transposes each stored matrix and sums its degrees once, for its
 size and stability checks, and searches it with them; a matrix that its
 search returns unchanged is canonical, so its record is built from those
 columns and sums (`_record`, which `build_record` also calls), with no
-second semistability test.  A catalog is written to a temporary file
-renamed into place, so no reader sees a partial one; the on-disk cache
-(`stable_records`) checks each line's vertex and edge count before
-rebuilding its record, rebuilds a file that fails to read or holds another
-number of records than `census_count`, and warns (RuntimeWarning) of that
-and of a failed write, which loses only the disk copy.  The records of
+second semistability test.  The writer formats each line in one f-string
+(`_record_line`), which the tests hold to `json.dumps` of `record_to_json`,
+the field map the reader compares against.  A catalog is written to a
+temporary file renamed into place, so no reader sees a partial one; the
+on-disk cache (`stable_records`) checks each line's vertex and edge count
+before rebuilding its record, rebuilds a file that fails to read or holds
+another number of records than `census_count`, and warns (RuntimeWarning)
+of that and of a failed write, which loses only the disk copy.  The records of
 each (cache directory, j, s) are kept in memory too (`_memo`), and with the
 disk cache that is the only memo of the census: `weight_records` serves
 every weight-k sum here, the census (`class_counts`, one TABLE2 row), the
@@ -249,6 +251,19 @@ def record_to_json(rec: CatalogRecord) -> dict:
     }
 
 
+def _record_line(rec: CatalogRecord) -> str:
+    """The catalog line of rec, `json.dumps(record_to_json(rec))` and a
+    newline, in one f-string: the str of a list of ints is its JSON, and the
+    class and z strings need no escapes."""
+    return (
+        f'{{"vertices": {len(rec.adj)}, "adjacency": {[*map(list, rec.adj)]}, '
+        f'"weight": {rec.weight}, "edges": {rec.edges}, "class": "{rec.cls}", '
+        f'"det_A_minus_I": {rec.det_a_minus_i}, "aut_order": {rec.aut}, '
+        f'"z": "{format_rational(rec.z)}", "euler_tours": {rec.euler_tours}, '
+        f'"charpoly": {[*rec.charpoly]}}}\n'
+    )
+
+
 def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
     """Rebuild the record from the adjacency matrix alone and require every
     field of `record_to_json` to be stored and match, the first missing or
@@ -311,8 +326,7 @@ def write_catalog(records, path) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(record_to_json(rec)) + "\n")
+            fh.writelines(map(_record_line, records))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -12,24 +12,35 @@ in - 2 loops, than the others leave.  For each sequence one recursion fills
 the rows with those margins: row v has its loops on the diagonal, and its
 off-diagonal entries split out - loops under what each other column can
 still take of its in - loops.  The rows allowed for each (vertex, type,
-remaining capacities) are listed once per call.  The last row is forced: it
-is the remaining capacities, and its own column must already be full.
+remaining capacities) are listed once per call, by one recursion over a
+mutable row that builds one tuple per row and none on the way.  The last
+row is forced: it is the remaining capacities, and its own column must
+already be full.
 
 Every full matrix thus has its vertices in non-increasing (out, in, loops)
 order, and is kept only if it passes the leaf test: `graphs.refine` of its
 runs of equal type, `ordered`, keeps each vertex in order.  The fill is
 sound because the refinement does not depend on the labels: listing any
 stable graph's vertices in the refined order of its types gives a matrix of
-its class that the fill reaches and that passes.  A kept leaf hands its
-refined partition to `symmetry`, which does not refine it again: when the
-partition is discrete, the leaf is its class's canonical matrix with the
-trivial group and there is no search.  The first `Symmetry` of each
-canonical matrix is kept, so the record of the class searches nothing
-again.  The canonical dedup owns correctness regardless.  It runs within one
-type sequence at a time: a class's sorted (out, in, loops) multiset is an
-isomorphism invariant, so two sequences never share a class.  Every row
-tuple the fill keeps, in its row choices and in the kept matrices, is one
-object per distinct value for the whole call.
+its class that the fill reaches and that passes.  The leaf test's first
+splitter is the first type run R1, so its test is made on a prefix of rows:
+once R1's rows are placed, a vertex v of a later run has its signature
+against R1 as soon as row v is, the sorted pairs (A[v][w], A[w][v]) over w
+in R1 (the one pair when R1 is one vertex), read from R1's columns cached
+when R1 is complete.  A row whose signature falls below its predecessor's
+in its run is dropped with its subtree, and so is an R1 whose own
+signatures decrease, checked when its last row is placed.  This drops
+exactly the leaves that the first splitter rejects, before they are built,
+except in a sequence of one type run, where R1 is complete only at the
+leaf.  A kept leaf hands its refined partition to `symmetry`, which does
+not refine it again: when the partition is discrete, the leaf is its
+class's canonical matrix with the trivial group and there is no search.
+The first `Symmetry` of each canonical matrix is kept, so the record of the
+class searches nothing again.  The canonical dedup owns correctness
+regardless.  It runs within one type sequence at a time: a class's sorted
+(out, in, loops) multiset is an isomorphism invariant, so two sequences
+never share a class.  Every row tuple the fill keeps, in its row choices and
+in the kept matrices, is one object per distinct value for the whole call.
 
 `census_count` counts the same classes without generating a graph, by
 Burnside's lemma, and `catalog.stable_records` checks every catalog's
@@ -77,16 +88,34 @@ def check_weight(k: int, allow_slow: bool = True) -> int:
     return k
 
 
-def _bounded_compositions(total: int, caps: tuple[int, ...]):
-    """All sequences x with 0 <= x[u] <= caps[u] summing to `total`."""
-    if len(caps) == 1:
-        if total <= caps[0]:
-            yield (total,)
+def _bounded_compositions(total: int, caps: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """All tuples x with 0 <= x[u] <= caps[u] summing to `total`, in
+    lexicographic order."""
+    room = [0] * (len(caps) + 1)  # room[u]: what columns u, u + 1, ... take together
+    for u in range(len(caps) - 1, -1, -1):
+        room[u] = room[u + 1] + caps[u]
+    found: list[tuple[int, ...]] = []
+    if total <= room[0]:
+        _compose(total, 0, caps, room, [0] * len(caps), found)
+    return found
+
+
+def _compose(left: int, u: int, caps, room: list[int], row: list[int], found: list) -> None:
+    """Append to `found` each extension of row[:u] by a split of `left` over
+    columns u, u + 1, ... under their caps, where `left` <= room[u]: one
+    mutable row, and one tuple per composition, none on the way."""
+    if left == 0:  # the rest is zero
+        row[u:] = [0] * (len(row) - u)
+        found.append(tuple(row))
         return
-    rest = sum(caps[1:])
-    for first in range(max(0, total - rest), min(caps[0], total) + 1):
-        for tail in _bounded_compositions(total - first, caps[1:]):
-            yield (first, *tail)
+    if left == room[u]:  # the rest is full
+        row[u:] = caps[u:]
+        found.append(tuple(row))
+        return
+    rest = room[u + 1]
+    for x in range(max(0, left - rest), min(caps[u], left) + 1):
+        row[u] = x
+        _compose(left - x, u + 1, caps, room, row, found)
 
 
 def _type_sequences(j: int, s: int):
@@ -118,6 +147,7 @@ def _type_sequences(j: int, s: int):
                     types.pop()
 
     yield from rec(s, s, j)
+    del rec  # it refers to itself: a cycle that only the collector would free
 
 
 def _row_choices(v: int, kind: Type, caps: tuple[int, ...], pool: dict) -> list:
@@ -128,7 +158,8 @@ def _row_choices(v: int, kind: Type, caps: tuple[int, ...], pool: dict) -> list:
     out, _, loops = kind
     choices = []
     for off in _bounded_compositions(out - loops, caps[:v] + (0,) + caps[v + 1 :]):
-        row, after = off[:v] + (loops,) + off[v + 1 :], tuple(map(sub, caps, off))
+        row = off[:v] + (loops,) + off[v + 1 :] if loops else off
+        after = tuple(map(sub, caps, off))
         choices.append((pool.setdefault(row, row), pool.setdefault(after, after)))
     return choices
 
@@ -142,8 +173,8 @@ def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
     matrix is the class's canonical representative.  Classes are
     deduplicated within their type sequence, which no other sequence
     shares, and the kept matrices share their rows: one tuple per distinct
-    row for the whole call.  The module docstring describes the fill and its
-    leaf test."""
+    row for the whole call.  The module docstring describes the fill, its
+    prefix test and its leaf test."""
     if j < 1 or s < 2 * j:
         return ()
     last = j - 1
@@ -153,12 +184,22 @@ def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
     found: dict[Matrix, Symmetry] = {}  # canonical matrix -> what its class keeps
     kept: list[Symmetry] = []  # the classes of the sequences already filled
     types: tuple[Type, ...] = ()  # the sequence being filled
+    # the prefix test (module docstring): R1 = range(head) is the sequence's
+    # first type run; top[v] is column v on R1's rows, or on its one row the
+    # entry, once R1 is complete; sigs[v] is v's signature against R1
+    head = 0
+    top: tuple[int, ...] | Matrix = ()
+    sigs: list = [None] * j
 
     def rec(v: int, caps: tuple[int, ...]) -> None:
         """Place row v; column u can still take caps[u] off-diagonal edges."""
+        nonlocal top
         if v == last:
             if caps[last] == 0:  # the forced last row adds nothing to its own column
                 row = caps[:last] + (types[last][2],)
+                follows = last > head and types[last - 1] == types[last]
+                if follows and _signature(row, top[last], head) < sigs[last - 1]:
+                    return
                 leaf = (*rows, row)
                 cells = refine(leaf, tuple(zip(*leaf)), runs, ordered=True)
                 if cells is not None:  # searched from the refined cells, not refined again
@@ -176,13 +217,27 @@ def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
         entry = choices.get(key)
         if entry is None:
             entry = choices[key] = _row_choices(v, types[v], caps, pool)
+        closes = v == head - 1  # then R1 is complete, and a later run follows
+        follows = v > head and types[v - 1] == types[v]  # v - 1 is in v's run
+        signed = follows or (v >= head and types[v + 1] == types[v])
         for row, after in entry:
+            if closes:  # cache R1's columns, and its own signatures must not decrease
+                block = (*rows, row)
+                top = row if head == 1 else tuple(zip(*block))
+                own = [_signature(r, col, head) for r, col in zip(block, top)]
+                if any(b < a for a, b in zip(own, own[1:])):
+                    continue
+            elif signed:
+                sig = sigs[v] = _signature(row, top[v], head)
+                if follows and sig < sigs[v - 1]:
+                    continue
             rows.append(row)
             rec(v + 1, after)
             rows.pop()
 
     for types in _type_sequences(j, s):
         runs = [list(run) for _, run in groupby(range(j), types.__getitem__)]  # equal types
+        head = len(runs[0])
         caps = tuple(in_ - loops for _, in_, loops in types)
         rec(0, pool.setdefault(caps, caps))
         kept.extend(found.values())
@@ -194,6 +249,16 @@ def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
     # fixed j, row-tuple order is canonical-key order
     kept.sort()
     return tuple(kept)
+
+
+def _signature(row: tuple[int, ...], col, head: int):
+    """The first splitter's signature, as `graphs.refine` has it, of a vertex
+    v with this row and with `col` its column on the rows of R1 = range(head):
+    the pair (A[v][0], A[0][v]) when R1 is vertex 0, else the sorted pairs
+    (A[v][w], A[w][v]) over w in R1."""
+    if head == 1:
+        return row[0], col
+    return sorted(zip(row[:head], col))
 
 
 def _cycle_types(j: int, largest: int):

@@ -329,7 +329,9 @@ def symmetry(adj: Matrix, cells=None) -> Symmetry:
     Prune: two leaves with equal matrices give an automorphism, and the
     search jumps back to where their paths part, since the automorphism maps
     one subtree onto the other.  A child is skipped when an automorphism
-    fixing the node's individualized vertices maps it to a tried sibling.
+    fixing the node's individualized vertices maps it to a tried sibling;
+    the tried siblings' orbits grow by one closure per tried vertex, and are
+    computed again only when the search below has found new generators.
 
     The canonical matrix is the least leaf matrix, so equal canonical
     matrices mean isomorphic matrices.  The group order is the product, along
@@ -338,10 +340,10 @@ def symmetry(adj: Matrix, cells=None) -> Symmetry:
     """
     if len(adj) <= 1:
         return Symmetry(adj, (), 1)  # its own canonical form, no other ordering
-    cols = tuple(zip(*adj))
     if cells is None:
+        cols = tuple(zip(*adj))
         return _symmetry(adj, cols, *_degrees(adj, cols))
-    return _search(adj, cols, cells)
+    return _search(adj, None, cells)  # transposed only if there is more than one leaf
 
 
 def _symmetry(adj: Matrix, cols: Matrix, outs: tuple[int, ...], ins: tuple[int, ...]) -> Symmetry:
@@ -353,11 +355,14 @@ def _symmetry(adj: Matrix, cols: Matrix, outs: tuple[int, ...], ins: tuple[int, 
     return _search(adj, cols, cells)
 
 
-def _search(adj: Matrix, cols: Matrix, cells) -> Symmetry:
-    """The search of `symmetry` from the refined start `cells`."""
+def _search(adj: Matrix, cols: Matrix | None, cells) -> Symmetry:
+    """The search of `symmetry` from the refined start `cells`; the columns
+    `cols` of adj are computed here when None and the search needs them."""
     n = len(adj)
     if len(cells) == n:  # already discrete: one leaf, so the group is trivial
         return Symmetry(_leaf_matrix(adj, [cell[0] for cell in cells]), (), 1)
+    if cols is None:
+        cols = tuple(zip(*adj))
 
     generators: list[tuple[int, ...]] = []
     first = best = None  # (leaf matrix, leaf ordering, path) of the first and least leaves
@@ -403,10 +408,18 @@ def _search(adj: Matrix, cols: Matrix, cells) -> Symmetry:
             return leaf([*chain.from_iterable(cells)], path, wide)
         target = next(t for t, cell in enumerate(cells) if len(cell) > 1)
         tried: list[int] = []
+        pruned: set[int] = set()  # the orbits of tried under the generators fixing path
+        known = 0  # how many generators pruned was computed with
         cell = cells[target]
         for v in cell:
-            if generators and v in _closure(tried, moves(path)):
-                continue
+            if generators and tried:
+                if len(generators) > known:  # found below: the orbits may have merged
+                    known = len(generators)
+                    pruned = _closure(tried, moves(path))
+                elif tried[-1] not in pruned:  # the one vertex tried since
+                    pruned |= _closure(tried[-1:], moves(path))
+                if v in pruned:
+                    continue
             tried.append(v)
             # v keeps the first position of its cell, and refinement splits
             # cells in place, so a leaf ordering records the whole path; the
@@ -418,6 +431,7 @@ def _search(adj: Matrix, cols: Matrix, cells) -> Symmetry:
         return depth
 
     visit(cells, [])
+    del visit  # it refers to itself: a cycle that only the collector would free
     first_path = first[2]
     order = math.prod(len(_closure([v], moves(first_path[:d]))) for d, v in enumerate(first_path))
     return Symmetry(best[0], tuple(generators), order * below_first)

@@ -504,7 +504,7 @@ def test_failed_write_keeps_old_catalog(tmp_path, monkeypatch):
     write_catalog(weight_records(2), path)
     before = path.read_text()
     records = weight_records(3)
-    original = catalog.record_to_json
+    original = catalog._record_line
     calls = []
 
     def failing(rec):
@@ -513,7 +513,7 @@ def test_failed_write_keeps_old_catalog(tmp_path, monkeypatch):
             raise OSError("disk full")
         return original(rec)
 
-    monkeypatch.setattr(catalog, "record_to_json", failing)
+    monkeypatch.setattr(catalog, "_record_line", failing)
     with pytest.raises(OSError, match="disk full"):
         write_catalog(records, path)
     assert path.read_text() == before
@@ -935,3 +935,36 @@ def test_catalog_lines_are_pinned(tmp_path, monkeypatch):
         digest.update((json.dumps(record_to_json(r)) + "\n").encode())
     assert len(records) == 691
     assert digest.hexdigest() == CATALOG_SHA256
+
+
+def test_catalog_files_are_pinned(tmp_path, monkeypatch):
+    """The files `stable_records` writes for every weight k <= 5, read back
+    from disk and concatenated in catalog order (k, then j), hash to the
+    same pin as their records' `record_to_json` lines."""
+    monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(catalog, "_memo", {})
+    digest, lines = hashlib.sha256(), 0
+    for k in range(1, 6):
+        for j in range(1, k + 1):
+            stable_records(j, j + k)
+            data = (tmp_path / f"stable-{j}-{j + k}.jsonl").read_bytes()
+            digest.update(data)
+            lines += data.count(b"\n")
+    assert lines == 691
+    assert digest.hexdigest() == CATALOG_SHA256
+
+
+def test_record_line_is_the_json_of_record_to_json():
+    """The writer's line is `json.dumps(record_to_json(rec))` and a newline,
+    byte for byte, for every record of weight <= 5, among them records with
+    a negative det(A - I), a negative z and an aut of several digits, and
+    for a made-up record with large entries and one vertex."""
+    records = [r for k in range(1, 6) for r in weight_records(k)]
+    assert any(r.det_a_minus_i < 0 for r in records)
+    assert any(r.z < 0 for r in records) and any(r.aut >= 10 for r in records)
+    odd = catalog.CatalogRecord(
+        adj=((12,),), weight=11, edges=12, cls="strongly_connected", aut=479001600,
+        z=Fraction(-11, 479001600), euler_tours=39916800, charpoly=(-11, 1234567890123, -7),
+    )
+    for rec in (*records, odd):
+        assert catalog._record_line(rec) == json.dumps(record_to_json(rec)) + "\n"

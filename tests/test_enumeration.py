@@ -1,7 +1,8 @@
+import gc
 import math
 import random
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -98,11 +99,13 @@ def test_weight_six_class_counts_by_vertex_count():
 def test_fill_keeps_only_invariant_ordered_matrices(monkeypatch):
     """The fill builds only matrices with non-increasing (out, in, loops)
     vertex types, and only those that pass the leaf test reach the symmetry
-    search.  Of the 6,210 full matrices of (5, 10), the fill builds the
-    1,607 whose types are non-increasing; refining their type runs leaves
-    the vertices of some in order, and those whose refinement is not
-    discrete take at most 169 searches for the 85 classes (a discrete one
-    returns before the search)."""
+    search.  Of the 6,210 full matrices of (5, 10), 1,607 have non-increasing
+    types.  The leaf test's first splitter rejects 1,284 of them; the 506 of
+    those whose sequence has more than one type run fail the prefix test
+    and are never built, so the fill builds 1,101.  Refining their type
+    runs leaves the vertices of some in order, and those whose refinement
+    is not discrete take at most 169 searches for the 85 classes (a
+    discrete one returns before the search)."""
     leaves, calls = [], []
     leaf_test = enumeration.refine
 
@@ -119,8 +122,61 @@ def test_fill_keeps_only_invariant_ordered_matrices(monkeypatch):
     monkeypatch.setattr(enumeration, "refine", counted_leaf)
     monkeypatch.setattr(enumeration, "symmetry", counted)
     assert len(enumerate_stable(5, 10)) == 85
-    assert len(leaves) == len(set(leaves)) == 1607
+    assert len(leaves) == len(set(leaves)) == 1101
     assert len(calls) <= 169
+
+
+def _leaves_and_classes(monkeypatch, j, s):
+    """The leaves the fill of (j, s) builds, in order, and its classes."""
+    leaves = []
+
+    def counted_leaf(adj, cols, cells, queue=None, ordered=False):
+        leaves.append(adj)
+        return refine(adj, cols, cells, queue, ordered)
+
+    monkeypatch.setattr(enumeration, "refine", counted_leaf)
+    return leaves, enumerate_stable(j, s)
+
+
+@pytest.mark.parametrize("j, s", [(4, 10), (5, 10), (5, 11)])
+def test_prefix_test_drops_only_leaves_the_leaf_test_rejects(monkeypatch, j, s):
+    """With the prefix test off (every signature equal) the fill builds
+    every leaf of non-increasing types.  With it on, the fill builds those
+    leaves but the ones it drops, in the same order; the leaf test rejects
+    each dropped leaf, and the classes are the same."""
+    pruned, classes = _leaves_and_classes(monkeypatch, j, s)
+    monkeypatch.setattr(enumeration, "_signature", lambda row, col, head: 0)
+    full, unpruned = _leaves_and_classes(monkeypatch, j, s)
+    assert classes == unpruned
+    assert len(pruned) < len(full)
+    kept = set(pruned)
+    assert [leaf for leaf in full if leaf in kept] == pruned
+    for leaf in full:
+        if leaf not in kept:
+            runs = _type_runs(MultiDigraph(leaf))
+            assert refine(leaf, tuple(zip(*leaf)), runs, ordered=True) is None
+
+
+def test_fill_leaves_no_cyclic_garbage():
+    """The fill's recursions drop their references to themselves, so a call
+    leaves nothing for the cyclic collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(enumerate_stable(5, 11)) == 2252
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_bounded_compositions_in_lexicographic_order():
+    """Every tuple under the caps with the given sum, in lexicographic order,
+    as a filter of all tuples under the caps lists them."""
+    for n in range(1, 5):
+        for caps in product(range(4), repeat=n):
+            for total in range(sum(caps) + 2):
+                want = [x for x in product(*(range(c + 1) for c in caps)) if sum(x) == total]
+                assert enumeration._bounded_compositions(total, caps) == want
 
 
 def _types(g):

@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -6,6 +8,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
+import tyz.catalog as catalog
 import tyz.graphs as graphs
 from tyz.catalog import weight_records
 from tyz.graphs import (
@@ -266,6 +269,65 @@ def test_large_families_are_relabel_invariant(spec):
         assert aut_order(h) == aut_order(g)
         # the closed form of z pins |Aut| independently of the search
         assert Fraction(-det_a_minus_i(h), aut_order(h)) == z_family(spec)
+
+
+# sha256 of (matrix, order) of `symmetry` over the census and family graphs,
+# see test_search_results_are_pinned
+SEARCH_SHA256 = "2bf87f75024026a08168a3fc14b036f4ef821d585042a903432a7b035f99d1f7"
+
+
+def test_search_results_are_pinned(monkeypatch):
+    """The canonical matrix and group order of every class of weight <= 5,
+    searched from its catalog matrix and from that matrix with its vertices
+    reversed, and of the verify suite's family graphs and LARGE_FAMILIES,
+    each as built and relabelled: a change to how the search prunes must
+    not move one of them.  Pruning moves only the work, which the number of
+    refinements pins."""
+    matrices = []
+    for k in range(1, 6):
+        for r in weight_records(k):
+            matrices += [r.adj, tuple(row[::-1] for row in r.adj[::-1])]
+    for spec in catalog._family_instances() + LARGE_FAMILIES:
+        g = build_family(spec)
+        matrices += [g.adj, relabel(g, random.Random(g.n).sample(range(g.n), g.n)).adj]
+    refinements = []
+    real = graphs.refine
+    monkeypatch.setattr(graphs, "refine", lambda *args: refinements.append(1) or real(*args))
+    digest = hashlib.sha256()
+    for adj in matrices:
+        found = graphs.symmetry(adj)
+        digest.update(repr((found.matrix, found.order)).encode())
+    assert len(matrices) == 1548
+    assert digest.hexdigest() == SEARCH_SHA256
+    assert len(refinements) == 2071
+
+
+@pytest.mark.parametrize("spec, closures", [(FamilySpec("A", n=16), 2), (FamilySpec("B", n=16), 4)])
+def test_search_computes_each_pruning_orbit_once(monkeypatch, spec, closures):
+    """A node's pruning orbits are computed once per tried vertex and once
+    per batch of new generators, not once per vertex of its target cell:
+    A(16) and B(16), 16 vertices each, take 2 and 4 closures."""
+    calls = []
+    real = graphs._closure
+    monkeypatch.setattr(graphs, "_closure", lambda *args: calls.append(1) or real(*args))
+    g = build_family(spec)
+    found = graphs.symmetry(g.adj)
+    assert len(calls) == closures
+    # the closed form of z pins the group order the orbits give
+    assert Fraction(-det_a_minus_i(g), graphs._label_factor(g.adj) * found.order) == z_family(spec)
+
+
+def test_search_leaves_no_cyclic_garbage():
+    """The search's recursion drops its reference to itself, so a search
+    leaves nothing for the cyclic collector."""
+    adj = build_family(FamilySpec("A", n=16)).adj
+    gc.collect()
+    gc.disable()
+    try:
+        assert graphs.symmetry(adj).order == 16
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_automorphisms_form_a_group():
