@@ -5,31 +5,33 @@ increasing canonical-key order.  Every stored field is recomputable from the
 adjacency matrix alone, each by one computation in `build_record`
 (det(A - I) is read off the characteristic polynomial as (-1)^n chi(1)), and
 reading a catalog recomputes and compares all of them, so a corrupt or
-tampered file fails loudly with the line number and field name.  The
-reader transposes each stored matrix and sums its degrees once, for its
-size and stability checks, and searches it with them; a matrix that its
-search returns unchanged is canonical, so its record is built from those
-columns and sums (`_record`, which `build_record` also calls), with no
-second semistability test.  The writer formats each line in one f-string
+tampered file fails loudly with the line number and field name.  The reader
+transposes each stored matrix and sums its degrees once, for its size and
+stability checks.  Its canonical check is the census fill's leaf test
+(`graphs._leaf_search`): descending (out, in, loops) types, ordered
+refinement that moves no vertex, and a search from there that returns the
+matrix unchanged.  The record of a canonical matrix is built from those
+columns and sums by the one record kernel (`_record`, which `build_record`
+also calls), with no second semistability test, and its fields are compared
+with the stored ones directly.  The writer formats each line in one f-string
 (`_record_line`), which the tests hold to `json.dumps` of `record_to_json`,
-the field map the reader compares against.  A catalog is written to a
+the field map that words the reader's errors.  A catalog is written to a
 temporary file renamed into place, so no reader sees a partial one; the
 on-disk cache (`stable_records`) checks each line's vertex and edge count
 before rebuilding its record, rebuilds a file that fails to read or holds
-another number of records than `census_count`, and warns (RuntimeWarning)
-of that and of a failed write, which loses only the disk copy.  The records of
+another number of records than `census_count`, and warns (RuntimeWarning) of
+that and of a failed write, which loses only the disk copy.  The records of
 each (cache directory, j, s) are kept in memory too (`_memo`), and with the
 disk cache that is the only memo of the census: `weight_records` serves
 every weight-k sum here, the census (`class_counts`, one TABLE2 row), the
 formal sum (`expansion`), the Bernoulli and unit-ball identity sums, and the
-verify suites.  A census
-repeats few values in many records: weight 7 has 66,710 records, each
-with its own matrix, but their rows, charpolys and z take far fewer values
-(the 46,796 nonzero z of weights <= 7 are 643 distinct values).
-`build_record` keeps one object per distinct row, charpoly and z
+verify suites.  A census repeats few values in many records: weight 7 has
+66,710 records, each with its own matrix, but their rows, charpolys and z
+take far fewer values (the 46,796 nonzero z of weights <= 7 are 643 distinct
+values).  `build_record` keeps one object per distinct row, charpoly and z
 (`_shared`), and a record stores its canonical matrix, not a graph object,
-and no det(A - I), which its charpoly gives; so a cold weight-7 census
-peaks at less than half the memory it would with a copy in each record.
+and no det(A - I), which its charpoly gives; so a cold weight-7 census peaks
+at less than half the memory it would with a copy in each record.
 
 The golden z-values for weights 1..4 live in data/golden_z.json.  They are
 pinned independently of the closed formula, which is exactly what makes the
@@ -46,9 +48,9 @@ import re
 import warnings
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .enumeration import _fixed_matrices, census_count, check_weight, enumerate_stable
 from .eulerian import (
@@ -70,6 +72,7 @@ from .graphs import (
     _connectivity,
     _degrees,
     _label_factor,
+    _leaf_search,
     _matrix_key,
     _semistable,
     _symmetry,
@@ -211,28 +214,26 @@ def _record(
 ) -> CatalogRecord:
     """`build_record` of a semistable graph's search, given the columns and
     the out- and in-degrees of its canonical matrix, which the connectivity
-    pass, the charpoly, the edge count and the Euler tours all read."""
-    g = MultiDigraph(tuple(map(_shared.setdefault, found.matrix, found.matrix)))
-    parts = _connectivity(g.adj, cols)
-    poly = _charpoly(g.adj, cols)
+    pass, the charpoly, the edge count and the Euler tours all read: the one
+    record kernel of a cold catalog and a reread one.  It builds no graph
+    object and no component vertex list: the class and z need only how many
+    weak components there are and whether each is strongly connected."""
+    adj = tuple(map(_shared.setdefault, found.matrix, found.matrix))
+    parts = _connectivity(adj, cols)
+    poly = _charpoly(adj, cols)
     poly = _shared.setdefault(poly, poly)
-    det, aut, edges = (-1) ** g.n * sum(poly), _label_factor(g.adj) * found.order, sum(outs)
+    n, edges, aut = len(adj), sum(outs), _label_factor(adj) * found.order
     strong = all(is_strong for _, is_strong in parts)
-    # keyed by ints: a Fraction's own hash and equality run in Python
-    num = (-1) ** len(parts) * det if strong else 0
+    # (-1)^c det(A - I), det(A - I) = (-1)^n chi(1); keyed by ints: a
+    # Fraction's own hash and equality run in Python
+    num = (-1) ** (len(parts) + n) * sum(poly) if strong else 0
     d = math.gcd(num, aut)
     key = (Fraction, num // d, aut // d)
-    if key not in _shared:
-        _shared[key] = Fraction(num, aut)
+    z = _shared.get(key)
+    if z is None:
+        z = _shared[key] = Fraction(num, aut)
     return CatalogRecord(
-        adj=g.adj,
-        weight=edges - g.n,
-        edges=edges,
-        cls=_class_of(parts),
-        aut=aut,
-        z=_shared[key],
-        euler_tours=_tour_count(g, outs, ins),
-        charpoly=poly,
+        adj, edges - n, edges, _class_of(parts), aut, z, _tour_count(adj, outs, ins), poly
     )
 
 
@@ -264,51 +265,97 @@ def _record_line(rec: CatalogRecord) -> str:
     )
 
 
+# the fields of `record_to_json` but 'adjacency', in its order
+_CHECKED = (
+    "vertices",
+    "weight",
+    "edges",
+    "class",
+    "det_A_minus_I",
+    "aut_order",
+    "z",
+    "euler_tours",
+    "charpoly",
+)
+
+
 def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
     """Rebuild the record from the adjacency matrix alone and require every
     field of `record_to_json` to be stored and match, the first missing or
-    differing one in its order reported; a matrix not in canonical form
-    fails on 'adjacency'.  A matrix that is not j x j with entry sum s, for
-    size = (j, s), or that has a row or column sum below 2, and so is no
-    stable graph, fails before anything is computed from it.  The columns
-    and degrees those checks read build the record of a canonical matrix."""
+    differing one in its order reported.  A matrix that is not j x j with
+    entry sum s, for size = (j, s), or that has a row or column sum below 2,
+    and so is no stable graph, fails before anything is computed from it.
+
+    The canonical check is the census fill's leaf test (`_leaf_search`): the
+    (out, in, loops) types must not increase and ordered refinement of their
+    runs must keep every vertex in place, and then the search from those
+    cells must return the matrix itself.  A matrix that fails is searched as
+    a general input (`_symmetry`) only to word its error, on 'adjacency' or
+    an earlier field.  The record of a canonical matrix is built from the
+    columns and degrees the checks read (`_record`), and its fields are
+    compared with the stored ones directly; the JSON field map is built only
+    to report the first that is missing or differs."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: not a JSON object")
     if "adjacency" not in obj:
         raise ValueError(f"{where}: missing field 'adjacency'")
     rows = obj["adjacency"]
-    # type, not isinstance: a bool or an int subclass is no matrix entry
-    if (
-        not isinstance(rows, list)
-        or not all(isinstance(row, list) for row in rows)
-        or not set(map(type, chain.from_iterable(rows))) <= {int}
-    ):
+    if not isinstance(rows, list) or not all(map(isinstance, rows, repeat(list))):
         raise ValueError(f"{where}: field 'adjacency' is not a list of integer rows")
-    try:
-        g = MultiDigraph.from_int_rows(rows)
-    except ValueError as exc:
-        raise ValueError(f"{where}: field 'adjacency': {exc}") from None
-    cols = tuple(zip(*g.adj))
-    outs, ins = _degrees(g.adj, cols)
-    if (g.n, sum(outs)) != size:
+    adj = tuple(map(tuple, rows))
+    n = len(adj)
+    # type, not isinstance: a bool or an int subclass is no matrix entry
+    if not set(map(type, chain.from_iterable(adj))) <= {int}:
+        raise ValueError(f"{where}: field 'adjacency' is not a list of integer rows")
+    if min(chain.from_iterable(adj), default=0) < 0 or not set(map(len, adj)) <= {n}:
+        try:  # words the first negative entry, else the first row of another length
+            MultiDigraph.from_int_rows(rows)
+        except ValueError as exc:
+            raise ValueError(f"{where}: field 'adjacency': {exc}") from None
+    cols = tuple(zip(*adj))
+    outs, ins = _degrees(adj, cols)
+    if (n, sum(outs)) != size:
         raise ValueError(
-            f"{where}: adjacency has {g.n} vertices and {sum(outs)} edges, "
+            f"{where}: adjacency has {n} vertices and {sum(outs)} edges, "
             f"not {size[0]} and {size[1]}"
         )
     if min(*outs, *ins) < 2:
-        v = next(v for v in range(g.n) if min(outs[v], ins[v]) < 2)
+        v = next(v for v in range(n) if min(outs[v], ins[v]) < 2)
         raise ValueError(
             f"{where}: field 'adjacency': vertex {v + 1} has out-degree {outs[v]} "
             f"and in-degree {ins[v]}, not both at least 2"
         )
-    found = _symmetry(g.adj, cols, outs, ins)
-    # a canonical matrix is its own search's result, and a stable graph is
-    # semistable; any other matrix is rebuilt and fails on 'adjacency' below
-    fresh = _record(found, cols, outs, ins) if found.matrix == g.adj else build_record(found)
-    expected = record_to_json(fresh)
-    if expected.items() <= obj.items():
-        return fresh
-    # the first missing or differing field in record order; there is one
+    found = _leaf_search(adj, cols, outs, ins)
+    if found is None:  # not canonical: searched only to word the error
+        found = _symmetry(adj, cols, outs, ins)
+    if found.matrix != adj:
+        # a stable graph is semistable; its canonical record differs on
+        # 'adjacency', if on no earlier field
+        _mismatch(obj, build_record(found), where)
+    rec = _record(found, cols, outs, ins)
+    # the stored rows are adj, so 'adjacency' matches.  Lists, not tuples:
+    # tuple(map(...)) is resized from a guessed length, and each one freed
+    # would stay on the interpreter's free list of 9-tuples (219 KB)
+    expected = [
+        n,
+        rec.weight,
+        rec.edges,
+        rec.cls,
+        rec.det_a_minus_i,
+        rec.aut,
+        format_rational(rec.z),
+        rec.euler_tours,
+        [*rec.charpoly],
+    ]
+    if [*map(obj.get, _CHECKED)] != expected:
+        _mismatch(obj, rec, where)
+    return rec
+
+
+def _mismatch(obj: dict, rec: CatalogRecord, where: str) -> NoReturn:
+    """Report the first field of `record_to_json(rec)` that obj is missing or
+    stores another value of; there is one."""
+    expected = record_to_json(rec)
     field = next(f for f in expected if f not in obj or obj[f] != expected[f])
     if field not in obj:
         raise ValueError(f"{where}: missing field '{field}'")

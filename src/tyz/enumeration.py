@@ -12,8 +12,9 @@ in - 2 loops, than the others leave.  For each sequence one recursion fills
 the rows with those margins: row v has its loops on the diagonal, and its
 off-diagonal entries split out - loops under what each other column can
 still take of its in - loops.  The rows allowed for each (vertex, type,
-remaining capacities) are listed once per call, by one recursion over a
-mutable row that builds one tuple per row and none on the way.  The last
+remaining capacities) are listed once per call, each with the capacities
+it leaves, by one recursion over a mutable row and a mutable capacity list
+that builds one tuple of each per choice and none on the way.  The last
 row is forced: it is the remaining capacities, and its own column must
 already be full.
 
@@ -57,7 +58,6 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import groupby
 from math import comb, factorial, gcd
-from operator import sub
 
 from .graphs import Matrix, Symmetry, refine, symmetry
 
@@ -86,36 +86,6 @@ def check_weight(k: int, allow_slow: bool = True) -> int:
     if k >= SLOW_WEIGHT and not allow_slow:
         raise ValueError(f"weight {k} needs --allow-slow")
     return k
-
-
-def _bounded_compositions(total: int, caps: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All tuples x with 0 <= x[u] <= caps[u] summing to `total`, in
-    lexicographic order."""
-    room = [0] * (len(caps) + 1)  # room[u]: what columns u, u + 1, ... take together
-    for u in range(len(caps) - 1, -1, -1):
-        room[u] = room[u + 1] + caps[u]
-    found: list[tuple[int, ...]] = []
-    if total <= room[0]:
-        _compose(total, 0, caps, room, [0] * len(caps), found)
-    return found
-
-
-def _compose(left: int, u: int, caps, room: list[int], row: list[int], found: list) -> None:
-    """Append to `found` each extension of row[:u] by a split of `left` over
-    columns u, u + 1, ... under their caps, where `left` <= room[u]: one
-    mutable row, and one tuple per composition, none on the way."""
-    if left == 0:  # the rest is zero
-        row[u:] = [0] * (len(row) - u)
-        found.append(tuple(row))
-        return
-    if left == room[u]:  # the rest is full
-        row[u:] = caps[u:]
-        found.append(tuple(row))
-        return
-    rest = room[u + 1]
-    for x in range(max(0, left - rest), min(caps[u], left) + 1):
-        row[u] = x
-        _compose(left - x, u + 1, caps, room, row, found)
 
 
 def _type_sequences(j: int, s: int):
@@ -152,15 +122,50 @@ def _type_sequences(j: int, s: int):
 
 def _row_choices(v: int, kind: Type, caps: tuple[int, ...], pool: dict) -> list:
     """Each row v of type `kind` placed under column capacities `caps`, as
-    (row, capacities after): its loops on the diagonal, its out - loops
-    other edges split under the capacities of the other columns.  Both
-    tuples are the ones `pool` keeps, each value added on first sight."""
+    (row, capacities after), rows in lexicographic order: its loops on the
+    diagonal, its out - loops other edges split under the capacities of the
+    other columns.  One recursion writes the row and the capacities after
+    into two mutable lists, column by column over the columns that can take
+    an edge, and makes one tuple of each per choice, none on the way; the
+    row tuple is the one `pool` keeps, added on first sight."""
     out, _, loops = kind
-    choices = []
-    for off in _bounded_compositions(out - loops, caps[:v] + (0,) + caps[v + 1 :]):
-        row = off[:v] + (loops,) + off[v + 1 :] if loops else off
-        after = tuple(map(sub, caps, off))
-        choices.append((pool.setdefault(row, row), pool.setdefault(after, after)))
+    free = [u for u in range(len(caps)) if caps[u] and u != v]  # the columns row v can use
+    room = [0] * (len(free) + 1)  # room[i]: what the columns free[i:] take together
+    for i in range(len(free) - 1, -1, -1):
+        room[i] = room[i + 1] + caps[free[i]]
+    row, after = [0] * len(caps), [*caps]
+    row[v] = loops
+    bare = row[:]  # the row with nothing off the diagonal
+    full_row, full_after = row[:], after[:]  # and with every free column full
+    for u in free:
+        full_row[u], full_after[u] = caps[u], 0
+    choices: list = []
+    append, setdefault = choices.append, pool.setdefault
+
+    def place(left: int, i: int) -> None:
+        """Split `left` <= room[i] over the columns free[i:], whose entries
+        of row and after are bare on entry and again on return."""
+        if 0 < left < room[i]:
+            u = free[i]
+            cap = caps[u]
+            for x in range(max(0, left - room[i + 1]), min(cap, left) + 1):
+                row[u], after[u] = x, cap - x
+                place(left - x, i + 1)
+            row[u], after[u] = 0, cap
+            return
+        if not left:  # the rest is bare
+            key = tuple(row)
+            append((setdefault(key, key), tuple(after)))
+            return
+        u = free[i]  # the rest is full
+        row[u:], after[u:] = full_row[u:], full_after[u:]
+        key = tuple(row)
+        append((setdefault(key, key), tuple(after)))
+        row[u:], after[u:] = bare[u:], caps[u:]
+
+    if out - loops <= room[0]:
+        place(out - loops, 0)
+    del place  # it refers to itself: a cycle that only the collector would free
     return choices
 
 
@@ -239,7 +244,7 @@ def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
         runs = [list(run) for _, run in groupby(range(j), types.__getitem__)]  # equal types
         head = len(runs[0])
         caps = tuple(in_ - loops for _, in_, loops in types)
-        rec(0, pool.setdefault(caps, caps))
+        rec(0, caps)
         kept.extend(found.values())
         found.clear()
     # rec refers to itself; dropping it frees the row choices now rather

@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
-from .graphs import MultiDigraph, connectivity
+from .graphs import Matrix, MultiDigraph, connectivity
 from .zeta import det_int
 
 __all__ = [
@@ -91,15 +91,13 @@ def arborescence_count(g: MultiDigraph, root: int) -> int:
     """
     if not 0 <= root < g.n:
         raise ValueError("root out of range")
-    return det_int(_tree_minor(g, g.out_degrees(), root))
+    return det_int(_tree_minor(g.adj, g.out_degrees(), root))
 
 
-def _tree_minor(g: MultiDigraph, outs: tuple[int, ...], root: int) -> list[list[int]]:
-    """The loopless Laplacian D_out - A without the root row and column."""
-    others = [v for v in range(g.n) if v != root]
-    return [
-        [outs[i] - g.adj[i][i] if i == j else -g.adj[i][j] for j in others] for i in others
-    ]
+def _tree_minor(adj: Matrix, outs: tuple[int, ...], root: int) -> list[list[int]]:
+    """The loopless Laplacian D_out - A of adj without the root row and column."""
+    others = [v for v in range(len(adj)) if v != root]
+    return [[outs[i] - adj[i][i] if i == j else -adj[i][j] for j in others] for i in others]
 
 
 def arborescences_bruteforce(g: MultiDigraph, root: int) -> int:
@@ -136,16 +134,16 @@ def euler_tour_count(g: MultiDigraph) -> int:
     """epsilon(G) = tau(G, 0) * prod((deg+(v) - 1)!), zero for unbalanced or
     edgeless input; tau(G, 0) is zero when a balanced G is weakly
     disconnected, since some vertex cannot reach vertex 0."""
-    return _tour_count(g, g.out_degrees(), g.in_degrees())
+    return _tour_count(g.adj, g.out_degrees(), g.in_degrees())
 
 
-def _tour_count(g: MultiDigraph, outs: tuple[int, ...], ins: tuple[int, ...]) -> int:
-    """`euler_tour_count` of g with these out- and in-degrees, summed once by
-    the caller; the out-degrees serve the balance test, the minor and the
-    factorials."""
+def _tour_count(adj: Matrix, outs: tuple[int, ...], ins: tuple[int, ...]) -> int:
+    """`euler_tour_count` of the graph of adj with these out- and in-degrees,
+    summed once by the caller; the out-degrees serve the balance test, the
+    minor and the factorials."""
     if not any(outs) or outs != ins:
         return 0
-    tau = det_int(_tree_minor(g, outs, 0))
+    tau = det_int(_tree_minor(adj, outs, 0))
     if tau == 0:  # an isolated vertex has no (deg+ - 1)!
         return 0
     return tau * math.prod(math.factorial(d - 1) for d in outs)

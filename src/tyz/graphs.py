@@ -34,7 +34,9 @@ one of them calls `symmetry` once and reads its result.
 `connectivity` takes two reachability sweeps for a strongly connected
 component and three for any other.  A caller that has transposed a matrix
 already, as the catalog reader does once per record, passes the columns to
-`_connectivity`, `_symmetry` and `spectral._charpoly`.
+`_connectivity` (components as bit masks), `_leaf_search`, `_symmetry` and
+`spectral._charpoly`.  `_leaf_search` is the fill's leaf test followed by
+the search, which is how the reader tells a canonical matrix.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 import re
 from itertools import chain, compress, groupby
-from operator import getitem, index, itemgetter
+from operator import getitem, index, itemgetter, lt
 from typing import NamedTuple
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -206,18 +208,21 @@ def connectivity(g: MultiDigraph) -> list[tuple[list[int], bool]]:
     each with whether it is strongly connected.  Reachability runs on one int
     bit mask per vertex for its out-, in- and either-direction neighbours.
     It computes no canonical form, so it never runs `symmetry`."""
-    return _connectivity(g.adj, tuple(zip(*g.adj)))
+    vertices = range(g.n)
+    parts = _connectivity(g.adj, tuple(zip(*g.adj)))
+    return [([v for v in vertices if comp >> v & 1], strong) for comp, strong in parts]
 
 
-def _connectivity(adj: Matrix, cols: Matrix) -> list[tuple[list[int], bool]]:
-    """`connectivity` of adj, given its columns.  When the forward and the
-    backward reach of a component's least vertex are equal, that set is
-    closed under arcs either way, so it is the whole weak component and
-    strongly connected: a strongly connected graph takes two sweeps, and
-    only a component that is not strongly connected takes a third."""
-    n = len(adj)
+def _connectivity(adj: Matrix, cols: Matrix) -> list[tuple[int, bool]]:
+    """`connectivity` of adj, given its columns, each component as the bit
+    mask of its vertices: a record needs only how many there are and whether
+    each is strongly connected.  When the forward and the backward reach of a
+    component's least vertex are equal, that set is closed under arcs either
+    way, so it is the whole weak component and strongly connected: a
+    strongly connected graph takes two sweeps, and only a component that is
+    not strongly connected takes a third."""
     outs, ins = _neighbour_masks(adj, cols)
-    remaining = (1 << n) - 1
+    remaining = (1 << len(adj)) - 1
     parts = []
     while remaining:
         start = (remaining & -remaining).bit_length() - 1
@@ -225,7 +230,7 @@ def _connectivity(adj: Matrix, cols: Matrix) -> list[tuple[list[int], bool]]:
         strong = comp == _reach(ins, start)
         if not strong:
             comp = _reach([o | i for o, i in zip(outs, ins)], start)
-        parts.append(([v for v in range(start, n) if comp >> v & 1], strong))
+        parts.append((comp, strong))
         remaining &= ~comp
     return parts
 
@@ -349,10 +354,38 @@ def symmetry(adj: Matrix, cells=None) -> Symmetry:
 def _symmetry(adj: Matrix, cols: Matrix, outs: tuple[int, ...], ins: tuple[int, ...]) -> Symmetry:
     """`symmetry(adj)` given the columns and the out- and in-degrees of adj,
     which a caller that has checked them already holds."""
-    types = list(zip(outs, ins, map(getitem, adj, range(len(adj)))))  # (out, in, loops)
+    types = _types(adj, outs, ins)
     start = sorted(range(len(adj)), key=types.__getitem__, reverse=True)  # stable: ties by label
     cells = refine(adj, cols, [list(run) for _, run in groupby(start, types.__getitem__)])
     return _search(adj, cols, cells)
+
+
+def _leaf_search(
+    adj: Matrix, cols: Matrix, outs: tuple[int, ...], ins: tuple[int, ...]
+) -> Symmetry | None:
+    """`_symmetry(adj, cols, outs, ins)` when adj passes the census fill's
+    leaf test, else None.  The test: the (out, in, loops) types do not
+    increase along adj, and `refine` of their runs, `ordered`, keeps each
+    vertex in place.  Then the type order and the refinement move no vertex,
+    so the search starts from `_symmetry`'s cells and returns its result.
+    Every canonical matrix passes, since the least leaf lists the cells of a
+    refinement of the descending type runs in order: a catalog reader that
+    gets None, or a result whose matrix is not adj, holds no canonical
+    matrix."""
+    types = _types(adj, outs, ins)
+    if any(map(lt, types, types[1:])):
+        return None
+    runs = [list(run) for _, run in groupby(range(len(adj)), types.__getitem__)]
+    cells = refine(adj, cols, runs, ordered=True)
+    if cells is None:
+        return None
+    # ordered refinement moves no vertex: a discrete partition is adj's own order
+    return Symmetry(adj, (), 1) if len(cells) == len(adj) else _search(adj, cols, cells)
+
+
+def _types(adj: Matrix, outs: tuple[int, ...], ins: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """The (out, in, loops) type of each vertex of adj."""
+    return list(zip(outs, ins, map(getitem, adj, range(len(adj)))))
 
 
 def _search(adj: Matrix, cols: Matrix | None, cells) -> Symmetry:

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import math
+import random
 import time
 import warnings
 from collections import Counter
@@ -572,19 +574,142 @@ def test_reread_searches_each_graph_once(tmp_path, monkeypatch):
     monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(catalog, "_memo", {})
     searched = Counter()
-    search = graphs._symmetry
 
-    def counting(adj, *args):
-        searched[adj] += 1
-        return search(adj, *args)
+    def counting(search):
+        def counted(adj, *args):
+            searched[adj] += 1
+            return search(adj, *args)
 
-    # the reader searches with the columns and degrees its checks computed
-    monkeypatch.setattr(catalog, "_symmetry", counting)
-    monkeypatch.setattr(catalog, "symmetry", counting)
+        return counted
+
+    # the reader searches with the columns and degrees its checks computed,
+    # through the fill's leaf test; a general search is left for a line that
+    # fails it
+    monkeypatch.setattr(catalog, "_leaf_search", counting(graphs._leaf_search))
+    monkeypatch.setattr(catalog, "_symmetry", counting(graphs._symmetry))
+    monkeypatch.setattr(catalog, "symmetry", counting(graphs.symmetry))
     records = weight_records(3)
     # one search per record: a record's z needs no search of its components
     assert searched == Counter(r.graph.adj for r in records)
     assert any(r.cls == "disconnected" for r in records)
+
+
+def test_every_record_passes_the_readers_leaf_test():
+    """Every canonical matrix of weight <= 5 passes the fill's leaf test the
+    reader makes, and the search from there is `_symmetry`'s: the same
+    matrix, generators and order.  A seeded relabelling of each that passes
+    the test too gets `_symmetry`'s search, whatever its matrix."""
+    rng = random.Random(32)
+    passed = 0
+    for k in range(1, 6):
+        for r in weight_records(k):
+            order = list(range(len(r.adj)))
+            rng.shuffle(order)
+            for adj in (r.adj, relabel(r.graph, order).adj):
+                cols = tuple(zip(*adj))
+                outs, ins = graphs._degrees(adj, cols)
+                found = graphs._leaf_search(adj, cols, outs, ins)
+                if adj is r.adj:
+                    assert found is not None and found.matrix == adj, r.graph
+                if found is not None:
+                    assert found == graphs._symmetry(adj, cols, outs, ins), adj
+                    passed += 1
+    assert passed > sum(TABLE2[k][0] for k in range(1, 6))
+
+
+# relabelled lines that fail the leaf test at each of its steps, with the
+# message the reader gives: the types are not descending; they are, but
+# ordered refinement moves a vertex; both hold, but the search finds a
+# smaller matrix
+RELABELLED_LINES = [
+    (
+        "0 3;2 0",
+        [[0, 2], [3, 0]],
+        (False, False),
+        "line 1: field 'adjacency': stored [[0, 2], [3, 0]], recomputed [[0, 3], [2, 0]]",
+    ),
+    (
+        "1 1 0;0 0 2;1 1 0",
+        [[1, 0, 1], [1, 0, 1], [0, 2, 0]],
+        (True, False),
+        "line 1: field 'adjacency': stored [[1, 0, 1], [1, 0, 1], [0, 2, 0]], "
+        "recomputed [[1, 1, 0], [0, 0, 2], [1, 1, 0]]",
+    ),
+    (
+        "0 2 0;0 0 2;2 0 0",
+        [[0, 0, 2], [2, 0, 0], [0, 2, 0]],
+        (True, True),
+        "line 1: field 'adjacency': stored [[0, 0, 2], [2, 0, 0], [0, 2, 0]], "
+        "recomputed [[0, 2, 0], [0, 0, 2], [2, 0, 0]]",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, rows, passes, message", RELABELLED_LINES, ids=["types", "refinement", "search"]
+)
+def test_relabelled_line_fails_on_adjacency(tmp_path, text, rows, passes, message):
+    """`passes` says whether the line's types descend and whether ordered
+    refinement then keeps its vertices in place."""
+    g = parse_graph(text)
+    adj = MultiDigraph.from_rows(rows).adj
+    cols = tuple(zip(*adj))
+    outs, ins = graphs._degrees(adj, cols)
+    types = list(zip(outs, ins, (adj[v][v] for v in range(len(adj)))))
+    descending = types == sorted(types, reverse=True)
+    runs = [list(run) for _, run in itertools.groupby(range(len(adj)), types.__getitem__)]
+    refined = descending and graphs.refine(adj, cols, runs, ordered=True) is not None
+    assert (descending, refined) == passes
+    path = tmp_path / "one.jsonl"
+    path.write_text(json.dumps({**record_to_json(build_record(g)), "adjacency": rows}) + "\n")
+    with pytest.raises(ValueError) as caught:
+        read_catalog(path, (g.n, g.edge_count))
+    assert str(caught.value) == message
+
+
+# per field of `record_to_json`, in its order, a wrong value for the record
+# of "1 1 0;0 0 2;1 1 0" and how the reader words it
+WRONG_VALUES = [
+    ("vertices", 4, "stored 4, recomputed 3"),
+    (
+        "adjacency",
+        [[1, 0, 1], [1, 0, 1], [0, 2, 0]],
+        "stored [[1, 0, 1], [1, 0, 1], [0, 2, 0]], recomputed [[1, 1, 0], [0, 0, 2], [1, 1, 0]]",
+    ),
+    ("weight", 4, "stored 4, recomputed 3"),
+    ("edges", 7, "stored 7, recomputed 6"),
+    ("class", "connected", "stored 'connected', recomputed 'strongly_connected'"),
+    ("det_A_minus_I", -2, "stored -2, recomputed 2"),
+    ("aut_order", 4, "stored 4, recomputed 2"),
+    ("z", "-1/2", "stored '-1/2', recomputed '-1/1'"),
+    ("euler_tours", 0, "stored 0, recomputed 2"),
+    ("charpoly", [1, -1, -2], "stored [1, -1, -2], recomputed [1, -1, -2, 0]"),
+]
+
+
+@pytest.mark.parametrize("i", range(len(WRONG_VALUES)), ids=[f for f, _, _ in WRONG_VALUES])
+def test_field_error_names_the_first_wrong_field(tmp_path, i):
+    """A field of `record_to_json` changed or left out gives the reader's
+    message for it, also when a later field is wrong too; an extra key is
+    accepted."""
+    g = parse_graph("1 1 0;0 0 2;1 1 0")
+    stored = record_to_json(build_record(g))
+    assert [field for field, _, _ in WRONG_VALUES] == list(stored)
+    field, value, tail = WRONG_VALUES[i]
+    path = tmp_path / "one.jsonl"
+
+    def read(obj):
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(ValueError) as caught:
+            read_catalog(path, (3, 6))
+        return str(caught.value)
+
+    assert read({**stored, field: value}) == f"line 1: field '{field}': {tail}"
+    assert read({k: x for k, x in stored.items() if k != field}) == f"line 1: missing field '{field}'"
+    for later, other, _ in WRONG_VALUES[i + 1 :]:
+        assert read({**stored, field: value, later: other}) == f"line 1: field '{field}': {tail}"
+    path.write_text(json.dumps({**stored, "comment": "kept"}) + "\n")
+    assert read_catalog(path, (3, 6)) == [build_record(g)]
 
 
 def test_reread_sums_each_records_degrees_once(tmp_path, monkeypatch):

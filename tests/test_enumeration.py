@@ -169,14 +169,30 @@ def test_fill_leaves_no_cyclic_garbage():
         gc.enable()
 
 
-def test_bounded_compositions_in_lexicographic_order():
-    """Every tuple under the caps with the given sum, in lexicographic order,
-    as a filter of all tuples under the caps lists them."""
+def test_row_choices_in_lexicographic_order():
+    """Every row of a type under the capacities, its loops on the diagonal,
+    in lexicographic order, as a filter of all rows under the capacities
+    lists them, each with the capacities it leaves; every row is the tuple
+    the pool keeps, also on a second call."""
     for n in range(1, 5):
         for caps in product(range(4), repeat=n):
-            for total in range(sum(caps) + 2):
-                want = [x for x in product(*(range(c + 1) for c in caps)) if sum(x) == total]
-                assert enumeration._bounded_compositions(total, caps) == want
+            for v in range(n):
+                for loops in range(3):
+                    for out in range(loops, loops + sum(caps) - caps[v] + 2):
+                        kind = (out, 2, loops)
+                        bounds = [range(c + 1) for c in caps]
+                        bounds[v] = (loops,)
+                        rows = [x for x in product(*bounds) if sum(x) == out]
+                        want = []
+                        for x in rows:
+                            after = [c - e for c, e in zip(caps, x)]
+                            after[v] = caps[v]
+                            want.append((x, tuple(after)))
+                        pool = {}
+                        got = enumeration._row_choices(v, kind, caps, pool)
+                        assert got == want, (v, kind, caps)
+                        again = enumeration._row_choices(v, kind, caps, pool)
+                        assert all(a is pool[a] is b for (a, _), (b, _) in zip(got, again))
 
 
 def _types(g):
