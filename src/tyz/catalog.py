@@ -8,12 +8,11 @@ reading a catalog recomputes and compares all of them, so a corrupt or
 tampered file fails loudly with the line number and field name.  The reader
 transposes each stored matrix and sums its degrees once, for its size and
 stability checks.  Its canonical check is the census fill's leaf test
-(`graphs._leaf_search`): descending (out, in, loops) types, ordered
-refinement that moves no vertex, and a search from there that returns the
-matrix unchanged.  The record of a canonical matrix is built from those
-columns and sums by the one record kernel (`_record`, which `build_record`
-also calls), with no second semistability test, and its fields are compared
-with the stored ones directly.  The writer formats each line in one f-string
+(`graphs._leaf_search`), whose search must return the matrix unchanged.
+The record of a canonical matrix is built from those columns and sums by
+the one record kernel (`_record`, which `build_record` also calls), with no
+second semistability test, and its fields are compared with the stored ones
+directly.  The writer formats each line in one f-string
 (`_record_line`), which the tests hold to `json.dumps` of `record_to_json`,
 the field map that words the reader's errors.  A catalog is written to a
 temporary file renamed into place, so no reader sees a partial one; the
@@ -75,7 +74,8 @@ from .graphs import (
     _leaf_search,
     _matrix_key,
     _semistable,
-    _symmetry,
+    _type_runs,
+    _types,
     canonical_key,
     connectivity,
     format_graph,
@@ -286,15 +286,14 @@ def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
     entry sum s, for size = (j, s), or that has a row or column sum below 2,
     and so is no stable graph, fails before anything is computed from it.
 
-    The canonical check is the census fill's leaf test (`_leaf_search`): the
-    (out, in, loops) types must not increase and ordered refinement of their
-    runs must keep every vertex in place, and then the search from those
-    cells must return the matrix itself.  A matrix that fails is searched as
-    a general input (`_symmetry`) only to word its error, on 'adjacency' or
-    an earlier field.  The record of a canonical matrix is built from the
-    columns and degrees the checks read (`_record`), and its fields are
-    compared with the stored ones directly; the JSON field map is built only
-    to report the first that is missing or differs."""
+    The canonical check is the census fill's leaf test (`_leaf_search`) on
+    the runs of equal type (`_type_runs`), and its search must return the
+    matrix itself.  A matrix that fails is searched by `symmetry` only to
+    word its error, on 'adjacency' or an earlier field.  The record of a
+    canonical matrix is built from the columns and degrees the checks read
+    (`_record`), and its fields are compared with the stored ones directly;
+    the JSON field map is built only to report the first that is missing or
+    differs."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: not a JSON object")
     if "adjacency" not in obj:
@@ -309,7 +308,7 @@ def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
         raise ValueError(f"{where}: field 'adjacency' is not a list of integer rows")
     if min(chain.from_iterable(adj), default=0) < 0 or not set(map(len, adj)) <= {n}:
         try:  # words the first negative entry, else the first row of another length
-            MultiDigraph.from_int_rows(rows)
+            MultiDigraph.from_rows(rows)
         except ValueError as exc:
             raise ValueError(f"{where}: field 'adjacency': {exc}") from None
     cols = tuple(zip(*adj))
@@ -319,19 +318,19 @@ def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
             f"{where}: adjacency has {n} vertices and {sum(outs)} edges, "
             f"not {size[0]} and {size[1]}"
         )
-    if min(*outs, *ins) < 2:
+    if min(outs + ins, default=2) < 2:
         v = next(v for v in range(n) if min(outs[v], ins[v]) < 2)
         raise ValueError(
             f"{where}: field 'adjacency': vertex {v + 1} has out-degree {outs[v]} "
             f"and in-degree {ins[v]}, not both at least 2"
         )
-    found = _leaf_search(adj, cols, outs, ins)
-    if found is None:  # not canonical: searched only to word the error
-        found = _symmetry(adj, cols, outs, ins)
-    if found.matrix != adj:
-        # a stable graph is semistable; its canonical record differs on
-        # 'adjacency', if on no earlier field
-        _mismatch(obj, build_record(found), where)
+    runs = _type_runs(_types(adj, outs, ins))
+    found = None if runs is None else _leaf_search(adj, cols, runs)
+    if found is None or found.matrix != adj:
+        # not canonical, searched only to word the error: a stable graph is
+        # semistable; its canonical record differs on 'adjacency', if on no
+        # earlier field
+        _mismatch(obj, build_record(symmetry(adj)), where)
     rec = _record(found, cols, outs, ins)
     # the stored rows are adj, so 'adjacency' matches.  Lists, not tuples:
     # tuple(map(...)) is resized from a guessed length, and each one freed

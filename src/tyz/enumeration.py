@@ -19,8 +19,8 @@ row is forced: it is the remaining capacities, and its own column must
 already be full.
 
 Every full matrix thus has its vertices in non-increasing (out, in, loops)
-order, and is kept only if it passes the leaf test: `graphs.refine` of its
-runs of equal type, `ordered`, keeps each vertex in order.  The fill is
+order, and is kept only if it passes the leaf test, `graphs._leaf_search`
+of its runs of equal type, which the catalog reader shares.  The fill is
 sound because the refinement does not depend on the labels: listing any
 stable graph's vertices in the refined order of its types gives a matrix of
 its class that the fill reaches and that passes.  The leaf test's first
@@ -33,15 +33,14 @@ in its run is dropped with its subtree, and so is an R1 whose own
 signatures decrease, checked when its last row is placed.  This drops
 exactly the leaves that the first splitter rejects, before they are built,
 except in a sequence of one type run, where R1 is complete only at the
-leaf.  A kept leaf hands its refined partition to `symmetry`, which does
-not refine it again: when the partition is discrete, the leaf is its
-class's canonical matrix with the trivial group and there is no search.
-The first `Symmetry` of each canonical matrix is kept, so the record of the
-class searches nothing again.  The canonical dedup owns correctness
-regardless.  It runs within one type sequence at a time: a class's sorted
-(out, in, loops) multiset is an isomorphism invariant, so two sequences
-never share a class.  Every row tuple the fill keeps, in its row choices and
-in the kept matrices, is one object per distinct value for the whole call.
+leaf.  The leaf test searches a kept leaf from its refined partition, and
+not at all when that is discrete.  The first `Symmetry` of each canonical
+matrix is kept, so the record of the class searches nothing again.  The
+canonical dedup owns correctness regardless.  It runs within one type
+sequence at a time: a class's sorted (out, in, loops) multiset is an
+isomorphism invariant, so two sequences never share a class.  Every row
+tuple the fill keeps, in its row choices and in the kept matrices, is one
+object per distinct value for the whole call.
 
 `census_count` counts the same classes without generating a graph, by
 Burnside's lemma, and `catalog.stable_records` checks every catalog's
@@ -56,10 +55,9 @@ verify suites) reads them through `catalog.weight_records`.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import groupby
 from math import comb, factorial, gcd
 
-from .graphs import Matrix, Symmetry, refine, symmetry
+from .graphs import Matrix, Symmetry, _leaf_search, _type_runs
 
 __all__ = [
     "MAX_WEIGHT",
@@ -171,7 +169,7 @@ def _row_choices(v: int, kind: Type, caps: tuple[int, ...], pool: dict) -> list:
 
 def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
     """A `Symmetry` of each isomorphism class of j-vertex, s-edge stable
-    graphs, the first the fill's `symmetry` calls give, sorted by canonical
+    graphs, the first the fill's leaf test gives, sorted by canonical
     matrix (for a fixed j, the canonical-key order).  Empty when s < 2j.  A
     catalog record reads the canonical matrix and vertex group order of its
     class from it, so it searches nothing again; `MultiDigraph` of the
@@ -205,12 +203,9 @@ def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
                 follows = last > head and types[last - 1] == types[last]
                 if follows and _signature(row, top[last], head) < sigs[last - 1]:
                     return
-                leaf = (*rows, row)
-                cells = refine(leaf, tuple(zip(*leaf)), runs, ordered=True)
-                if cells is not None:  # searched from the refined cells, not refined again
-                    # a discrete leaf is its own canonical matrix, kept as it is
-                    leaf = (*rows, pool.setdefault(row, row))
-                    searched = symmetry(leaf, cells)
+                leaf = (*rows, pool.setdefault(row, row))
+                searched = _leaf_search(leaf, tuple(zip(*leaf)), runs)
+                if searched is not None:  # a discrete leaf is its own canonical matrix
                     matrix = searched.matrix
                     if matrix not in found:
                         if matrix is not leaf:  # reordered by the search: share its rows
@@ -241,7 +236,7 @@ def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
             rows.pop()
 
     for types in _type_sequences(j, s):
-        runs = [list(run) for _, run in groupby(range(j), types.__getitem__)]  # equal types
+        runs = _type_runs(types)
         head = len(runs[0])
         caps = tuple(in_ - loops for _, in_, loops in types)
         rec(0, caps)

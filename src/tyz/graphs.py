@@ -13,7 +13,7 @@ McKay & Piperno, "Practical graph isomorphism, II" (J. Symbolic Comput.
 60, 2014).  It is exact for every input; its cost grows with how much
 symmetry refinement fails to break, not with n!, so family graphs with
 dozens of vertices take milliseconds.  Its refinement, `refine`, is a
-splitter queue that the census fill's leaf test shares; both start from the
+splitter queue that the leaf test `_leaf_search` shares; both start from the
 cells of equal (out, in, loops) type in descending order.  Twins, vertices
 whose swap is an automorphism, are never separated by refinement, so a node
 whose cells of several vertices each hold twins is a leaf: one matrix, and
@@ -34,9 +34,10 @@ one of them calls `symmetry` once and reads its result.
 `connectivity` takes two reachability sweeps for a strongly connected
 component and three for any other.  A caller that has transposed a matrix
 already, as the catalog reader does once per record, passes the columns to
-`_connectivity` (components as bit masks), `_leaf_search`, `_symmetry` and
-`spectral._charpoly`.  `_leaf_search` is the fill's leaf test followed by
-the search, which is how the reader tells a canonical matrix.
+`_connectivity` (components as bit masks), `_leaf_search` and
+`spectral._charpoly`.  `_leaf_search` is the one leaf test, followed by the
+search: the census fill keeps the leaves that pass it, and the catalog
+reader tells a canonical matrix by it.
 """
 
 from __future__ import annotations
@@ -98,21 +99,16 @@ class MultiDigraph(NamedTuple):
                 except (TypeError, ValueError):
                     raise ValueError(f"row {i}, column {j}: not an integer: {token!r}") from None
                 if x < 0:
-                    raise _negative_entry(i, j, x)
+                    raise ValueError(f"row {i}, column {j}: negative entry {x}")
                 entries.append(x)
             adj.append(tuple(entries))
-        return _square(tuple(adj))
-
-    @staticmethod
-    def from_int_rows(rows) -> "MultiDigraph":
-        """`from_rows` of rows whose entries are all of type int, as a
-        caller that has scanned them already knows: only the negative-entry
-        and square checks are left, with the same messages."""
-        for i, row in enumerate(rows, 1):
-            if row and min(row) < 0:
-                j, x = next((j, x) for j, x in enumerate(row, 1) if x < 0)
-                raise _negative_entry(i, j, x)
-        return _square(tuple(map(tuple, rows)))
+        n = len(adj)
+        for i, row in enumerate(adj, 1):
+            if len(row) != n:
+                raise ValueError(
+                    f"row {i} has {len(row)} entries, expected {n} (matrix must be square)"
+                )
+        return MultiDigraph(tuple(adj))
 
     @property
     def n(self) -> int:
@@ -137,18 +133,6 @@ class MultiDigraph(NamedTuple):
 
 
 EMPTY = MultiDigraph(())
-
-
-def _negative_entry(i: int, j: int, x: int) -> ValueError:
-    return ValueError(f"row {i}, column {j}: negative entry {x}")
-
-
-def _square(adj: Matrix) -> MultiDigraph:
-    n = len(adj)
-    for i, row in enumerate(adj, 1):
-        if len(row) != n:
-            raise ValueError(f"row {i} has {len(row)} entries, expected {n} (matrix must be square)")
-    return MultiDigraph(adj)
 
 
 def is_semistable(g: MultiDigraph) -> bool:
@@ -314,22 +298,22 @@ def refine(adj: Matrix, cols: Matrix, cells, queue=None, ordered: bool = False):
     return [order[a : ends[a]] for a in sorted(ends)]
 
 
-def symmetry(adj: Matrix, cells=None) -> Symmetry:
+def symmetry(adj: Matrix) -> Symmetry:
     """Search the vertex orderings of adj that partition refinement admits.
 
     Refine (`refine`) from cells of equal (out, in, loops) type in
-    descending order of type, the fill's vertex order; `cells`, the fill's
-    refined start, is not refined again.  Individualize: the first cell with
-    more than one vertex branches into one child per vertex, a cell of its
-    own and the only one queued to refine again.  Every discrete partition is
-    a leaf ordering, read off as a matrix.  So is a partition whose cells of
-    several vertices each hold twins (`_twin_cells`), read in cell order:
-    every ordering of such a node's twins gives the same matrix, and the
-    automorphisms fixing its path permute each cell freely, so the first
-    such leaf adds the swaps of adjacent twins to the generators and the
-    product of its cell factorials to the group order.  When the first
-    refinement is already discrete, that one leaf is returned with the
-    trivial group; when it leaves only twins together, it is the one leaf.
+    descending order of type, the fill's vertex order.  Individualize: the
+    first cell with more than one vertex branches into one child per vertex,
+    a cell of its own and the only one queued to refine again.  Every
+    discrete partition is a leaf ordering, read off as a matrix.  So is a
+    partition whose cells of several vertices each hold twins
+    (`_twin_cells`), read in cell order: every ordering of such a node's
+    twins gives the same matrix, and the automorphisms fixing its path
+    permute each cell freely, so the first such leaf adds the swaps of
+    adjacent twins to the generators and the product of its cell factorials
+    to the group order.  When the first refinement is already discrete, that
+    one leaf is returned with the trivial group; when it leaves only twins
+    together, it is the one leaf.
 
     Prune: two leaves with equal matrices give an automorphism, and the
     search jumps back to where their paths part, since the automorphism maps
@@ -345,41 +329,35 @@ def symmetry(adj: Matrix, cells=None) -> Symmetry:
     """
     if len(adj) <= 1:
         return Symmetry(adj, (), 1)  # its own canonical form, no other ordering
-    if cells is None:
-        cols = tuple(zip(*adj))
-        return _symmetry(adj, cols, *_degrees(adj, cols))
-    return _search(adj, None, cells)  # transposed only if there is more than one leaf
-
-
-def _symmetry(adj: Matrix, cols: Matrix, outs: tuple[int, ...], ins: tuple[int, ...]) -> Symmetry:
-    """`symmetry(adj)` given the columns and the out- and in-degrees of adj,
-    which a caller that has checked them already holds."""
-    types = _types(adj, outs, ins)
+    cols = tuple(zip(*adj))
+    types = _types(adj, *_degrees(adj, cols))
     start = sorted(range(len(adj)), key=types.__getitem__, reverse=True)  # stable: ties by label
     cells = refine(adj, cols, [list(run) for _, run in groupby(start, types.__getitem__)])
     return _search(adj, cols, cells)
 
 
-def _leaf_search(
-    adj: Matrix, cols: Matrix, outs: tuple[int, ...], ins: tuple[int, ...]
-) -> Symmetry | None:
-    """`_symmetry(adj, cols, outs, ins)` when adj passes the census fill's
-    leaf test, else None.  The test: the (out, in, loops) types do not
-    increase along adj, and `refine` of their runs, `ordered`, keeps each
-    vertex in place.  Then the type order and the refinement move no vertex,
-    so the search starts from `_symmetry`'s cells and returns its result.
-    Every canonical matrix passes, since the least leaf lists the cells of a
-    refinement of the descending type runs in order: a catalog reader that
-    gets None, or a result whose matrix is not adj, holds no canonical
-    matrix."""
-    types = _types(adj, outs, ins)
+def _type_runs(types) -> list[list[int]] | None:
+    """The runs of equal (out, in, loops) type along a matrix whose vertex
+    types are `types` (`_types`), or None when a type rises: the start of
+    the leaf test (`_leaf_search`)."""
     if any(map(lt, types, types[1:])):
         return None
-    runs = [list(run) for _, run in groupby(range(len(adj)), types.__getitem__)]
+    return [list(run) for _, run in groupby(range(len(types)), types.__getitem__)]
+
+
+def _leaf_search(adj: Matrix, cols: Matrix, runs) -> Symmetry | None:
+    """The leaf test of the census fill and of the catalog reader: the
+    search of adj (columns `cols`) when `refine` of `runs`, its runs of
+    equal type (`_type_runs`), `ordered`, keeps each vertex in place, else
+    None.  Then sorting the types and refining move no vertex, so the search
+    starts from `symmetry`'s cells and returns its result; a discrete
+    refinement is adj's own order, its canonical matrix.  Every canonical
+    matrix passes, since the least leaf lists the cells of a refinement of
+    the descending type runs in order: a catalog line that gets None, or a
+    result whose matrix is not adj, holds no canonical matrix."""
     cells = refine(adj, cols, runs, ordered=True)
     if cells is None:
         return None
-    # ordered refinement moves no vertex: a discrete partition is adj's own order
     return Symmetry(adj, (), 1) if len(cells) == len(adj) else _search(adj, cols, cells)
 
 
@@ -388,14 +366,12 @@ def _types(adj: Matrix, outs: tuple[int, ...], ins: tuple[int, ...]) -> list[tup
     return list(zip(outs, ins, map(getitem, adj, range(len(adj)))))
 
 
-def _search(adj: Matrix, cols: Matrix | None, cells) -> Symmetry:
-    """The search of `symmetry` from the refined start `cells`; the columns
-    `cols` of adj are computed here when None and the search needs them."""
+def _search(adj: Matrix, cols: Matrix, cells) -> Symmetry:
+    """The search of `symmetry` from the refined start `cells`, given the
+    columns `cols` of adj."""
     n = len(adj)
     if len(cells) == n:  # already discrete: one leaf, so the group is trivial
         return Symmetry(_leaf_matrix(adj, [cell[0] for cell in cells]), (), 1)
-    if cols is None:
-        cols = tuple(zip(*adj))
 
     generators: list[tuple[int, ...]] = []
     first = best = None  # (leaf matrix, leaf ordering, path) of the first and least leaves

@@ -135,7 +135,6 @@ def test_record_does_each_computation_once(monkeypatch):
     counting(catalog, "_charpoly")
     counting(catalog, "_connectivity")
     counting(catalog, "symmetry")
-    counting(catalog, "_symmetry")
     counting(zeta, "det_int")  # what zeta.det_a_minus_i eliminates with
     det_int = eulerian.det_int
 
@@ -152,7 +151,7 @@ def test_record_does_each_computation_once(monkeypatch):
             minors.clear()
             rec = build_record(g)
             assert calls["_charpoly"] == 1 and calls["_connectivity"] == 1, g
-            assert calls["symmetry"] + calls["_symmetry"] <= 1 and calls["det_int"] == 0, g
+            assert calls["symmetry"] <= 1 and calls["det_int"] == 0, g
             if eulerian.is_balanced(g):
                 outs = g.out_degrees()
                 laplacian = [
@@ -349,13 +348,15 @@ def test_corrupt_cache_is_rebuilt(tmp_path, monkeypatch):
     "change, message",
     [
         ({"adjacency": [[-3]]}, "field 'adjacency': row 1, column 1: negative entry -3"),
+        ({"adjacency": [[1], [2, -1]]}, "field 'adjacency': row 2, column 2: negative entry -1"),
         ({"adjacency": None}, "missing field 'adjacency'"),
     ],
-    ids=["negative-entry", "no-adjacency"],
+    ids=["negative-entry", "negative-after-short-row", "no-adjacency"],
 )
 def test_out_of_range_cache_line_is_rebuilt(tmp_path, monkeypatch, change, message):
     """A line with a negative matrix entry, or with no matrix, is rebuilt
-    with one warning that names the line and the field."""
+    with one warning that names the line and the field.  A negative entry
+    is named also after an earlier row of another length."""
     monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
     _clear_memo()
     want = stable_records(1, 3)
@@ -392,6 +393,19 @@ def test_cache_line_that_is_not_a_stable_graph_is_rebuilt(tmp_path, monkeypatch)
     )
     assert read_catalog(path, (2, 4)) == list(want)
     _clear_memo()
+
+
+def test_empty_graph_record_round_trips(tmp_path):
+    """The record of the empty graph is written and read back as a (0, 0)
+    catalog; a tampered field in it is named with its line."""
+    path = tmp_path / "stable-0-0.jsonl"
+    want = build_record(graphs.EMPTY)
+    write_catalog([want], path)
+    assert read_catalog(path, (0, 0)) == [want]
+    path.write_text(json.dumps({**record_to_json(want), "z": "1/2"}) + "\n")
+    with pytest.raises(ValueError) as caught:
+        read_catalog(path, (0, 0))
+    assert str(caught.value) == "line 1: field 'z': stored '1/2', recomputed '1/1'"
 
 
 def test_blank_lines_in_a_catalog_are_skipped(tmp_path):
@@ -582,11 +596,9 @@ def test_reread_searches_each_graph_once(tmp_path, monkeypatch):
 
         return counted
 
-    # the reader searches with the columns and degrees its checks computed,
-    # through the fill's leaf test; a general search is left for a line that
-    # fails it
+    # the reader searches with the columns its checks computed, through the
+    # fill's leaf test; `symmetry` is left for a line that fails it
     monkeypatch.setattr(catalog, "_leaf_search", counting(graphs._leaf_search))
-    monkeypatch.setattr(catalog, "_symmetry", counting(graphs._symmetry))
     monkeypatch.setattr(catalog, "symmetry", counting(graphs.symmetry))
     records = weight_records(3)
     # one search per record: a record's z needs no search of its components
@@ -596,9 +608,9 @@ def test_reread_searches_each_graph_once(tmp_path, monkeypatch):
 
 def test_every_record_passes_the_readers_leaf_test():
     """Every canonical matrix of weight <= 5 passes the fill's leaf test the
-    reader makes, and the search from there is `_symmetry`'s: the same
+    reader makes, and the search from there is `symmetry`'s: the same
     matrix, generators and order.  A seeded relabelling of each that passes
-    the test too gets `_symmetry`'s search, whatever its matrix."""
+    the test too gets `symmetry`'s search, whatever its matrix."""
     rng = random.Random(32)
     passed = 0
     for k in range(1, 6):
@@ -608,11 +620,12 @@ def test_every_record_passes_the_readers_leaf_test():
             for adj in (r.adj, relabel(r.graph, order).adj):
                 cols = tuple(zip(*adj))
                 outs, ins = graphs._degrees(adj, cols)
-                found = graphs._leaf_search(adj, cols, outs, ins)
+                runs = graphs._type_runs(graphs._types(adj, outs, ins))
+                found = None if runs is None else graphs._leaf_search(adj, cols, runs)
                 if adj is r.adj:
                     assert found is not None and found.matrix == adj, r.graph
                 if found is not None:
-                    assert found == graphs._symmetry(adj, cols, outs, ins), adj
+                    assert found == graphs.symmetry(adj), adj
                     passed += 1
     assert passed > sum(TABLE2[k][0] for k in range(1, 6))
 
@@ -746,19 +759,29 @@ def test_cold_records_search_only_inside_the_fill(tmp_path, monkeypatch):
     monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(catalog, "_memo", {})
     searched = Counter()
-    search = graphs.symmetry
+    leaf_test, search, symmetry = graphs._leaf_search, graphs._search, graphs.symmetry
+    inside = []  # the leaf test the fill is running, if any
 
-    def counting(where):
-        def counted(adj, cells=None):
-            if cells is None or len(cells) < len(adj):  # a discrete start returns before the search
-                searched[where] += 1
-            return search(adj, cells)
+    def in_fill(adj, cols, runs):
+        inside.append(adj)
+        try:
+            return leaf_test(adj, cols, runs)
+        finally:
+            inside.pop()
 
-        return counted
+    def counted_search(adj, cols, cells):
+        if len(cells) < len(adj):  # a discrete start returns before the search
+            searched["fill" if inside else "elsewhere"] += 1
+        return search(adj, cols, cells)
 
-    monkeypatch.setattr(enumeration, "symmetry", counting("fill"))
-    monkeypatch.setattr(catalog, "symmetry", counting("elsewhere"))
-    monkeypatch.setattr(graphs, "symmetry", counting("elsewhere"))
+    def counted_symmetry(adj):
+        searched["elsewhere"] += 1
+        return symmetry(adj)
+
+    monkeypatch.setattr(enumeration, "_leaf_search", in_fill)
+    monkeypatch.setattr(graphs, "_search", counted_search)
+    monkeypatch.setattr(catalog, "symmetry", counted_symmetry)
+    monkeypatch.setattr(graphs, "symmetry", counted_symmetry)
     records = stable_records(5, 10)
     assert len(records) == 85
     assert (tmp_path / "stable-5-10.jsonl").exists()
@@ -834,7 +857,7 @@ def test_expansion_coefficient_searches_its_argument_alone(monkeypatch):
     f = expansion(3)
     by_key = {canonical_key(g): value for g, value in f.terms}
     real, calls = graphs.symmetry, []
-    monkeypatch.setattr(graphs, "symmetry", lambda adj, cells=None: calls.append(adj) or real(adj, cells))
+    monkeypatch.setattr(graphs, "symmetry", lambda adj: calls.append(adj) or real(adj))
     for g, value in f.terms:
         calls.clear()
         assert by_key[canonical_key(relabel(g, range(g.n - 1, -1, -1)))] == value

@@ -8,7 +8,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from tyz import catalog, enumeration
+from tyz import catalog, enumeration, graphs
 from tyz.catalog import TABLE2, class_counts, weight_records
 from tyz.enumeration import enumerate_stable
 from tyz.graphs import (
@@ -107,20 +107,19 @@ def test_fill_keeps_only_invariant_ordered_matrices(monkeypatch):
     is not discrete take at most 169 searches for the 85 classes (a
     discrete one returns before the search)."""
     leaves, calls = [], []
-    leaf_test = enumeration.refine
+    leaf_test, search = graphs._leaf_search, graphs._search
 
-    def counted_leaf(adj, cols, cells, queue=None, ordered=False):
-        assert ordered and queue is None
+    def counted_leaf(adj, cols, runs):
         leaves.append(adj)
-        return leaf_test(adj, cols, cells, queue, ordered)
+        return leaf_test(adj, cols, runs)
 
-    def counted(adj, cells):
-        if len(cells) < len(adj):  # not discrete, so symmetry searches
+    def counted(adj, cols, cells):
+        if len(cells) < len(adj):  # not discrete, so the search runs
             calls.append(adj)
-        return symmetry(adj, cells)
+        return search(adj, cols, cells)
 
-    monkeypatch.setattr(enumeration, "refine", counted_leaf)
-    monkeypatch.setattr(enumeration, "symmetry", counted)
+    monkeypatch.setattr(enumeration, "_leaf_search", counted_leaf)
+    monkeypatch.setattr(graphs, "_search", counted)
     assert len(enumerate_stable(5, 10)) == 85
     assert len(leaves) == len(set(leaves)) == 1101
     assert len(calls) <= 169
@@ -130,11 +129,11 @@ def _leaves_and_classes(monkeypatch, j, s):
     """The leaves the fill of (j, s) builds, in order, and its classes."""
     leaves = []
 
-    def counted_leaf(adj, cols, cells, queue=None, ordered=False):
+    def counted_leaf(adj, cols, runs):
         leaves.append(adj)
-        return refine(adj, cols, cells, queue, ordered)
+        return graphs._leaf_search(adj, cols, runs)
 
-    monkeypatch.setattr(enumeration, "refine", counted_leaf)
+    monkeypatch.setattr(enumeration, "_leaf_search", counted_leaf)
     return leaves, enumerate_stable(j, s)
 
 

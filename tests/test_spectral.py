@@ -267,7 +267,7 @@ def test_orbit_formula_checks_the_group_order(monkeypatch):
     generators close to is caught, not trusted."""
     real = spectral.symmetry
     monkeypatch.setattr(
-        spectral, "symmetry", lambda adj, cells=None: real(adj)._replace(order=2 * real(adj).order)
+        spectral, "symmetry", lambda adj: real(adj)._replace(order=2 * real(adj).order)
     )
     for text in ("9", "3 3;3 3"):
         with pytest.raises(AssertionError):
@@ -283,7 +283,7 @@ def test_orbit_formula_searches_once(monkeypatch):
     def forbidden(*args):
         raise AssertionError("z_orbit searches outside its one search")
 
-    monkeypatch.setattr(spectral, "symmetry", lambda adj, cells=None: calls.append(adj) or real(adj, cells))
+    monkeypatch.setattr(spectral, "symmetry", lambda adj: calls.append(adj) or real(adj))
     monkeypatch.setattr(graphs, "symmetry", forbidden)
     g = parse_graph("0 4;2 0")
     assert z_orbit(g) == Fraction(7, 48)

@@ -147,7 +147,7 @@ def test_z_searches_each_component_once(monkeypatch):
     def forbidden(*args):
         raise AssertionError("z searches outside its one search per component")
 
-    monkeypatch.setattr(zeta, "symmetry", lambda adj, cells=None: calls.append(adj) or real(adj, cells))
+    monkeypatch.setattr(zeta, "symmetry", lambda adj: calls.append(adj) or real(adj))
     monkeypatch.setattr(graphs, "symmetry", forbidden)
     assert z(g) == want == Fraction(-49, 9216)
     assert calls == [((0, 4), (2, 0)), ((2,),), ((0, 2), (4, 0))]
