@@ -11,10 +11,12 @@ stability checks.  Its canonical check is the census fill's leaf test
 (`graphs._leaf_search`), whose search must return the matrix unchanged.
 The record of a canonical matrix is built from those columns and sums by
 the one record kernel (`_record`, which `build_record` also calls), with no
-second semistability test, and its fields are compared with the stored ones
-directly.  The writer formats each line in one f-string
-(`_record_line`), which the tests hold to `json.dumps` of `record_to_json`,
-the field map that words the reader's errors.  A catalog is written to a
+second semistability test.  A line's fields are named once, in `_FIELDS`,
+and one function gives a record's values in that order (`_line_values`):
+the reader compares them with the stored ones, an int only with an int, and
+words its errors from them; the writer fills a template built from
+`_FIELDS` with them (`_record_line`), which the tests hold to `json.dumps`
+of `record_to_json`, the two zipped into a dict.  A catalog is written to a
 temporary file renamed into place, so no reader sees a partial one; the
 on-disk cache (`stable_records`) checks each line's vertex and edge count
 before rebuilding its record, rebuilds a file that fails to read or holds
@@ -237,37 +239,10 @@ def _record(
     )
 
 
-def record_to_json(rec: CatalogRecord) -> dict:
-    return {
-        "vertices": len(rec.adj),
-        "adjacency": [list(row) for row in rec.adj],
-        "weight": rec.weight,
-        "edges": rec.edges,
-        "class": rec.cls,
-        "det_A_minus_I": rec.det_a_minus_i,
-        "aut_order": rec.aut,
-        "z": format_rational(rec.z),
-        "euler_tours": rec.euler_tours,
-        "charpoly": list(rec.charpoly),
-    }
-
-
-def _record_line(rec: CatalogRecord) -> str:
-    """The catalog line of rec, `json.dumps(record_to_json(rec))` and a
-    newline, in one f-string: the str of a list of ints is its JSON, and the
-    class and z strings need no escapes."""
-    return (
-        f'{{"vertices": {len(rec.adj)}, "adjacency": {[*map(list, rec.adj)]}, '
-        f'"weight": {rec.weight}, "edges": {rec.edges}, "class": "{rec.cls}", '
-        f'"det_A_minus_I": {rec.det_a_minus_i}, "aut_order": {rec.aut}, '
-        f'"z": "{format_rational(rec.z)}", "euler_tours": {rec.euler_tours}, '
-        f'"charpoly": {[*rec.charpoly]}}}\n'
-    )
-
-
-# the fields of `record_to_json` but 'adjacency', in its order
-_CHECKED = (
+# the fields of a catalog line, in the order the writer puts them
+_FIELDS = (
     "vertices",
+    "adjacency",
     "weight",
     "edges",
     "class",
@@ -279,21 +254,54 @@ _CHECKED = (
 )
 
 
+def _line_values(rec: CatalogRecord, rows: list) -> list:
+    """rec's catalog line values in `_FIELDS` order, `rows` its matrix as
+    lists; a list, since each 10-tuple freed would stay on a free list."""
+    return [
+        len(rows),
+        rows,
+        rec.weight,
+        rec.edges,
+        rec.cls,
+        rec.det_a_minus_i,
+        rec.aut,
+        format_rational(rec.z),
+        rec.euler_tours,
+        [*rec.charpoly],
+    ]
+
+
+def record_to_json(rec: CatalogRecord) -> dict:
+    return dict(zip(_FIELDS, _line_values(rec, [*map(list, rec.adj)])))
+
+
+# `json.dumps(record_to_json(rec))` and a newline, as a template of the line
+# values: the str of an int or of a list of ints is its JSON, and the class
+# and z strings need only their quotes
+_LINE = "{%s}\n" % ", ".join(
+    f'"{field}": "%s"' if field in ("class", "z") else f'"{field}": %s' for field in _FIELDS
+)
+
+
+def _record_line(rec: CatalogRecord) -> str:
+    return _LINE % tuple(_line_values(rec, [*map(list, rec.adj)]))
+
+
 def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
     """Rebuild the record from the adjacency matrix alone and require every
-    field of `record_to_json` to be stored and match, the first missing or
-    differing one in its order reported.  A matrix that is not j x j with
-    entry sum s, for size = (j, s), or that has a row or column sum below 2,
-    and so is no stable graph, fails before anything is computed from it.
+    field of `_FIELDS` to be stored and match, an int field or charpoly
+    entry with an int, the first missing or differing one reported.  A
+    matrix that is not j x j with entry sum s, for size = (j, s), or that
+    has a row or column sum below 2, and so is no stable graph, fails
+    before anything is computed from it.
 
     The canonical check is the census fill's leaf test (`_leaf_search`) on
     the runs of equal type (`_type_runs`), and its search must return the
     matrix itself.  A matrix that fails is searched by `symmetry` only to
     word its error, on 'adjacency' or an earlier field.  The record of a
     canonical matrix is built from the columns and degrees the checks read
-    (`_record`), and its fields are compared with the stored ones directly;
-    the JSON field map is built only to report the first that is missing or
-    differs."""
+    (`_record`), and its line values with the stored ones, the stored rows
+    standing for its matrix."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: not a JSON object")
     if "adjacency" not in obj:
@@ -330,37 +338,27 @@ def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
         # not canonical, searched only to word the error: a stable graph is
         # semistable; its canonical record differs on 'adjacency', if on no
         # earlier field
-        _mismatch(obj, build_record(symmetry(adj)), where)
+        _mismatch(obj, record_to_json(build_record(symmetry(adj))).values(), where)
     rec = _record(found, cols, outs, ins)
-    # the stored rows are adj, so 'adjacency' matches.  Lists, not tuples:
-    # tuple(map(...)) is resized from a guessed length, and each one freed
-    # would stay on the interpreter's free list of 9-tuples (219 KB)
-    expected = [
-        n,
-        rec.weight,
-        rec.edges,
-        rec.cls,
-        rec.det_a_minus_i,
-        rec.aut,
-        format_rational(rec.z),
-        rec.euler_tours,
-        [*rec.charpoly],
-    ]
-    if [*map(obj.get, _CHECKED)] != expected:
-        _mismatch(obj, rec, where)
+    values = _line_values(rec, rows)  # the stored rows are adj, so 'adjacency' matches
+    stored = [*map(obj.get, _FIELDS)]
+    # == takes 8.0 or True for the int 8 or 1, so the types of equal values
+    # and of the charpoly entries are checked too
+    if stored != values or not {*map(type, chain(stored, obj["charpoly"]))} <= {int, list, str}:
+        _mismatch(obj, values, where)
     return rec
 
 
-def _mismatch(obj: dict, rec: CatalogRecord, where: str) -> NoReturn:
-    """Report the first field of `record_to_json(rec)` that obj is missing or
-    stores another value of; there is one."""
-    expected = record_to_json(rec)
-    field = next(f for f in expected if f not in obj or obj[f] != expected[f])
+def _mismatch(obj: dict, values, where: str) -> NoReturn:
+    """Report the first field of `_FIELDS` that obj is missing or stores
+    another value or type of (their reprs differ) than the line's `values`
+    has; there is one."""
+    field, value = next(
+        (f, v) for f, v in zip(_FIELDS, values) if f not in obj or repr(obj[f]) != repr(v)
+    )
     if field not in obj:
         raise ValueError(f"{where}: missing field '{field}'")
-    raise ValueError(
-        f"{where}: field '{field}': stored {obj[field]!r}, recomputed {expected[field]!r}"
-    )
+    raise ValueError(f"{where}: field '{field}': stored {obj[field]!r}, recomputed {value!r}")
 
 
 def write_catalog(records, path) -> None:

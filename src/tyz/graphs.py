@@ -222,9 +222,8 @@ def _connectivity(adj: Matrix, cols: Matrix) -> list[tuple[int, bool]]:
 def is_strongly_connected(g: MultiDigraph) -> bool:
     if g.n == 0:
         raise ValueError("strong connectivity is undefined for the empty graph")
-    outs, ins = _neighbour_masks(g.adj, tuple(zip(*g.adj)))
-    full = (1 << g.n) - 1
-    return _reach(outs, 0) == full == _reach(ins, 0)
+    # one weak component, the whole graph, and it strongly connected
+    return _connectivity(g.adj, tuple(zip(*g.adj))) == [((1 << g.n) - 1, True)]
 
 
 # ---------------------------------------------------------------------------

@@ -725,6 +725,57 @@ def test_field_error_names_the_first_wrong_field(tmp_path, i):
     assert read_catalog(path, (3, 6)) == [build_record(g)]
 
 
+# per int field, a float on "0 2;2 0" and a bool on the empty graph, each
+# equal to the int that the writer writes there
+TWO_CYCLE = parse_graph("0 2;2 0")
+WRONG_TYPES = [
+    (TWO_CYCLE, "vertices", 2.0, "stored 2.0, recomputed 2"),
+    (TWO_CYCLE, "weight", 2.0, "stored 2.0, recomputed 2"),
+    (TWO_CYCLE, "edges", 4.0, "stored 4.0, recomputed 4"),
+    (TWO_CYCLE, "det_A_minus_I", -3.0, "stored -3.0, recomputed -3"),
+    (TWO_CYCLE, "aut_order", 8.0, "stored 8.0, recomputed 8"),
+    (TWO_CYCLE, "euler_tours", 2.0, "stored 2.0, recomputed 2"),
+    (TWO_CYCLE, "charpoly", [1, 0.0, -4], "stored [1, 0.0, -4], recomputed [1, 0, -4]"),
+    (graphs.EMPTY, "vertices", False, "stored False, recomputed 0"),
+    (graphs.EMPTY, "weight", False, "stored False, recomputed 0"),
+    (graphs.EMPTY, "edges", False, "stored False, recomputed 0"),
+    (graphs.EMPTY, "det_A_minus_I", True, "stored True, recomputed 1"),
+    (graphs.EMPTY, "aut_order", True, "stored True, recomputed 1"),
+    (graphs.EMPTY, "euler_tours", False, "stored False, recomputed 0"),
+    (graphs.EMPTY, "charpoly", [True], "stored [True], recomputed [1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "i",
+    range(len(WRONG_TYPES)),
+    ids=[f"{f}-{'empty' if g.n == 0 else 'two-cycle'}" for g, f, _, _ in WRONG_TYPES],
+)
+def test_a_float_or_bool_in_place_of_an_int_is_named(tmp_path, i):
+    """An int field or charpoly entry stored as a float or a bool that
+    equals the recomputed int fails the read, with the reader's message for
+    a wrong value."""
+    g, field, value, tail = WRONG_TYPES[i]
+    stored = record_to_json(build_record(g))
+    assert stored[field] == value
+    path = tmp_path / "one.jsonl"
+    path.write_text(json.dumps({**stored, field: value}) + "\n")
+    with pytest.raises(ValueError) as caught:
+        read_catalog(path, (stored["vertices"], stored["edges"]))
+    assert str(caught.value) == f"line 1: field '{field}': {tail}"
+
+
+def test_a_line_with_its_keys_reversed_reads_back(tmp_path):
+    """The reader compares fields, not bytes: lines with their keys in
+    reverse order and no spaces read back as the records."""
+    want = list(stable_records(3, 6))
+    path = tmp_path / "stable-3-6.jsonl"
+    lines = [dict(reversed(record_to_json(r).items())) for r in want]
+    path.write_text("".join(json.dumps(obj, separators=(",", ":")) + "\n" for obj in lines))
+    assert list(lines[0])[0] == "charpoly"
+    assert read_catalog(path, (3, 6)) == want
+
+
 def test_reread_sums_each_records_degrees_once(tmp_path, monkeypatch):
     """Rereading a catalog sums each record's degrees once, for the reader's
     size and stability checks, and the record is built from those sums: no
