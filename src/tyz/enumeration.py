@@ -14,9 +14,7 @@ off-diagonal entries split out - loops under what each other column can
 still take of its in - loops.  The rows allowed for each (vertex, type,
 remaining capacities) are listed once per call, each with the capacities
 it leaves, by one recursion over a mutable row and a mutable capacity list
-that builds one tuple of each per choice and none on the way.  The last
-row is forced: it is the remaining capacities, and its own column must
-already be full.
+that builds one tuple of each per choice and none on the way.
 
 Every full matrix thus has its vertices in non-increasing (out, in, loops)
 order, and is kept only if it passes the leaf test, `graphs._leaf_search`
@@ -31,9 +29,8 @@ in R1 (the one pair when R1 is one vertex), read from R1's columns cached
 when R1 is complete.  A row whose signature falls below its predecessor's
 in its run is dropped with its subtree, and so is an R1 whose own
 signatures decrease, checked when its last row is placed.  This drops
-exactly the leaves that the first splitter rejects, before they are built,
-except in a sequence of one type run, where R1 is complete only at the
-leaf.  The leaf test searches a kept leaf from its refined partition, and
+exactly the leaves that the first splitter rejects, before they are built.
+The leaf test searches a kept leaf from its refined partition, and
 not at all when that is discrete.  The first `Symmetry` of each canonical
 matrix is kept, so the record of the class searches nothing again.  The
 canonical dedup owns correctness regardless.  It runs within one type
@@ -55,6 +52,7 @@ verify suites) reads them through `catalog.weight_records`.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import pairwise, repeat
 from math import comb, factorial, gcd
 
 from .graphs import Matrix, Symmetry, _leaf_search, _type_runs
@@ -180,7 +178,6 @@ def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
     prefix test and its leaf test."""
     if j < 1 or s < 2 * j:
         return ()
-    last = j - 1
     pool: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct value
     choices: dict[tuple, list] = {}  # (vertex, type, capacities) -> _row_choices
     rows: list[tuple[int, ...]] = []
@@ -197,37 +194,30 @@ def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
     def rec(v: int, caps: tuple[int, ...]) -> None:
         """Place row v; column u can still take caps[u] off-diagonal edges."""
         nonlocal top
-        if v == last:
-            if caps[last] == 0:  # the forced last row adds nothing to its own column
-                row = caps[:last] + (types[last][2],)
-                follows = last > head and types[last - 1] == types[last]
-                if follows and _signature(row, top[last], head) < sigs[last - 1]:
-                    return
-                leaf = (*rows, pool.setdefault(row, row))
-                searched = _leaf_search(leaf, tuple(zip(*leaf)), runs)
-                if searched is not None:  # a discrete leaf is its own canonical matrix
-                    matrix = searched.matrix
-                    if matrix not in found:
-                        if matrix is not leaf:  # reordered by the search: share its rows
-                            matrix = tuple(map(pool.setdefault, matrix, matrix))
-                            searched = searched._replace(matrix=matrix)
-                        found[matrix] = searched
+        if v == j:
+            leaf = tuple(rows)
+            searched = _leaf_search(leaf, tuple(zip(*leaf)), runs)
+            if searched is not None:  # a discrete leaf is its own canonical matrix
+                matrix = searched.matrix
+                if matrix not in found:
+                    if matrix is not leaf:  # reordered by the search: share its rows
+                        matrix = tuple(map(pool.setdefault, matrix, matrix))
+                        searched = searched._replace(matrix=matrix)
+                    found[matrix] = searched
             return
         key = (v, types[v], caps)
         entry = choices.get(key)
         if entry is None:
             entry = choices[key] = _row_choices(v, types[v], caps, pool)
-        closes = v == head - 1  # then R1 is complete, and a later run follows
+        closes = v == head - 1  # then R1 is complete
         follows = v > head and types[v - 1] == types[v]  # v - 1 is in v's run
-        signed = follows or (v >= head and types[v + 1] == types[v])
         for row, after in entry:
             if closes:  # cache R1's columns, and its own signatures must not decrease
                 block = (*rows, row)
                 top = row if head == 1 else tuple(zip(*block))
-                own = [_signature(r, col, head) for r, col in zip(block, top)]
-                if any(b < a for a, b in zip(own, own[1:])):
+                if any(b < a for a, b in pairwise(map(_signature, block, top, repeat(head)))):
                     continue
-            elif signed:
+            elif v >= head:
                 sig = sigs[v] = _signature(row, top[v], head)
                 if follows and sig < sigs[v - 1]:
                     continue

@@ -100,12 +100,11 @@ def test_fill_keeps_only_invariant_ordered_matrices(monkeypatch):
     """The fill builds only matrices with non-increasing (out, in, loops)
     vertex types, and only those that pass the leaf test reach the symmetry
     search.  Of the 6,210 full matrices of (5, 10), 1,607 have non-increasing
-    types.  The leaf test's first splitter rejects 1,284 of them; the 506 of
-    those whose sequence has more than one type run fail the prefix test
-    and are never built, so the fill builds 1,101.  Refining their type
-    runs leaves the vertices of some in order, and those whose refinement
-    is not discrete take at most 169 searches for the 85 classes (a
-    discrete one returns before the search)."""
+    types.  The leaf test's first splitter rejects 1,284 of them; all of
+    those fail the prefix test and are never built, so the fill builds 323.
+    Refining their type runs leaves the vertices of some in order, and
+    those whose refinement is not discrete take at most 169 searches for
+    the 85 classes (a discrete one returns before the search)."""
     leaves, calls = [], []
     leaf_test, search = graphs._leaf_search, graphs._search
 
@@ -121,7 +120,7 @@ def test_fill_keeps_only_invariant_ordered_matrices(monkeypatch):
     monkeypatch.setattr(enumeration, "_leaf_search", counted_leaf)
     monkeypatch.setattr(graphs, "_search", counted)
     assert len(enumerate_stable(5, 10)) == 85
-    assert len(leaves) == len(set(leaves)) == 1101
+    assert len(leaves) == len(set(leaves)) == 323
     assert len(calls) <= 169
 
 
@@ -137,7 +136,7 @@ def _leaves_and_classes(monkeypatch, j, s):
     return leaves, enumerate_stable(j, s)
 
 
-@pytest.mark.parametrize("j, s", [(4, 10), (5, 10), (5, 11)])
+@pytest.mark.parametrize("j, s", [(4, 8), (4, 10), (5, 10), (5, 11), (6, 12)])
 def test_prefix_test_drops_only_leaves_the_leaf_test_rejects(monkeypatch, j, s):
     """With the prefix test off (every signature equal) the fill builds
     every leaf of non-increasing types.  With it on, the fill builds those
@@ -154,6 +153,22 @@ def test_prefix_test_drops_only_leaves_the_leaf_test_rejects(monkeypatch, j, s):
         if leaf not in kept:
             runs = _type_runs(MultiDigraph(leaf))
             assert refine(leaf, tuple(zip(*leaf)), runs, ordered=True) is None
+
+
+@pytest.mark.parametrize("j, s", [(4, 8), (5, 10), (6, 12)])
+def test_fill_builds_only_leaves_ordered_by_the_first_splitter(monkeypatch, j, s):
+    """Within each type run of every leaf the fill builds, the signatures
+    against the first run R1 do not decrease, R1's own included: a
+    signature is the sorted pairs (A[v][w], A[w][v]) over w in R1, as
+    `refine` splits by its first splitter.  Most sequences of these (j, 2j)
+    are one type run, where R1 is every vertex."""
+    leaves, _ = _leaves_and_classes(monkeypatch, j, s)
+    assert leaves
+    for leaf in leaves:
+        runs = _type_runs(MultiDigraph(leaf))
+        for run in runs:
+            sigs = [sorted((leaf[v][w], leaf[w][v]) for w in runs[0]) for v in run]
+            assert sigs == sorted(sigs), leaf
 
 
 def test_fill_leaves_no_cyclic_garbage():
