@@ -7,8 +7,9 @@ adjacency matrix alone, each by one computation in `build_record`
 reading a catalog recomputes and compares all of them, so a corrupt or
 tampered file fails loudly with the line number and field name.  The reader
 transposes each stored matrix and sums its degrees once, for its size and
-stability checks.  Its canonical check is the census fill's leaf test
-(`graphs._leaf_search`), whose search must return the matrix unchanged.
+stability checks.  Its canonical check is the census fill's canonical
+test (`graphs._leaf_search`), which gives a result only for a class's
+canonical matrix.
 The record of a canonical matrix is built from those columns and sums by
 the one record kernel (`_record`, which `build_record` also calls), with no
 second semistability test.  A line's fields are named once, in `_FIELDS`,
@@ -295,9 +296,10 @@ def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
     has a row or column sum below 2, and so is no stable graph, fails
     before anything is computed from it.
 
-    The canonical check is the census fill's leaf test (`_leaf_search`) on
-    the runs of equal type (`_type_runs`), and its search must return the
-    matrix itself.  A matrix that fails is searched by `symmetry` only to
+    The canonical check is the census fill's canonical test
+    (`_leaf_search`) on the runs of equal type (`_type_runs`), which gives
+    None for a matrix that is not its class's canonical one.  A matrix that
+    fails is searched by `symmetry` only to
     word its error, on 'adjacency' or an earlier field.  The record of a
     canonical matrix is built from the columns and degrees the checks read
     (`_record`), and its line values with the stored ones, the stored rows
@@ -334,7 +336,7 @@ def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
         )
     runs = _type_runs(_types(adj, outs, ins))
     found = None if runs is None else _leaf_search(adj, cols, runs)
-    if found is None or found.matrix != adj:
+    if found is None:
         # not canonical, searched only to word the error: a stable graph is
         # semistable; its canonical record differs on 'adjacency', if on no
         # earlier field

@@ -17,11 +17,11 @@ it leaves, by one recursion over a mutable row and a mutable capacity list
 that builds one tuple of each per choice and none on the way.
 
 Every full matrix thus has its vertices in non-increasing (out, in, loops)
-order, and is kept only if it passes the leaf test, `graphs._leaf_search`
-of its runs of equal type, which the catalog reader shares.  The fill is
-sound because the refinement does not depend on the labels: listing any
-stable graph's vertices in the refined order of its types gives a matrix of
-its class that the fill reaches and that passes.  The leaf test's first
+order, and is kept only if it is its class's canonical matrix, by the
+canonical test `graphs._leaf_search` of its runs of equal type, which the
+catalog reader shares.  The fill misses no class: a canonical matrix, the
+least leaf of `symmetry`'s search, lists its vertices in the refined order
+of their types, so the fill reaches it.  The leaf test's first
 splitter is the first type run R1, so its test is made on a prefix of rows:
 once R1's rows are placed, a vertex v of a later run has its signature
 against R1 as soon as row v is, the sorted pairs (A[v][w], A[w][v]) over w
@@ -30,14 +30,13 @@ when R1 is complete.  A row whose signature falls below its predecessor's
 in its run is dropped with its subtree, and so is an R1 whose own
 signatures decrease, checked when its last row is placed.  This drops
 exactly the leaves that the first splitter rejects, before they are built.
-The leaf test searches a kept leaf from its refined partition, and
-not at all when that is discrete.  The first `Symmetry` of each canonical
-matrix is kept, so the record of the class searches nothing again.  The
-canonical dedup owns correctness regardless.  It runs within one type
-sequence at a time: a class's sorted (out, in, loops) multiset is an
-isomorphism invariant, so two sequences never share a class.  Every row
-tuple the fill keeps, in its row choices and in the kept matrices, is one
-object per distinct value for the whole call.
+The canonical test searches a leaf that passes the leaf test from its
+refined partition, and not at all when that is discrete, and keeps the leaf
+only when the search returns it unchanged; the record of the class then
+searches nothing again.  The fill reaches each labelled matrix at most once,
+so each class is kept exactly once, with no dedup.  Every row tuple the
+fill keeps, in its row choices and in the kept matrices, is one object per
+distinct value for the whole call.
 
 `census_count` counts the same classes without generating a graph, by
 Burnside's lemma, and `catalog.stable_records` checks every catalog's
@@ -166,23 +165,22 @@ def _row_choices(v: int, kind: Type, caps: tuple[int, ...], pool: dict) -> list:
 
 
 def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
-    """A `Symmetry` of each isomorphism class of j-vertex, s-edge stable
-    graphs, the first the fill's leaf test gives, sorted by canonical
-    matrix (for a fixed j, the canonical-key order).  Empty when s < 2j.  A
-    catalog record reads the canonical matrix and vertex group order of its
-    class from it, so it searches nothing again; `MultiDigraph` of the
-    matrix is the class's canonical representative.  Classes are
-    deduplicated within their type sequence, which no other sequence
-    shares, and the kept matrices share their rows: one tuple per distinct
-    row for the whole call.  The module docstring describes the fill, its
-    prefix test and its leaf test."""
+    """`symmetry` of the canonical matrix of each isomorphism class of
+    j-vertex, s-edge stable graphs, sorted by canonical matrix (for a fixed
+    j, the canonical-key order).  Empty when s < 2j.  A catalog record reads
+    the canonical matrix and vertex group order of its class from it, so it
+    searches nothing again; `MultiDigraph` of the matrix is the class's
+    canonical representative.  A leaf of the fill is kept only when it is
+    its class's canonical matrix, so each class is kept once and its
+    generators are automorphisms of its matrix.  The kept matrices share
+    their rows: one tuple per distinct row for the whole call.  The module
+    docstring describes the fill, its prefix test and its canonical test."""
     if j < 1 or s < 2 * j:
         return ()
     pool: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct value
     choices: dict[tuple, list] = {}  # (vertex, type, capacities) -> _row_choices
     rows: list[tuple[int, ...]] = []
-    found: dict[Matrix, Symmetry] = {}  # canonical matrix -> what its class keeps
-    kept: list[Symmetry] = []  # the classes of the sequences already filled
+    kept: list[Symmetry] = []  # the classes found so far
     types: tuple[Type, ...] = ()  # the sequence being filled
     # the prefix test (module docstring): R1 = range(head) is the sequence's
     # first type run; top[v] is column v on R1's rows, or on its one row the
@@ -197,13 +195,8 @@ def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
         if v == j:
             leaf = tuple(rows)
             searched = _leaf_search(leaf, tuple(zip(*leaf)), runs)
-            if searched is not None:  # a discrete leaf is its own canonical matrix
-                matrix = searched.matrix
-                if matrix not in found:
-                    if matrix is not leaf:  # reordered by the search: share its rows
-                        matrix = tuple(map(pool.setdefault, matrix, matrix))
-                        searched = searched._replace(matrix=matrix)
-                    found[matrix] = searched
+            if searched is not None:  # leaf is its class's canonical matrix
+                kept.append(searched)
             return
         key = (v, types[v], caps)
         entry = choices.get(key)
@@ -230,8 +223,6 @@ def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
         head = len(runs[0])
         caps = tuple(in_ - loops for _, in_, loops in types)
         rec(0, caps)
-        kept.extend(found.values())
-        found.clear()
     # rec refers to itself; dropping it frees the row choices now rather
     # than at the next full garbage collection
     del rec

@@ -35,9 +35,9 @@ one of them calls `symmetry` once and reads its result.
 component and three for any other.  A caller that has transposed a matrix
 already, as the catalog reader does once per record, passes the columns to
 `_connectivity` (components as bit masks), `_leaf_search` and
-`spectral._charpoly`.  `_leaf_search` is the one leaf test, followed by the
-search: the census fill keeps the leaves that pass it, and the catalog
-reader tells a canonical matrix by it.
+`spectral._charpoly`.  `_leaf_search` is the one canonical test, the leaf
+test followed by the search: the census fill keeps the leaves that pass it,
+and the catalog reader tells a canonical matrix by it.
 """
 
 from __future__ import annotations
@@ -233,7 +233,9 @@ def is_strongly_connected(g: MultiDigraph) -> bool:
 
 class Symmetry(NamedTuple):
     """Canonical form of a matrix, generators of its vertex automorphism
-    group, and the order of that group."""
+    group, and the order of that group.  The generators act on the matrix
+    that was searched, `symmetry`'s input, which is `matrix` itself for the
+    results of the census fill and the catalog reader (`_leaf_search`)."""
 
     matrix: Matrix
     generators: tuple[tuple[int, ...], ...]
@@ -345,19 +347,23 @@ def _type_runs(types) -> list[list[int]] | None:
 
 
 def _leaf_search(adj: Matrix, cols: Matrix, runs) -> Symmetry | None:
-    """The leaf test of the census fill and of the catalog reader: the
-    search of adj (columns `cols`) when `refine` of `runs`, its runs of
-    equal type (`_type_runs`), `ordered`, keeps each vertex in place, else
-    None.  Then sorting the types and refining move no vertex, so the search
-    starts from `symmetry`'s cells and returns its result; a discrete
-    refinement is adj's own order, its canonical matrix.  Every canonical
-    matrix passes, since the least leaf lists the cells of a refinement of
-    the descending type runs in order: a catalog line that gets None, or a
-    result whose matrix is not adj, holds no canonical matrix."""
+    """The canonical test of the census fill and of the catalog reader:
+    `symmetry(adj)`, its matrix the tuple adj itself, when adj (columns
+    `cols`) is its class's canonical matrix, else None.  First the leaf
+    test: `refine` of `runs`, adj's runs of equal type (`_type_runs`),
+    `ordered`, must keep each vertex in place.  Then sorting the types and
+    refining move no vertex, so the search starts from `symmetry`'s cells;
+    a discrete refinement is adj's own order, its canonical matrix, and is
+    not searched.  Every canonical matrix passes the leaf test, since the
+    least leaf lists the cells of a refinement of the descending type runs
+    in order, and then the search, if any, returns it unchanged."""
     cells = refine(adj, cols, runs, ordered=True)
     if cells is None:
         return None
-    return Symmetry(adj, (), 1) if len(cells) == len(adj) else _search(adj, cols, cells)
+    if len(cells) == len(adj):
+        return Symmetry(adj, (), 1)
+    found = _search(adj, cols, cells)
+    return Symmetry(adj, found.generators, found.order) if found.matrix == adj else None
 
 
 def _types(adj: Matrix, outs: tuple[int, ...], ins: tuple[int, ...]) -> list[tuple[int, int, int]]:

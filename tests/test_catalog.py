@@ -607,10 +607,10 @@ def test_reread_searches_each_graph_once(tmp_path, monkeypatch):
 
 
 def test_every_record_passes_the_readers_leaf_test():
-    """Every canonical matrix of weight <= 5 passes the fill's leaf test the
-    reader makes, and the search from there is `symmetry`'s: the same
-    matrix, generators and order.  A seeded relabelling of each that passes
-    the test too gets `symmetry`'s search, whatever its matrix."""
+    """The reader's canonical test, `_leaf_search`, on every canonical
+    matrix of weight <= 5 and a seeded relabelling of each: it gives a
+    result exactly when `symmetry` returns the matrix unchanged, and that
+    result is `symmetry`'s, its matrix the very tuple tested."""
     rng = random.Random(32)
     passed = 0
     for k in range(1, 6):
@@ -622,10 +622,12 @@ def test_every_record_passes_the_readers_leaf_test():
                 outs, ins = graphs._degrees(adj, cols)
                 runs = graphs._type_runs(graphs._types(adj, outs, ins))
                 found = None if runs is None else graphs._leaf_search(adj, cols, runs)
+                searched = graphs.symmetry(adj)
+                assert (found is not None) == (searched.matrix == adj), adj
                 if adj is r.adj:
-                    assert found is not None and found.matrix == adj, r.graph
+                    assert found is not None, r.graph
                 if found is not None:
-                    assert found == graphs.symmetry(adj), adj
+                    assert found.matrix is adj and found == searched, adj
                     passed += 1
     assert passed > sum(TABLE2[k][0] for k in range(1, 6))
 

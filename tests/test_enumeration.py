@@ -362,10 +362,13 @@ def _relabelled_search_agrees(found, rng) -> None:
 def test_fill_matrices_equal_a_fresh_search_of_a_relabelling():
     """The fill keeps a leaf whose refinement is discrete without searching
     it; a fresh search of a relabelling of every class of weight <= 5
-    returns the fill's matrix and group order all the same."""
+    returns the fill's matrix and group order all the same.  What the fill
+    keeps is `symmetry` of its own matrix, generators included, so they are
+    automorphisms of that matrix."""
     rng = random.Random(16)
     for found in _fill_of_weights_to_5():
         _relabelled_search_agrees(found, rng)
+        assert found == symmetry(found.matrix), found.matrix
 
 
 @settings(deadline=None)
@@ -390,8 +393,8 @@ def test_enumerated_graphs_are_canonical_and_strictly_sorted():
 
 @pytest.mark.parametrize("j, s", [(3, 9), (4, 10), (5, 10), (5, 11)])
 def test_returned_matrices_share_their_rows(j, s):
-    """Each distinct row of the returned canonical matrices is one object,
-    whether the leaf was kept as it is or reordered by a search."""
+    """Each distinct row of the returned canonical matrices is one object:
+    every kept matrix is a leaf of the fill, built from its pooled rows."""
     rows = [row for found in enumerate_stable(j, s) for row in found.matrix]
     assert len({id(row) for row in rows}) == len(set(rows))
 
