@@ -299,11 +299,11 @@ def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
     The canonical check is the census fill's canonical test
     (`_leaf_search`) on the runs of equal type (`_type_runs`), which gives
     None for a matrix that is not its class's canonical one.  A matrix that
-    fails is searched by `symmetry` only to
-    word its error, on 'adjacency' or an earlier field.  The record of a
-    canonical matrix is built from the columns and degrees the checks read
-    (`_record`), and its line values with the stored ones, the stored rows
-    standing for its matrix."""
+    fails is searched by `symmetry` only to word its error, on 'vertices' or
+    'adjacency', the first two fields, against its canonical matrix; no
+    record is built for it.  The record of a canonical matrix is built from
+    the columns and degrees the checks read (`_record`), and its line values
+    compared with the stored ones, the stored rows standing for its matrix."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: not a JSON object")
     if "adjacency" not in obj:
@@ -337,10 +337,9 @@ def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
     runs = _type_runs(_types(adj, outs, ins))
     found = None if runs is None else _leaf_search(adj, cols, runs)
     if found is None:
-        # not canonical, searched only to word the error: a stable graph is
-        # semistable; its canonical record differs on 'adjacency', if on no
-        # earlier field
-        _mismatch(obj, record_to_json(build_record(symmetry(adj))).values(), where)
+        # not canonical, searched only to word the error: the canonical
+        # matrix differs on 'adjacency', if 'vertices' is stored right
+        _mismatch(obj, [n, [*map(list, symmetry(adj).matrix)]], where)
     rec = _record(found, cols, outs, ins)
     values = _line_values(rec, rows)  # the stored rows are adj, so 'adjacency' matches
     stored = [*map(obj.get, _FIELDS)]
@@ -663,11 +662,11 @@ def _suite_weight(k: int) -> list[VerifyCase]:
             cases.append(_case(name + " vanishes", Fraction(0), rec.z, format_rational))
         else:
             comps = [induced_subgraph(rec.graph, part) for part, _ in connectivity(rec.graph)]
-            keys = [canonical_key(c) for c in comps]  # one search per component
+            comp_keys = [canonical_key(c) for c in comps]  # one search per component
             expected = Fraction(1)
-            for c, key in zip(comps, keys):
-                expected *= component_fixtures[c.weight][key]
-            expected /= sym_factor(keys)
+            for c, comp_key in zip(comps, comp_keys):
+                expected *= component_fixtures[c.weight][comp_key]
+            expected /= sym_factor(comp_keys)
             cases.append(_case(name + " from components", expected, rec.z, format_rational))
     return cases
 

@@ -130,33 +130,24 @@ def _row_choices(v: int, kind: Type, caps: tuple[int, ...], pool: dict) -> list:
         room[i] = room[i + 1] + caps[free[i]]
     row, after = [0] * len(caps), [*caps]
     row[v] = loops
-    bare = row[:]  # the row with nothing off the diagonal
-    full_row, full_after = row[:], after[:]  # and with every free column full
-    for u in free:
-        full_row[u], full_after[u] = caps[u], 0
     choices: list = []
     append, setdefault = choices.append, pool.setdefault
 
     def place(left: int, i: int) -> None:
         """Split `left` <= room[i] over the columns free[i:], whose entries
-        of row and after are bare on entry and again on return."""
-        if 0 < left < room[i]:
-            u = free[i]
-            cap = caps[u]
-            for x in range(max(0, left - room[i + 1]), min(cap, left) + 1):
-                row[u], after[u] = x, cap - x
-                place(left - x, i + 1)
-            row[u], after[u] = 0, cap
-            return
-        if not left:  # the rest is bare
+        of row and after are bare on entry and again on return.  Each x
+        leaves the later columns at most room[i + 1], so every branch ends
+        in a row, and x ascending keeps the rows in lexicographic order."""
+        if not left:
             key = tuple(row)
             append((setdefault(key, key), tuple(after)))
             return
-        u = free[i]  # the rest is full
-        row[u:], after[u:] = full_row[u:], full_after[u:]
-        key = tuple(row)
-        append((setdefault(key, key), tuple(after)))
-        row[u:], after[u:] = bare[u:], caps[u:]
+        u = free[i]
+        cap = caps[u]
+        for x in range(max(0, left - room[i + 1]), min(cap, left) + 1):
+            row[u], after[u] = x, cap - x
+            place(left - x, i + 1)
+        row[u], after[u] = 0, cap
 
     if out - loops <= room[0]:
         place(out - loops, 0)

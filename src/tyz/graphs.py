@@ -312,9 +312,11 @@ def symmetry(adj: Matrix) -> Symmetry:
     twins gives the same matrix, and the automorphisms fixing its path
     permute each cell freely, so the first such leaf adds the swaps of
     adjacent twins to the generators and the product of its cell factorials
-    to the group order.  When the first refinement is already discrete, that
-    one leaf is returned with the trivial group; when it leaves only twins
-    together, it is the one leaf.
+    to the group order.  So when the first refinement is already discrete,
+    or leaves only twins together, it is the one leaf, and a discrete one
+    has the trivial group; its matrix is adj itself when it keeps adj's
+    vertex order, as for a matrix of at most one vertex or one whose types
+    are distinct and descending.
 
     Prune: two leaves with equal matrices give an automorphism, and the
     search jumps back to where their paths part, since the automorphism maps
@@ -328,8 +330,6 @@ def symmetry(adj: Matrix) -> Symmetry:
     the first path, of each chosen vertex's orbit under the automorphisms
     found that fix the vertices chosen before it.
     """
-    if len(adj) <= 1:
-        return Symmetry(adj, (), 1)  # its own canonical form, no other ordering
     cols = tuple(zip(*adj))
     types = _types(adj, *_degrees(adj, cols))
     start = sorted(range(len(adj)), key=types.__getitem__, reverse=True)  # stable: ties by label
@@ -354,9 +354,10 @@ def _leaf_search(adj: Matrix, cols: Matrix, runs) -> Symmetry | None:
     `ordered`, must keep each vertex in place.  Then sorting the types and
     refining move no vertex, so the search starts from `symmetry`'s cells;
     a discrete refinement is adj's own order, its canonical matrix, and is
-    not searched.  Every canonical matrix passes the leaf test, since the
-    least leaf lists the cells of a refinement of the descending type runs
-    in order, and then the search, if any, returns it unchanged."""
+    returned as `_search` would return it, without the search's set-up.
+    Every canonical matrix passes the leaf test, since the least leaf lists
+    the cells of a refinement of the descending type runs in order, and
+    then the search, if any, returns it unchanged."""
     cells = refine(adj, cols, runs, ordered=True)
     if cells is None:
         return None
@@ -373,11 +374,9 @@ def _types(adj: Matrix, outs: tuple[int, ...], ins: tuple[int, ...]) -> list[tup
 
 def _search(adj: Matrix, cols: Matrix, cells) -> Symmetry:
     """The search of `symmetry` from the refined start `cells`, given the
-    columns `cols` of adj."""
+    columns `cols` of adj.  A discrete start is its one leaf, with the
+    trivial group."""
     n = len(adj)
-    if len(cells) == n:  # already discrete: one leaf, so the group is trivial
-        return Symmetry(_leaf_matrix(adj, [cell[0] for cell in cells]), (), 1)
-
     generators: list[tuple[int, ...]] = []
     first = best = None  # (leaf matrix, leaf ordering, path) of the first and least leaves
     below_first = 1  # the order of the group fixing the first leaf's path

@@ -991,6 +991,38 @@ def test_weight_suites_search_only_components(monkeypatch):
     assert len(keyed) == sum(len(graphs.connectivity(g)) for g in disconnected) == 47
 
 
+def test_weight_suites_report_graphs_missing_from_the_fixture(monkeypatch):
+    """A record whose key the fixture lacks fails its own case at weight 2;
+    at weight 4 the key-set cases fail and the record gets no case."""
+    fixture_by_key = catalog._fixture_by_key
+
+    def without_least(k):
+        """verify("weightk") with the fixture's least weight-k key gone, and
+        the name of that key's z case."""
+        gone = min(fixture_by_key(k))
+        graph = next(r.graph for r in weight_records(k) if graphs._matrix_key(r.adj) == gone)
+        monkeypatch.setattr(
+            catalog,
+            "_fixture_by_key",
+            lambda w: {x: v for x, v in fixture_by_key(w).items() if (w, x) != (k, gone)},
+        )
+        report = verify(f"weight{k}")
+        monkeypatch.undo()
+        return report, f"z({format_graph(graph)})"
+
+    report, name = without_least(2)
+    failed = [(c.name, c.actual) for c in report.cases if not c.ok]
+    assert failed == [
+        ("graph count weight 2", str(len(weight_records(2)))),
+        (name, "missing from fixture"),
+    ]
+    report, name = without_least(4)
+    failed = [c.name for c in report.cases if not c.ok]
+    assert failed == ["strongly connected count", "fixture keys match catalog"]
+    assert name not in {c.name for c in report.cases}
+    assert len(report.cases) == len(verify("weight4").cases) - 1
+
+
 def test_oracle_suite_passes():
     report = verify("oracle")
     assert report.ok

@@ -57,6 +57,10 @@ def test_arborescence_bruteforce_agrees():
         g = parse_graph(text)
         for r in range(g.n):
             assert arborescence_count(g, r) == arborescences_bruteforce(g, r), (text, r)
+        for count in (arborescence_count, arborescences_bruteforce):
+            for r in (-1, g.n):
+                with pytest.raises(ValueError, match="root out of range"):
+                    count(g, r)
 
 
 def test_arborescence_root_independent_when_balanced_connected():
@@ -80,7 +84,7 @@ def test_euler_tour_examples():
 def test_euler_tour_vanishes_off_domain():
     assert euler_tour_count(parse_graph("0 2;1 0")) == 0  # unbalanced
     assert euler_tour_count(parse_graph("2 0;0 2")) == 0  # disconnected
-    assert euler_tour_count(EMPTY) == 0  # no first edge to fix
+    assert euler_tour_count(EMPTY) == 0 == euler_tour_bruteforce(EMPTY)  # no first edge to fix
     # an isolated vertex, at the root 0 or away from it
     assert euler_tour_count(parse_graph("0 0;0 2")) == 0
     assert euler_tour_count(parse_graph("2 0;0 0")) == 0
@@ -196,6 +200,8 @@ def test_decomposition_degree_is_max_cycle_packing():
 def test_bernoulli_values():
     want = [1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30), 0, Fraction(1, 42)]
     assert [bernoulli(k) for k in range(7)] == want
+    with pytest.raises(ValueError, match="k >= 0"):
+        bernoulli(-1)
 
 
 def test_tour_weighted_sums_hit_bernoulli_targets():

@@ -282,7 +282,8 @@ def test_search_results_are_pinned(monkeypatch):
     reversed, and of the verify suite's family graphs and LARGE_FAMILIES,
     each as built and relabelled: a change to how the search prunes must
     not move one of them.  Pruning moves only the work, which the number of
-    refinements pins."""
+    refinements pins: one per node searched, the one-vertex matrices
+    included, since `symmetry` refines every input."""
     matrices = []
     for k in range(1, 6):
         for r in weight_records(k):
@@ -299,7 +300,18 @@ def test_search_results_are_pinned(monkeypatch):
         digest.update(repr((found.matrix, found.order)).encode())
     assert len(matrices) == 1548
     assert digest.hexdigest() == SEARCH_SHA256
-    assert len(refinements) == 2071
+    assert len(refinements) == 2091
+
+
+@pytest.mark.parametrize("text", ["", "2", "3 1 0;0 2 1;1 0 1"])
+def test_a_discrete_start_is_its_own_canonical_matrix(text):
+    """A matrix of at most one vertex, or whose vertex types are distinct
+    and descending, is its one leaf: `symmetry` returns the input tuple
+    itself, with the trivial group."""
+    adj = parse_graph(text).adj
+    found = graphs.symmetry(adj)
+    assert found.matrix is adj
+    assert (found.generators, found.order) == ((), 1)
 
 
 @pytest.mark.parametrize("spec, closures", [(FamilySpec("A", n=16), 2), (FamilySpec("B", n=16), 4)])

@@ -303,8 +303,10 @@ def test_orbit_formula_matches_records_under_relabelling():
 
 
 def test_orbit_formula_rejects_non_strongly_connected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strongly connected"):
         z_orbit(parse_graph("2 0;0 2"))
+    with pytest.raises(ValueError, match="semistable"):  # nor one that is not semistable
+        z_orbit(parse_graph("1"))
 
 
 def test_orbit_formula_matches_determinant_formula_small_weights():

@@ -18,6 +18,8 @@ def test_det_base_cases():
     assert det_int([]) == 1
     assert det_int([[5]]) == 5
     assert det_int([[1, 2], [3, 4]]) == -2
+    with pytest.raises(ValueError, match="square"):
+        det_int([[1, 2]])
 
 
 @pytest.mark.parametrize("entry", [0.5, Fraction(1, 2), "2"], ids=["float", "fraction", "string"])
