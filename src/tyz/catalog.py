@@ -16,13 +16,15 @@ second semistability test.  A line's fields are named once, in `_FIELDS`,
 and one function gives a record's values in that order (`_line_values`):
 the reader compares them with the stored ones, an int only with an int, and
 words its errors from them; the writer fills a template built from
-`_FIELDS` with them (`_record_line`), which the tests hold to `json.dumps`
-of `record_to_json`, the two zipped into a dict.  A catalog is written to a
-temporary file renamed into place, so no reader sees a partial one; the
-on-disk cache (`stable_records`) checks each line's vertex and edge count
-before rebuilding its record, rebuilds a file that fails to read or holds
-another number of records than `census_count`, and warns (RuntimeWarning) of
-that and of a failed write, which loses only the disk copy.  The records of
+`_FIELDS` with them (`_record_line`), the JSON of each distinct row
+formatted once per catalog, and the tests hold each written line to
+`json.dumps` of `record_to_json`, the two zipped into a dict.  A catalog is
+written to a temporary file renamed into place, so no reader sees a partial
+one; the on-disk cache (`stable_records`) checks each line's vertex and
+edge count before rebuilding its record, rebuilds a file that fails to read
+or holds another number of records than `census_count`, and warns
+(RuntimeWarning) of that and of a failed write, which loses only the disk
+copy.  The records of
 each (cache directory, j, s) are kept in memory too (`_memo`), and with the
 disk cache that is the only memo of the census: `weight_records` serves
 every weight-k sum here, the census (`class_counts`, one TABLE2 row), the
@@ -191,15 +193,17 @@ _shared: dict[tuple, tuple | Fraction] = {}
 def build_record(g: MultiDigraph | Symmetry) -> CatalogRecord:
     """The record of g, each field computed once from its canonical matrix.
 
-    g is a graph, searched once, or a `symmetry` result, such as the one a
-    cold catalog's fill kept for its class; the canonical matrix and vertex
-    group order come from it, and aut is that order times the multiplicity
-    factorials.  det(A - I) is read off charpoly as (-1)^n chi(1), here for
-    z and later by the `det_a_minus_i` property; the class comes from one
-    connectivity pass; Euler tours from the matrix-tree minor.  z is (-1)^c
-    det(A - I)/|Aut(G)| when all c weak components are strongly connected,
-    else 0: `zeta.z`'s rule for unions, since the components' determinants
-    and orders multiply and |Aut(G)| adds `sym_factor`.
+    g is a graph, searched once, or a `symmetry` result, such as one the
+    census fill kept, and must be semistable: a cold catalog builds its
+    records by the same kernel without this check.  The canonical matrix
+    and vertex group order come from the search, and aut is that order
+    times the multiplicity factorials.  det(A - I) is read off charpoly as
+    (-1)^n chi(1), here for z and later by the `det_a_minus_i` property;
+    the class comes from one connectivity pass; Euler tours from the
+    matrix-tree minor.  z is (-1)^c det(A - I)/|Aut(G)| when all c weak
+    components are strongly connected, else 0: `zeta.z`'s rule for unions,
+    since the components' determinants and orders multiply and |Aut(G)|
+    adds `sym_factor`.
 
     The matrix rows, the charpoly and z are the shared copies (`_shared`),
     so a census holds each repeated value once.
@@ -255,11 +259,12 @@ _FIELDS = (
 )
 
 
-def _line_values(rec: CatalogRecord, rows: list) -> list:
+def _line_values(rec: CatalogRecord, rows: list | str) -> list:
     """rec's catalog line values in `_FIELDS` order, `rows` its matrix as
-    lists; a list, since each 10-tuple freed would stay on a free list."""
+    lists, or as their JSON text for the writer; a list, since each 10-tuple
+    freed would stay on a free list."""
     return [
-        len(rows),
+        len(rec.adj),
         rows,
         rec.weight,
         rec.edges,
@@ -284,8 +289,9 @@ _LINE = "{%s}\n" % ", ".join(
 )
 
 
-def _record_line(rec: CatalogRecord) -> str:
-    return _LINE % tuple(_line_values(rec, [*map(list, rec.adj)]))
+def _record_line(rec: CatalogRecord, texts: dict[tuple[int, ...], str]) -> str:
+    """rec's catalog line, `texts` the JSON of each of its rows."""
+    return _LINE % tuple(_line_values(rec, "[%s]" % ", ".join(map(texts.__getitem__, rec.adj))))
 
 
 def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
@@ -363,15 +369,20 @@ def _mismatch(obj: dict, values, where: str) -> NoReturn:
 
 
 def write_catalog(records, path) -> None:
+    """Write the records as a catalog, in canonical-key order, each line
+    `_LINE` filled with its values (`_record_line`).  A census repeats few
+    rows in many records, so each distinct row's JSON is formatted once per
+    catalog."""
     # records hold canonical matrices, so (n, rows) order is canonical-key order
     records = sorted(records, key=lambda r: (len(r.adj), r.adj))
+    texts = {row: str([*row]) for row in dict.fromkeys(chain.from_iterable(r.adj for r in records))}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # the rename is atomic, so readers see the old catalog or the whole new one
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(map(_record_line, records))
+            fh.writelines(map(_record_line, records, repeat(texts)))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -422,7 +433,11 @@ def stable_records(j: int, s: int) -> tuple[CatalogRecord, ...]:
 
     The records must number `census_count(j, s)`: 0 gives () and touches no
     file, a catalog read with another count is rebuilt like a corrupt one,
-    and an enumeration giving another count raises RuntimeError."""
+    and an enumeration giving another count raises RuntimeError.  A cold
+    record is built by the record kernel (`_record`) straight from the
+    search the fill kept, with no semistability check: the fill's matrices
+    are stable by construction, and `build_record` keeps that check for
+    graphs from outside."""
     cache_root = catalog_cache_dir()
     memo_key = (cache_root, j, s)
     if memo_key in _memo:
@@ -444,7 +459,12 @@ def stable_records(j: int, s: int) -> tuple[CatalogRecord, ...]:
     # each search is popped as its record is built, so its memory is freed at
     # once and reused by the records rather than held to the end of the catalog
     searches = list(reversed(enumerate_stable(j, s)))
-    records = tuple(build_record(searches.pop()) for _ in range(len(searches)))
+    records = []
+    while searches:
+        found = searches.pop()
+        cols = tuple(zip(*found.matrix))
+        records.append(_record(found, cols, *_degrees(found.matrix, cols)))
+    records = tuple(records)
     if len(records) != expected:
         raise RuntimeError(
             f"enumerate_stable({j}, {s}) gave {len(records)} classes, census_count gives {expected}"

@@ -14,7 +14,9 @@ off-diagonal entries split out - loops under what each other column can
 still take of its in - loops.  The rows allowed for each (vertex, type,
 remaining capacities) are listed once per call, each with the capacities
 it leaves, by one recursion over a mutable row and a mutable capacity list
-that builds one tuple of each per choice and none on the way.
+that builds one tuple of each per choice and none on the way.  The last row
+cannot fill its own column off the diagonal, so row j - 2 takes all that
+column j - 1 can still take, and every node of the fill has one last row.
 
 Every full matrix thus has its vertices in non-increasing (out, in, loops)
 order, and is kept only if it is its class's canonical matrix, by the
@@ -32,11 +34,14 @@ signatures decrease, checked when its last row is placed.  This drops
 exactly the leaves that the first splitter rejects, before they are built.
 The canonical test searches a leaf that passes the leaf test from its
 refined partition, and not at all when that is discrete, and keeps the leaf
-only when the search returns it unchanged; the record of the class then
-searches nothing again.  The fill reaches each labelled matrix at most once,
-so each class is kept exactly once, with no dedup.  Every row tuple the
-fill keeps, in its row choices and in the kept matrices, is one object per
-distinct value for the whole call.
+only when it is the search's least leaf.  The search stops at the first
+leaf below it, and at the end rejects it when the least leaf is another,
+since a leaf need not be a leaf of its own search; a kept leaf runs the
+whole search, so its generators and order are `symmetry`'s, and the record
+of the class then searches nothing again.  The fill reaches each labelled
+matrix at most once, so each class is kept exactly once, with no dedup.
+Every row tuple the fill keeps, in its row choices and in the kept
+matrices, is one object per distinct value for the whole call.
 
 `census_count` counts the same classes without generating a graph, by
 Burnside's lemma, and `catalog.stable_records` checks every catalog's
@@ -122,14 +127,25 @@ def _row_choices(v: int, kind: Type, caps: tuple[int, ...], pool: dict) -> list:
     other columns.  One recursion writes the row and the capacities after
     into two mutable lists, column by column over the columns that can take
     an edge, and makes one tuple of each per choice, none on the way; the
-    row tuple is the one `pool` keeps, added on first sight."""
+    row tuple is the one `pool` keeps, added on first sight.
+
+    Row j - 1, the last, cannot fill its own column off the diagonal, so
+    row j - 2 takes all that column j - 1 can still take: its entry there
+    is fixed before the split, and every row listed at j - 1 is then the
+    one that fills the other columns."""
     out, _, loops = kind
+    last = len(caps) - 1
+    fixed = caps[last] if v == last - 1 else 0  # row v's entry in column j - 1, if fixed
     free = [u for u in range(len(caps)) if caps[u] and u != v]  # the columns row v can use
+    if fixed:
+        free.pop()  # column j - 1, taken whole
     room = [0] * (len(free) + 1)  # room[i]: what the columns free[i:] take together
     for i in range(len(free) - 1, -1, -1):
         room[i] = room[i + 1] + caps[free[i]]
     row, after = [0] * len(caps), [*caps]
     row[v] = loops
+    row[last] += fixed
+    after[last] -= fixed
     choices: list = []
     append, setdefault = choices.append, pool.setdefault
 
@@ -149,8 +165,8 @@ def _row_choices(v: int, kind: Type, caps: tuple[int, ...], pool: dict) -> list:
             place(left - x, i + 1)
         row[u], after[u] = 0, cap
 
-    if out - loops <= room[0]:
-        place(out - loops, 0)
+    if 0 <= out - loops - fixed <= room[0]:
+        place(out - loops - fixed, 0)
     del place  # it refers to itself: a cycle that only the collector would free
     return choices
 
@@ -163,9 +179,12 @@ def enumerate_stable(j: int, s: int) -> tuple[Symmetry, ...]:
     searches nothing again; `MultiDigraph` of the matrix is the class's
     canonical representative.  A leaf of the fill is kept only when it is
     its class's canonical matrix, so each class is kept once and its
-    generators are automorphisms of its matrix.  The kept matrices share
-    their rows: one tuple per distinct row for the whole call.  The module
-    docstring describes the fill, its prefix test and its canonical test."""
+    generators are automorphisms of its matrix; a rejected leaf's search
+    stops at its first leaf below it, or at the end when its least leaf is
+    another.  Row j - 2 fills what column j - 1 can still take, so no node
+    is left without a last row.  The kept matrices share their rows: one
+    tuple per distinct row for the whole call.  The module docstring
+    describes the fill, its prefix test and its canonical test."""
     if j < 1 or s < 2 * j:
         return ()
     pool: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct value

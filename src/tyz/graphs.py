@@ -334,7 +334,7 @@ def symmetry(adj: Matrix) -> Symmetry:
     types = _types(adj, *_degrees(adj, cols))
     start = sorted(range(len(adj)), key=types.__getitem__, reverse=True)  # stable: ties by label
     cells = refine(adj, cols, [list(run) for _, run in groupby(start, types.__getitem__)])
-    return _search(adj, cols, cells)
+    return _search(adj, cols, cells, None)
 
 
 def _type_runs(types) -> list[list[int]] | None:
@@ -355,16 +355,17 @@ def _leaf_search(adj: Matrix, cols: Matrix, runs) -> Symmetry | None:
     refining move no vertex, so the search starts from `symmetry`'s cells;
     a discrete refinement is adj's own order, its canonical matrix, and is
     returned as `_search` would return it, without the search's set-up.
+    Else `_search` runs with adj as its candidate: it gives up at the first
+    leaf below adj, and at the end when the least leaf is not adj.
     Every canonical matrix passes the leaf test, since the least leaf lists
     the cells of a refinement of the descending type runs in order, and
-    then the search, if any, returns it unchanged."""
+    then the search runs whole and returns it unchanged."""
     cells = refine(adj, cols, runs, ordered=True)
     if cells is None:
         return None
     if len(cells) == len(adj):
         return Symmetry(adj, (), 1)
-    found = _search(adj, cols, cells)
-    return Symmetry(adj, found.generators, found.order) if found.matrix == adj else None
+    return _search(adj, cols, cells, adj)
 
 
 def _types(adj: Matrix, outs: tuple[int, ...], ins: tuple[int, ...]) -> list[tuple[int, int, int]]:
@@ -372,10 +373,17 @@ def _types(adj: Matrix, outs: tuple[int, ...], ins: tuple[int, ...]) -> list[tup
     return list(zip(outs, ins, map(getitem, adj, range(len(adj)))))
 
 
-def _search(adj: Matrix, cols: Matrix, cells) -> Symmetry:
+def _search(adj: Matrix, cols: Matrix, cells, candidate: Matrix | None) -> Symmetry | None:
     """The search of `symmetry` from the refined start `cells`, given the
     columns `cols` of adj.  A discrete start is its one leaf, with the
-    trivial group."""
+    trivial group.
+
+    A `candidate` matrix makes the search a canonical test (`_leaf_search`):
+    it returns None at the first leaf whose matrix is below the candidate,
+    and at the end when the least leaf is not the candidate, since a
+    candidate need not be a leaf of its own search; else its result, with
+    the candidate tuple itself as the matrix.  A candidate that passes runs
+    the whole search, so its generators and order are `symmetry`'s."""
     n = len(adj)
     generators: list[tuple[int, ...]] = []
     first = best = None  # (leaf matrix, leaf ordering, path) of the first and least leaves
@@ -389,6 +397,8 @@ def _search(adj: Matrix, cols: Matrix, cells) -> Symmetry:
     def leaf(order: list[int], path: list[int], wide: list[list[int]]) -> int:
         nonlocal first, best, below_first
         matrix = _leaf_matrix(adj, order)
+        if candidate is not None and matrix < candidate:
+            return -1  # below every depth, so each ancestor returns at once
         if first is None:
             first = best = (matrix, order, path)
             for cell in wide:  # the group fixing the path permutes each twin cell freely
@@ -443,11 +453,15 @@ def _search(adj: Matrix, cols: Matrix, cells) -> Symmetry:
                 return back
         return depth
 
-    visit(cells, [])
+    stopped = visit(cells, []) < 0
     del visit  # it refers to itself: a cycle that only the collector would free
+    if candidate is not None and (stopped or best[0] != candidate):
+        return None
+    # a candidate that passes is returned as the tuple itself, whichever leaf gave it
+    matrix = best[0] if candidate is None else candidate
     first_path = first[2]
     order = math.prod(len(_closure([v], moves(first_path[:d]))) for d, v in enumerate(first_path))
-    return Symmetry(best[0], tuple(generators), order * below_first)
+    return Symmetry(matrix, tuple(generators), order * below_first)
 
 
 def _closure(seeds, images) -> set:

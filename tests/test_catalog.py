@@ -523,11 +523,11 @@ def test_failed_write_keeps_old_catalog(tmp_path, monkeypatch):
     original = catalog._record_line
     calls = []
 
-    def failing(rec):
+    def failing(rec, texts):
         calls.append(rec)
         if len(calls) == 3:
             raise OSError("disk full")
-        return original(rec)
+        return original(rec, texts)
 
     monkeypatch.setattr(catalog, "_record_line", failing)
     with pytest.raises(OSError, match="disk full"):
@@ -822,10 +822,10 @@ def test_cold_records_search_only_inside_the_fill(tmp_path, monkeypatch):
         finally:
             inside.pop()
 
-    def counted_search(adj, cols, cells):
+    def counted_search(adj, cols, cells, candidate):
         if len(cells) < len(adj):  # a discrete start returns before the search
             searched["fill" if inside else "elsewhere"] += 1
-        return search(adj, cols, cells)
+        return search(adj, cols, cells, candidate)
 
     def counted_symmetry(adj):
         searched["elsewhere"] += 1
@@ -839,6 +839,24 @@ def test_cold_records_search_only_inside_the_fill(tmp_path, monkeypatch):
     assert len(records) == 85
     assert (tmp_path / "stable-5-10.jsonl").exists()
     assert searched == Counter(fill=169)
+
+
+def test_cold_records_are_built_from_the_fill_and_written_as_their_json(tmp_path, monkeypatch):
+    """Every cold catalog of weight <= 5, the one-vertex ones included, holds
+    `build_record` of each search the fill returns, and its file is their
+    `json.dumps(record_to_json(r))` lines; `build_record` itself still
+    rejects a graph that is not semistable."""
+    monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(catalog, "_memo", {})
+    sizes = [(j, j + k) for k in range(1, 6) for j in range(1, k + 1)]
+    assert (1, 3) in sizes
+    for j, s in sizes:
+        records = stable_records(j, s)
+        assert records == tuple(map(build_record, enumerate_stable(j, s))), (j, s)
+        lines = (tmp_path / f"stable-{j}-{s}.jsonl").read_text().splitlines(keepends=True)
+        assert lines == [json.dumps(record_to_json(r)) + "\n" for r in records], (j, s)
+    with pytest.raises(ValueError, match="semistable"):
+        build_record(parse_graph("1"))
 
 
 def test_identity_suites_read_the_catalogs(tmp_path, monkeypatch):
@@ -1187,11 +1205,12 @@ def test_catalog_files_are_pinned(tmp_path, monkeypatch):
     assert digest.hexdigest() == CATALOG_SHA256
 
 
-def test_record_line_is_the_json_of_record_to_json():
+def test_record_line_is_the_json_of_record_to_json(tmp_path):
     """The writer's line is `json.dumps(record_to_json(rec))` and a newline,
     byte for byte, for every record of weight <= 5, among them records with
     a negative det(A - I), a negative z and an aut of several digits, and
-    for a made-up record with large entries and one vertex."""
+    for a made-up record with large entries and one vertex, all written to
+    one file in canonical-key order."""
     records = [r for k in range(1, 6) for r in weight_records(k)]
     assert any(r.det_a_minus_i < 0 for r in records)
     assert any(r.z < 0 for r in records) and any(r.aut >= 10 for r in records)
@@ -1199,5 +1218,9 @@ def test_record_line_is_the_json_of_record_to_json():
         adj=((12,),), weight=11, edges=12, cls="strongly_connected", aut=479001600,
         z=Fraction(-11, 479001600), euler_tours=39916800, charpoly=(-11, 1234567890123, -7),
     )
-    for rec in (*records, odd):
-        assert catalog._record_line(rec) == json.dumps(record_to_json(rec)) + "\n"
+    path = tmp_path / "mixed.jsonl"
+    write_catalog([*records, odd], path)
+    ordered = sorted([*records, odd], key=lambda r: (len(r.adj), r.adj))
+    assert path.read_text().splitlines(keepends=True) == [
+        json.dumps(record_to_json(rec)) + "\n" for rec in ordered
+    ]

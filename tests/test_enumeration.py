@@ -112,16 +112,75 @@ def test_fill_keeps_only_invariant_ordered_matrices(monkeypatch):
         leaves.append(adj)
         return leaf_test(adj, cols, runs)
 
-    def counted(adj, cols, cells):
+    def counted(adj, cols, cells, candidate):
         if len(cells) < len(adj):  # not discrete, so the search runs
             calls.append(adj)
-        return search(adj, cols, cells)
+        return search(adj, cols, cells, candidate)
 
     monkeypatch.setattr(enumeration, "_leaf_search", counted_leaf)
     monkeypatch.setattr(graphs, "_search", counted)
     assert len(enumerate_stable(5, 10)) == 85
     assert len(leaves) == len(set(leaves)) == 323
     assert len(calls) <= 169
+
+
+@pytest.mark.parametrize("j, s", [(3, 7), (4, 8), (5, 10), (6, 12)])
+def test_canonical_test_is_symmetry_stopped_early(monkeypatch, j, s):
+    """Every leaf the fill tests: `_leaf_search` gives None exactly when
+    `symmetry` of the leaf has another matrix, though it stops at the first
+    leaf below the candidate; else the leaf tuple itself, with `symmetry`'s
+    generators and order."""
+    tested = []
+
+    def recorded(adj, cols, runs):
+        found = graphs._leaf_search(adj, cols, runs)
+        tested.append((adj, found))
+        return found
+
+    monkeypatch.setattr(enumeration, "_leaf_search", recorded)
+    kept = enumerate_stable(j, s)
+    assert sorted(found for _, found in tested if found is not None) == list(kept)
+    for leaf, found in tested:
+        whole = symmetry(leaf)
+        if whole.matrix != leaf:
+            assert found is None, leaf
+        else:
+            assert found == whole and found.matrix is leaf, leaf
+
+
+def test_canonical_test_stops_at_the_first_smaller_leaf(monkeypatch):
+    """The (5, 10) fill reads 264 leaf matrices in its searches: a rejected
+    candidate's search ends at its first leaf below the candidate.  Searched
+    to the end, as `symmetry` does, they read 349."""
+    calls = []
+    leaf_matrix = graphs._leaf_matrix
+
+    def counted(adj, order):
+        calls.append(adj)
+        return leaf_matrix(adj, order)
+
+    monkeypatch.setattr(graphs, "_leaf_matrix", counted)
+    assert len(enumerate_stable(5, 10)) == 85
+    assert len(calls) == 264
+
+
+@pytest.mark.parametrize("j, s", [(4, 10), (5, 10), (5, 11)])
+def test_fill_lists_exactly_one_last_row(monkeypatch, j, s):
+    """Row j - 2 takes all that column j - 1 can still take, so every row
+    choice the fill lists for its last row j - 1 is exactly one row: no
+    node of the fill is left without a last row."""
+    counts = []
+    row_choices = enumeration._row_choices
+
+    def recorded(v, kind, caps, pool):
+        choices = row_choices(v, kind, caps, pool)
+        if v == j - 1:
+            counts.append(len(choices))
+        return choices
+
+    monkeypatch.setattr(enumeration, "_row_choices", recorded)
+    assert len(enumerate_stable(j, s)) == enumeration.census_count(j, s)
+    assert counts and set(counts) == {1}
 
 
 def _leaves_and_classes(monkeypatch, j, s):
@@ -186,8 +245,9 @@ def test_fill_leaves_no_cyclic_garbage():
 def test_row_choices_in_lexicographic_order():
     """Every row of a type under the capacities, its loops on the diagonal,
     in lexicographic order, as a filter of all rows under the capacities
-    lists them, each with the capacities it leaves; every row is the tuple
-    the pool keeps, also on a second call."""
+    lists them, each with the capacities it leaves; row n - 2 only with all
+    of column n - 1's capacity, which the last row cannot take.  Every row
+    is the tuple the pool keeps, also on a second call."""
     for n in range(1, 5):
         for caps in product(range(4), repeat=n):
             for v in range(n):
@@ -196,6 +256,8 @@ def test_row_choices_in_lexicographic_order():
                         kind = (out, 2, loops)
                         bounds = [range(c + 1) for c in caps]
                         bounds[v] = (loops,)
+                        if v == n - 2:
+                            bounds[n - 1] = (caps[n - 1],)
                         rows = [x for x in product(*bounds) if sum(x) == out]
                         want = []
                         for x in rows:
