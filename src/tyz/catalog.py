@@ -3,28 +3,24 @@
 A catalog is a JSON-lines file, one record per stable graph, in strictly
 increasing canonical-key order.  Every stored field is recomputable from the
 adjacency matrix alone, each by one computation in `build_record`
-(det(A - I) is read off the characteristic polynomial as (-1)^n chi(1)), and
-reading a catalog recomputes and compares all of them, so a corrupt or
-tampered file fails loudly with the line number and field name.  The reader
-transposes each stored matrix and sums its degrees once, for its size and
-stability checks.  Its canonical check is the census fill's canonical
-test (`graphs._leaf_search`), which gives a result only for a class's
-canonical matrix.
-The record of a canonical matrix is built from those columns and sums by
-the one record kernel (`_record`, which `build_record` also calls), with no
-second semistability test.  A line's fields are named once, in `_FIELDS`,
-and one function gives a record's values in that order (`_line_values`):
-the reader compares them with the stored ones, an int only with an int, and
-words its errors from them; the writer fills a template built from
-`_FIELDS` with them (`_record_line`), the JSON of each distinct row
-formatted once per catalog, and the tests hold each written line to
-`json.dumps` of `record_to_json`, the two zipped into a dict.  A catalog is
-written to a temporary file renamed into place, so no reader sees a partial
-one; the on-disk cache (`stable_records`) checks each line's vertex and
-edge count before rebuilding its record, rebuilds a file that fails to read
-or holds another number of records than `census_count`, and warns
-(RuntimeWarning) of that and of a failed write, which loses only the disk
-copy.  The records of
+(det(A - I) is read off the characteristic polynomial as (-1)^n chi(1)).
+A line's fields are named once, in `_FIELDS`, and one function gives a
+record's values in that order (`_line_values`): the writer fills a template
+built from `_FIELDS` with them (`_LINE`, `_record_line`), the JSON of each
+distinct row formatted once per catalog, and the tests hold each written
+line to `json.dumps` of `record_to_json`, the two zipped into a dict.  The
+reader (`_rebuilt`) reads the rows straight from that format, checks the
+matrix's size and stability, runs the census fill's canonical test
+(`graphs._leaf_search`, which gives a result only for a class's canonical
+matrix), rebuilds the record by the one record kernel (`_record`, which
+`build_record` also calls), and accepts the line only if it is, byte for
+byte, the writer's line for that record.  Any other line is parsed as JSON
+only to word its error, with the line number and field name, so a corrupt
+or tampered file fails loudly.  A catalog is written to a temporary file
+renamed into place, so no reader sees a partial one; the on-disk cache
+(`stable_records`) rebuilds a file that fails to read or holds another
+number of records than `census_count`, and warns (RuntimeWarning) of that
+and of a failed write, which loses only the disk copy.  The records of
 each (cache directory, j, s) are kept in memory too (`_memo`), and with the
 disk cache that is the only memo of the census: `weight_records` serves
 every weight-k sum here, the census (`class_counts`, one TABLE2 row), the
@@ -294,22 +290,75 @@ def _record_line(rec: CatalogRecord, texts: dict[tuple[int, ...], str]) -> str:
     return _LINE % tuple(_line_values(rec, "[%s]" % ", ".join(map(texts.__getitem__, rec.adj))))
 
 
-def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
-    """Rebuild the record from the adjacency matrix alone and require every
-    field of `_FIELDS` to be stored and match, an int field or charpoly
-    entry with an int, the first missing or differing one reported.  A
-    matrix that is not j x j with entry sum s, for size = (j, s), or that
-    has a row or column sum below 2, and so is no stable graph, fails
-    before anything is computed from it.
+# `_LINE` up to the end of its rows, in which only digits, commas, spaces and
+# brackets match: int() of an entry split from them is a non-negative int or
+# raises
+_ROWS = re.compile(
+    r"{}[0-9]+{}\[(\[[0-9, \[\]]*\])?\]".format(*map(re.escape, _LINE.split("%s")[:2]))
+)
 
-    The canonical check is the census fill's canonical test
-    (`_leaf_search`) on the runs of equal type (`_type_runs`), which gives
-    None for a matrix that is not its class's canonical one.  A matrix that
-    fails is searched by `symmetry` only to word its error, on 'vertices' or
-    'adjacency', the first two fields, against its canonical matrix; no
-    record is built for it.  The record of a canonical matrix is built from
-    the columns and degrees the checks read (`_record`), and its line values
-    compared with the stored ones, the stored rows standing for its matrix."""
+
+def _rebuilt(
+    line: str, where: str, size: tuple[int, int], ints: dict, texts: dict
+) -> CatalogRecord | None:
+    """The record rebuilt from the rows of `line` if the line is, byte for
+    byte, `write_catalog`'s line for it, else None or a ValueError.  `ints`
+    holds the entries of each row text read so far and `texts` the JSON of
+    each row, formatted from its entries, not taken from the file."""
+    m = _ROWS.match(line)
+    if m is None:
+        return None
+    rows = m[1][1:-1].split("], [") if m[1] else []
+    for text in rows:
+        if text not in ints:
+            row = tuple(map(int, text.split(", ")))  # raises on over 4,300 digits
+            if len(row) != size[0]:  # so the size check leaves a square matrix
+                return None
+            ints[text] = row
+            texts[row] = str([*row])
+    found, cols, outs, ins = _stable_search(tuple(map(ints.__getitem__, rows)), where, size)
+    if found is None:
+        return None
+    rec = _record(found, cols, outs, ins)
+    return rec if _record_line(rec, texts) == line else None
+
+
+def _stable_search(adj: Matrix, where: str, size: tuple[int, int]) -> tuple:
+    """(`_leaf_search` of adj, the census fill's canonical test, which is
+    None unless adj is its class's canonical matrix, and the columns and
+    out- and in-degrees it reads) for a matrix of non-negative int rows of
+    one length.  Raises before anything is computed from a matrix that is
+    not j x j with entry sum s, for size = (j, s), or that has a row or
+    column sum below 2, and so is no stable graph."""
+    n, cols = len(adj), tuple(zip(*adj))
+    outs, ins = _degrees(adj, cols)
+    if (n, sum(outs)) != size:
+        raise ValueError(
+            f"{where}: adjacency has {n} vertices and {sum(outs)} edges, "
+            f"not {size[0]} and {size[1]}"
+        )
+    if min(outs + ins, default=2) < 2:
+        v = next(v for v in range(n) if min(outs[v], ins[v]) < 2)
+        raise ValueError(
+            f"{where}: field 'adjacency': vertex {v + 1} has out-degree {outs[v]} "
+            f"and in-degree {ins[v]}, not both at least 2"
+        )
+    runs = _type_runs(_types(adj, outs, ins))
+    return (None if runs is None else _leaf_search(adj, cols, runs)), cols, outs, ins
+
+
+def _record_from_json(line: str, where: str, size: tuple[int, int]) -> NoReturn:
+    """Word the error of a line that `_rebuilt` rejects, from its JSON: the
+    first of invalid JSON, a failed check of its matrix, a field of
+    `_FIELDS` missing or stored with another value or type than the record
+    rebuilt from the matrix has, and else, all fields matching, a line the
+    writer does not write, say with other spacing or keys.  A matrix that
+    fails the canonical test is searched by `symmetry` only to word its
+    error on 'vertices' or 'adjacency' against its canonical matrix."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # also too many digits, too deep
+        raise ValueError(f"{where}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: not a JSON object")
     if "adjacency" not in obj:
@@ -327,42 +376,25 @@ def _record_from_json(obj, where: str, size: tuple[int, int]) -> CatalogRecord:
             MultiDigraph.from_rows(rows)
         except ValueError as exc:
             raise ValueError(f"{where}: field 'adjacency': {exc}") from None
-    cols = tuple(zip(*adj))
-    outs, ins = _degrees(adj, cols)
-    if (n, sum(outs)) != size:
-        raise ValueError(
-            f"{where}: adjacency has {n} vertices and {sum(outs)} edges, "
-            f"not {size[0]} and {size[1]}"
-        )
-    if min(outs + ins, default=2) < 2:
-        v = next(v for v in range(n) if min(outs[v], ins[v]) < 2)
-        raise ValueError(
-            f"{where}: field 'adjacency': vertex {v + 1} has out-degree {outs[v]} "
-            f"and in-degree {ins[v]}, not both at least 2"
-        )
-    runs = _type_runs(_types(adj, outs, ins))
-    found = None if runs is None else _leaf_search(adj, cols, runs)
+    found, cols, outs, ins = _stable_search(adj, where, size)
     if found is None:
-        # not canonical, searched only to word the error: the canonical
-        # matrix differs on 'adjacency', if 'vertices' is stored right
+        # the canonical matrix differs on 'adjacency', if 'vertices' is stored right
         _mismatch(obj, [n, [*map(list, symmetry(adj).matrix)]], where)
-    rec = _record(found, cols, outs, ins)
-    values = _line_values(rec, rows)  # the stored rows are adj, so 'adjacency' matches
-    stored = [*map(obj.get, _FIELDS)]
-    # == takes 8.0 or True for the int 8 or 1, so the types of equal values
-    # and of the charpoly entries are checked too
-    if stored != values or not {*map(type, chain(stored, obj["charpoly"]))} <= {int, list, str}:
-        _mismatch(obj, values, where)
-    return rec
+    # the stored rows are adj, so 'adjacency' matches
+    _mismatch(obj, _line_values(_record(found, cols, outs, ins), rows), where)
 
 
 def _mismatch(obj: dict, values, where: str) -> NoReturn:
     """Report the first field of `_FIELDS` that obj is missing or stores
-    another value or type of (their reprs differ) than the line's `values`
-    has; there is one."""
+    another value or type of (their reprs differ: 8.0 and True are not the
+    ints 8 and 1) than the line's `values` has, or, if there is none, that
+    the line is not the writer's."""
     field, value = next(
-        (f, v) for f, v in zip(_FIELDS, values) if f not in obj or repr(obj[f]) != repr(v)
+        ((f, v) for f, v in zip(_FIELDS, values) if f not in obj or repr(obj[f]) != repr(v)),
+        (None, None),
     )
+    if field is None:
+        raise ValueError(f"{where}: not the line write_catalog writes for its record")
     if field not in obj:
         raise ValueError(f"{where}: missing field '{field}'")
     raise ValueError(f"{where}: field '{field}': stored {obj[field]!r}, recomputed {value!r}")
@@ -389,24 +421,30 @@ def write_catalog(records, path) -> None:
 
 
 def read_catalog(path, size: tuple[int, int]) -> list[CatalogRecord]:
-    """Load and fully re-verify the catalog of the j-vertex, s-edge graphs,
-    size = (j, s); raises with line number on any corrupt or inconsistent
-    record, on a duplicate or out-of-order one, and on one without j
-    vertices and s edges."""
+    """The records of the catalog of the j-vertex, s-edge graphs, size =
+    (j, s), each rebuilt from its line's rows (`_rebuilt`), whose line must
+    be, byte for byte, the one `write_catalog` writes for it.  Raises with
+    the line number on any other line, worded from its JSON
+    (`_record_from_json`), and on a duplicate or out-of-order record; blank
+    lines are skipped."""
     out = []
     last = None
+    ints: dict[str, tuple[int, ...]] = {}
+    texts: dict[tuple[int, ...], str] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
+            where = f"line {line_no}"
             try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # also too many digits, too deep
-                raise ValueError(f"line {line_no}: invalid JSON: {exc}") from None
-            rec = _record_from_json(obj, f"line {line_no}", size)
+                rec = _rebuilt(line, where, size, ints, texts)
+            except ValueError:
+                rec = None
+            if rec is None:
+                _record_from_json(line, where, size)
             # every matrix here is j x j, so row-tuple order is canonical-key order
             if last is not None and rec.adj <= last:
-                raise ValueError(f"line {line_no}: duplicate or out-of-order record")
+                raise ValueError(f"{where}: duplicate or out-of-order record")
             last = rec.adj
             out.append(rec)
     return out

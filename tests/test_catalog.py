@@ -682,6 +682,9 @@ def test_relabelled_line_fails_on_adjacency(tmp_path, text, rows, passes, messag
     assert str(caught.value) == message
 
 
+NOT_THE_WRITERS_LINE = "not the line write_catalog writes for its record"
+
+
 # per field of `record_to_json`, in its order, a wrong value for the record
 # of "1 1 0;0 0 2;1 1 0" and how the reader words it
 WRONG_VALUES = [
@@ -705,8 +708,8 @@ WRONG_VALUES = [
 @pytest.mark.parametrize("i", range(len(WRONG_VALUES)), ids=[f for f, _, _ in WRONG_VALUES])
 def test_field_error_names_the_first_wrong_field(tmp_path, i):
     """A field of `record_to_json` changed or left out gives the reader's
-    message for it, also when a later field is wrong too; an extra key is
-    accepted."""
+    message for it, also when a later field is wrong too; an extra key gives
+    the message for a line that is not the writer's."""
     g = parse_graph("1 1 0;0 0 2;1 1 0")
     stored = record_to_json(build_record(g))
     assert [field for field, _, _ in WRONG_VALUES] == list(stored)
@@ -723,8 +726,7 @@ def test_field_error_names_the_first_wrong_field(tmp_path, i):
     assert read({k: x for k, x in stored.items() if k != field}) == f"line 1: missing field '{field}'"
     for later, other, _ in WRONG_VALUES[i + 1 :]:
         assert read({**stored, field: value, later: other}) == f"line 1: field '{field}': {tail}"
-    path.write_text(json.dumps({**stored, "comment": "kept"}) + "\n")
-    assert read_catalog(path, (3, 6)) == [build_record(g)]
+    assert read({**stored, "comment": "kept"}) == f"line 1: {NOT_THE_WRITERS_LINE}"
 
 
 # per int field, a float on "0 2;2 0" and a bool on the empty graph, each
@@ -767,15 +769,79 @@ def test_a_float_or_bool_in_place_of_an_int_is_named(tmp_path, i):
     assert str(caught.value) == f"line 1: field '{field}': {tail}"
 
 
-def test_a_line_with_its_keys_reversed_reads_back(tmp_path):
-    """The reader compares fields, not bytes: lines with their keys in
-    reverse order and no spaces read back as the records."""
-    want = list(stable_records(3, 6))
+def test_a_line_with_its_keys_reversed_is_rebuilt(tmp_path, monkeypatch):
+    """The reader compares bytes with the writer's line, not fields: lines
+    with their keys in reverse order and no spaces fail the read, and the
+    catalog is rebuilt byte for byte as the writer writes it, with one
+    warning naming the first line."""
+    monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(catalog, "_memo", {})
+    want = stable_records(3, 6)
     path = tmp_path / "stable-3-6.jsonl"
+    written = path.read_text()
     lines = [dict(reversed(record_to_json(r).items())) for r in want]
     path.write_text("".join(json.dumps(obj, separators=(",", ":")) + "\n" for obj in lines))
     assert list(lines[0])[0] == "charpoly"
-    assert read_catalog(path, (3, 6)) == want
+    with pytest.raises(ValueError) as caught:
+        read_catalog(path, (3, 6))
+    assert str(caught.value) == f"line 1: {NOT_THE_WRITERS_LINE}"
+    monkeypatch.setattr(catalog, "_memo", {})
+    with pytest.warns(RuntimeWarning) as warned:
+        assert stable_records(3, 6) == want
+    assert len(warned) == 1
+    assert str(warned[0].message).endswith(f"stable-3-6.jsonl: line 1: {NOT_THE_WRITERS_LINE}")
+    assert path.read_text() == written
+
+
+# a (2,4) catalog with one line written otherwise than the writer writes
+# it, its values unchanged, and the reader's message: an entry with a
+# leading zero is no JSON, the other two lines are JSON of the right values
+OTHER_TEXTS = [
+    (lambda text: text[:-1], f"line 3: {NOT_THE_WRITERS_LINE}"),
+    (lambda text: text.replace("[[1, 1]", "[[1,1]"), f"line 2: {NOT_THE_WRITERS_LINE}"),
+    (lambda text: text.replace("[[1, 1]", "[[01, 1]"), "line 2: invalid JSON: "),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, message", OTHER_TEXTS, ids=["no-final-newline", "row-without-spaces", "leading-zero"]
+)
+def test_a_line_the_writer_does_not_write_is_rebuilt(tmp_path, monkeypatch, edit, message):
+    """A line that is not byte for byte the writer's fails the read with its
+    line number, and the catalog is rebuilt as the writer writes it, with
+    one warning naming the line."""
+    monkeypatch.setenv("TYZ_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(catalog, "_memo", {})
+    want = stable_records(2, 4)
+    path = tmp_path / "stable-2-4.jsonl"
+    written = path.read_text()
+    assert edit(written) != written
+    path.write_text(edit(written))
+    with pytest.raises(ValueError) as caught:
+        read_catalog(path, (2, 4))
+    assert str(caught.value).startswith(message)
+    monkeypatch.setattr(catalog, "_memo", {})
+    with pytest.warns(RuntimeWarning) as warned:
+        assert stable_records(2, 4) == want
+    assert len(warned) == 1
+    assert f"stable-2-4.jsonl: {message}" in str(warned[0].message)
+    assert path.read_text() == written
+
+
+def test_a_valid_catalog_rereads_with_no_json_parse(tmp_path, monkeypatch):
+    """The 20 census catalogs, weights 1-5 and weight 6 with j <= 5, read
+    back with no `json.loads` call: each line is compared with the writer's
+    line for its rebuilt record, never parsed as JSON."""
+    sizes = [(j, j + k) for k in range(1, 6) for j in range(1, k + 1)]
+    sizes += [(j, j + 6) for j in range(1, 6)]
+    _fill_disk_cache(tmp_path, range(1, 6))
+    for j, s in sizes[-5:]:
+        write_catalog(stable_records(j, s), tmp_path / f"stable-{j}-{s}.jsonl")
+    loads, calls = json.loads, []
+    monkeypatch.setattr(catalog.json, "loads", lambda *args: calls.append(args) or loads(*args))
+    read = [r for j, s in sizes for r in read_catalog(tmp_path / f"stable-{j}-{s}.jsonl", (j, s))]
+    assert len(read) == 5977
+    assert calls == []
 
 
 def test_reread_sums_each_records_degrees_once(tmp_path, monkeypatch):
